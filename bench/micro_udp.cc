@@ -47,13 +47,13 @@ void BM_LaneSimHuffmanDecode(benchmark::State& state) {
       codec::HuffmanTable::train(raw));
   const codec::HuffmanCodec sw(table);
   const codec::Bytes enc = sw.encode(raw);
+  const codec::HuffmanFrame frame = codec::parse_huffman_frame(enc);
   const udp::Program program = build_huffman_decode_program(*table);
   const udp::Layout layout(program);
-  udp::Lane lane(layout);
-  const std::pair<int, std::uint64_t> init[] = {{kHuffmanOutReg, 0}};
+  codec::Bytes out(frame.count);
   std::uint64_t simulated_cycles = 0;
   for (auto _ : state) {
-    simulated_cycles += lane.run(enc, init).cycles;
+    simulated_cycles += udp_huffman_decode(layout, frame, out.data());
   }
   state.counters["sim_cycles_per_s"] = benchmark::Counter(
       static_cast<double>(simulated_cycles), benchmark::Counter::kIsRate);

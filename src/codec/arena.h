@@ -28,8 +28,8 @@ namespace recode::codec {
 
 // Trailing writable margin on every slab. Must cover the largest
 // overshoot of any fast decoder: 16-byte literal chunks and 8-byte match
-// chunks in Snappy (<= 15 bytes past the logical end) and the 4-byte
-// multi-symbol Huffman emit (<= 3 bytes past the declared count).
+// chunks in Snappy (<= 15 bytes past the logical end). The Huffman
+// decoder never writes past the declared count.
 inline constexpr std::size_t kArenaSlop = 16;
 
 class DecodeArena {

@@ -29,6 +29,88 @@ std::uint32_t unzigzag32(std::uint32_t z) {
   return (z >> 1) ^ (~(z & 1) + 1);
 }
 
+// One Huffman lane's bit reader. The unconsumed bits sit MSB-aligned at
+// the top of buf: the first `bits` are real stream bits, and below them
+// buf holds either zeros or the stream bits that follow — never anything
+// else — so a refill can OR new bytes in without clearing first. pos is
+// the next byte not yet counted in `bits`.
+//
+// Readers live in named locals, never in an array: output stores go
+// through a byte pointer that may alias any memory object, so only state
+// the compiler can keep in registers stays out of the store path.
+struct HuffmanLaneReader {
+  const std::uint8_t* p;
+  std::size_t nbytes;
+  std::size_t pos = 0;
+  std::uint64_t buf = 0;
+  int bits = 0;
+  std::uint8_t* out;        // next output byte
+  std::uint8_t* const end;  // one past the lane's last output byte
+
+  HuffmanLaneReader(const HuffmanFrame::Lane& lane, std::uint8_t* dst)
+      : p(lane.bits.data()),
+        nbytes(lane.bits.size()),
+        out(dst + lane.first),
+        end(dst + lane.end) {}
+
+  // Room for one bulk round: an 8-byte load inside the lane (so buf only
+  // ever holds the lane's own bits) and three 2-byte emits below end (so
+  // a lane never writes into the next lane's output).
+  bool bulk_ready() const { return pos + 8 <= nbytes && end - out >= 6; }
+
+  // Tops buf up to 56..63 real bits with one unaligned load.
+  void refill() {
+    buf |= load_be64(p + pos) >> bits;
+    pos += static_cast<std::size_t>((63 - bits) >> 3);
+    bits |= 56;
+  }
+
+  // Decodes one or two symbols; needs kMaxCodeLen real bits in buf.
+  void probe(const HuffmanTable::FastEntry* fast,
+             const HuffmanTable::DecodeEntry* single) {
+    const HuffmanTable::FastEntry e = fast[buf >> (64 - kFastTableBits)];
+    if (e.count != 0) [[likely]] {
+      std::memcpy(out, e.symbols, 2);
+      out += e.count;
+      buf <<= e.bits;
+      bits -= e.bits;
+    } else {
+      const HuffmanTable::DecodeEntry d = single[buf >> (64 - kMaxCodeLen)];
+      *out++ = d.symbol;
+      buf <<= d.length;
+      bits -= d.length;
+    }
+  }
+
+  // Decodes the rest of the lane: bulk rounds while they fit, then a
+  // scalar tail with byte-wise refill and single-symbol lookups,
+  // identical to HuffmanCodec::decode including its truncation errors.
+  void finish(const HuffmanTable::FastEntry* fast,
+              const HuffmanTable::DecodeEntry* single) {
+    while (bulk_ready()) {
+      refill();
+      probe(fast, single);
+      probe(fast, single);
+      probe(fast, single);
+    }
+    while (out < end) {
+      while (bits < kMaxCodeLen && pos < nbytes) {
+        buf |= static_cast<std::uint64_t>(p[pos++]) << (56 - bits);
+        bits += 8;
+      }
+      if (bits <= 0) fail("huffman: truncated stream");
+      // Fewer than kMaxCodeLen real bits only happens once every lane
+      // byte is in buf, and bits past the lane end were never loaded, so
+      // the window is zero-padded exactly like the reference's.
+      const HuffmanTable::DecodeEntry d = single[buf >> (64 - kMaxCodeLen)];
+      if (d.length > bits) fail("huffman: truncated stream");
+      *out++ = d.symbol;
+      buf <<= d.length;
+      bits -= d.length;
+    }
+  }
+};
+
 // Snappy element tags (format_description.txt; mirrors snappy.cc).
 constexpr int kTagLiteral = 0;
 constexpr int kTagCopy1 = 1;
@@ -61,65 +143,42 @@ void copy_match(std::uint8_t* dst, std::size_t op, std::size_t off,
 
 std::size_t huffman_decode(const HuffmanTable& table, ByteSpan input,
                            std::uint8_t* dst) {
-  std::size_t pos = 0;
-  const std::uint64_t count = varint_read(input.data(), input.size(), pos);
-  // Same untrusted-count rejection as the reference decoder.
-  if (count > (static_cast<std::uint64_t>(input.size()) - pos) * 8) {
-    fail("huffman: declared count exceeds stream capacity");
-  }
-  const std::uint8_t* p = input.data() + pos;
-  const std::size_t nbytes = input.size() - pos;
-  const HuffmanTable::MultiEntry* multi = table.multi_table();
+  return huffman_decode(table, parse_huffman_frame(input), dst);
+}
+
+std::size_t huffman_decode(const HuffmanTable& table,
+                           const HuffmanFrame& frame, std::uint8_t* dst) {
+  const HuffmanTable::FastEntry* fast = table.fast_table();
   const HuffmanTable::DecodeEntry* single = table.decode_table();
-  constexpr std::uint32_t kWindowMask = (1u << kMaxCodeLen) - 1;
-
-  std::uint64_t acc = 0;  // low acc_bits hold the unconsumed stream bits
-  int acc_bits = 0;
-  std::size_t byte_pos = 0;
-  std::size_t out = 0;
-
-  // Bulk loop: refill 8..48 bits with one unaligned 8-byte load whenever
-  // the buffer drops below 56, then decode up to 4 symbols per
-  // multi-table probe. Runs while a full lookup window of real bits is
-  // guaranteed and a whole 4-byte emit still fits under count; the tail
-  // loop below handles the rest with reference-identical semantics.
-  while (out + 4 <= count) {
-    if (acc_bits < 56 && byte_pos + 8 <= nbytes) {
-      const int nb = (63 - acc_bits) >> 3;
-      acc = (acc << (nb * 8)) | (load_be64(p + byte_pos) >> (64 - nb * 8));
-      byte_pos += static_cast<std::size_t>(nb);
-      acc_bits += nb * 8;
-    }
-    if (acc_bits < kMaxCodeLen) break;
-    const std::uint32_t window =
-        static_cast<std::uint32_t>(acc >> (acc_bits - kMaxCodeLen)) &
-        kWindowMask;
-    const HuffmanTable::MultiEntry& e = multi[window];
-    std::memcpy(dst + out, e.symbols, 4);  // 4-byte emit into the slop
-    out += e.count;
-    acc_bits -= e.bits;
+  HuffmanLaneReader l0(frame.lane[0], dst);
+  if (frame.lanes == 1) {  // legacy single stream
+    l0.finish(fast, single);
+    return frame.count;
   }
-
-  // Scalar tail: byte-wise refill and single-symbol lookups, identical
-  // to HuffmanCodec::decode including its truncation errors.
-  while (out < count) {
-    while (acc_bits < kMaxCodeLen && byte_pos < nbytes) {
-      acc = (acc << 8) | p[byte_pos++];
-      acc_bits += 8;
+  HuffmanLaneReader l1(frame.lane[1], dst);
+  HuffmanLaneReader l2(frame.lane[2], dst);
+  HuffmanLaneReader l3(frame.lane[3], dst);
+  // Interleaved bulk: refill every lane, then three probes per lane in
+  // turn, so the four dependent probe chains overlap in the pipeline.
+  while (l0.bulk_ready() && l1.bulk_ready() && l2.bulk_ready() &&
+         l3.bulk_ready()) {
+    l0.refill();
+    l1.refill();
+    l2.refill();
+    l3.refill();
+    for (int probe = 0; probe < 3; ++probe) {
+      l0.probe(fast, single);
+      l1.probe(fast, single);
+      l2.probe(fast, single);
+      l3.probe(fast, single);
     }
-    if (acc_bits <= 0) fail("huffman: truncated stream");
-    const std::uint32_t window =
-        acc_bits >= kMaxCodeLen
-            ? static_cast<std::uint32_t>(acc >> (acc_bits - kMaxCodeLen)) &
-                  kWindowMask
-            : static_cast<std::uint32_t>(acc << (kMaxCodeLen - acc_bits)) &
-                  kWindowMask;
-    const HuffmanTable::DecodeEntry e = single[window];
-    if (e.length > acc_bits) fail("huffman: truncated stream");
-    acc_bits -= e.length;
-    dst[out++] = e.symbol;
   }
-  return static_cast<std::size_t>(count);
+  // Then each lane finishes on its own.
+  l0.finish(fast, single);
+  l1.finish(fast, single);
+  l2.finish(fast, single);
+  l3.finish(fast, single);
+  return frame.count;
 }
 
 std::size_t snappy_decode(ByteSpan input, std::uint8_t* dst) {

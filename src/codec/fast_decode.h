@@ -4,29 +4,29 @@
 // >20 GB/s, ~7x CPU Snappy) assume the decompression inner loop is
 // engineered to saturate bandwidth. These are the host-side equivalents:
 //
-//  * huffman_decode — 64-bit bit buffer refilled 48-56 bits at a time via
-//    one unaligned 8-byte load, multi-symbol table lookups emitting up to
-//    4 symbols per probe (HuffmanTable::MultiEntry), scalar tail.
+//  * huffman_decode — the four lanes of a Huffman payload (huffman.h)
+//    decoded in one interleaved loop: each lane keeps a 64-bit bit buffer
+//    refilled with one unaligned 8-byte load, and a round refills all
+//    four lanes, then probes each lane three times in turn, so four
+//    independent lookup chains overlap instead of one serial chain. A
+//    probe reads the 8 KB, L1-resident 11-bit table
+//    (HuffmanTable::FastEntry) and emits up to 2 symbols, falling back to
+//    the 15-bit decode_table() for longer codes. Each lane then finishes
+//    alone with the same bulk rounds and a scalar tail; a legacy
+//    single-stream payload is just one lane through that code.
 //  * snappy_decode — 16-byte literal chunks and 8-byte match chunks into
 //    a slop-margin destination; byte loop only near the input tail and
 //    for overlapping short-offset copies.
 //  * delta_decode / varint_delta_decode — the inverse transforms writing
 //    straight into a caller-provided destination.
 //
-// All decode into caller-owned memory (a DecodeArena slab) with at least
-// kArenaSlop writable bytes past the logical end, never allocate, and are
-// bitwise- and error-identical to the reference decoders in
-// HuffmanCodec::decode / SnappyCodec::decode / DeltaCodec::decode /
-// VarintDeltaCodec::decode: same output on valid streams, a recode::Error
-// with the same message on the same malformed stream. The fast-decode
-// differential suite (tests/robustness) enforces both properties,
-// including over CorruptionEngine inputs under ASan.
-//
-// Build knob: the RECODE_FAST_DECODE CMake option (default ON) defines
-// RECODE_FAST_DECODE_ENABLED on every target linking recode_codec. When
-// OFF these functions remain available (the differential tests still
-// compare them against the references), but the pipeline routes every
-// block through the reference scalar decoders instead.
+// All decode into caller-owned memory (a DecodeArena slab), never
+// allocate, and are bitwise- and error-identical to the reference
+// decoders in HuffmanCodec::decode / SnappyCodec::decode /
+// DeltaCodec::decode / VarintDeltaCodec::decode: same output on valid
+// streams, a recode::Error with the same message on the same malformed
+// stream. The fast-decode differential suite (tests/robustness) enforces
+// both properties, including over CorruptionEngine inputs under ASan.
 #pragma once
 
 #include <cstdint>
@@ -34,21 +34,18 @@
 #include "codec/codec.h"
 #include "codec/huffman.h"
 
-#ifndef RECODE_FAST_DECODE_ENABLED
-#define RECODE_FAST_DECODE_ENABLED 1
-#endif
-
 namespace recode::codec::fast {
 
-// True when the pipeline decode path uses these decoders (the
-// RECODE_FAST_DECODE CMake option).
-inline constexpr bool kEnabled = RECODE_FAST_DECODE_ENABLED != 0;
-
-// Decodes a Huffman stream (varint count + MSB-first bits) into dst.
-// dst must have room for the declared count plus kArenaSlop bytes — size
-// it with HuffmanCodec::decoded_length. Returns the decoded byte count.
+// Decodes a Huffman payload (either frame, see huffman.h) into dst, which
+// must have room for the declared count — size it with
+// HuffmanCodec::decoded_length. Lanes write only their own symbols, so no
+// slop margin is needed. Returns the decoded byte count.
 std::size_t huffman_decode(const HuffmanTable& table, ByteSpan input,
                            std::uint8_t* dst);
+
+// The same, for a payload whose header the caller already parsed.
+std::size_t huffman_decode(const HuffmanTable& table,
+                           const HuffmanFrame& frame, std::uint8_t* dst);
 
 // Decodes a Snappy stream into dst. dst must have room for the declared
 // length plus kArenaSlop bytes — size it with SnappyCodec::decoded_length

@@ -174,80 +174,142 @@ void HuffmanTable::build_decode_table() {
     }
   }
 
-  // Multi-symbol table: for every window, greedily replay single-symbol
-  // decodes while the next code still fits entirely in the window's
-  // remaining (real) bits. Shifting the window up zero-fills the low
-  // bits, but an entry whose length <= remaining bits never looked at
-  // them, so the packed symbols are exactly what the scalar decoder
-  // would produce from the live stream.
-  constexpr std::uint32_t kWindowMask = (1u << kMaxCodeLen) - 1;
-  for (std::uint32_t w = 0; w <= kWindowMask; ++w) {
-    MultiEntry e{};
-    int consumed = 0;
-    while (e.count < 4) {
-      const DecodeEntry d = decode_[(w << consumed) & kWindowMask];
-      if (e.count > 0 && d.length > kMaxCodeLen - consumed) break;
-      e.symbols[e.count++] = d.symbol;
-      consumed += d.length;
+  // Fast table: the first code of every 11-bit window, plus a second one
+  // when it fits entirely in the window bits the first left over.
+  // Shifting the window up zero-fills its low bits, but a code that fits
+  // in the remaining real bits never looks at them.
+  constexpr std::uint32_t kFastMask = (1u << kFastTableBits) - 1;
+  constexpr int kToSingle = kMaxCodeLen - kFastTableBits;
+  for (std::uint32_t w = 0; w <= kFastMask; ++w) {
+    FastEntry e{};
+    const DecodeEntry first = decode_[w << kToSingle];
+    if (first.length <= kFastTableBits) {
+      e.symbols[0] = first.symbol;
+      e.count = 1;
+      e.bits = first.length;
+      const DecodeEntry second =
+          decode_[((w << first.length) & kFastMask) << kToSingle];
+      if (second.length <= kFastTableBits - first.length) {
+        e.symbols[1] = second.symbol;
+        e.count = 2;
+        e.bits = static_cast<std::uint8_t>(first.length + second.length);
+      }
     }
-    e.bits = static_cast<std::uint8_t>(consumed);
-    multi_[w] = e;
+    fast_[w] = e;
   }
 }
 
-Bytes HuffmanCodec::encode(ByteSpan input) const {
-  Bytes out;
-  varint_append(out, input.size());
-  BitWriter writer;
-  for (std::uint8_t b : input) {
-    writer.write(table_->code(b), table_->length(b));
+HuffmanFrame parse_huffman_frame(ByteSpan payload) {
+  const std::uint8_t* p = payload.data();
+  const std::size_t size = payload.size();
+  std::size_t pos = 0;
+  HuffmanFrame frame;
+  if (size <= 1 || p[0] != 0x00) {
+    // Legacy single stream: varint(n) + bits.
+    const std::uint64_t n = varint_read(p, size, pos);
+    if (n > (static_cast<std::uint64_t>(size) - pos) * 8) {
+      fail("huffman: declared count exceeds stream capacity");
+    }
+    frame.count = static_cast<std::size_t>(n);
+    frame.lanes = 1;
+    frame.lane[0] = {payload.subspan(pos), 0, frame.count};
+    return frame;
   }
-  const Bytes bits = writer.finish();
-  out.insert(out.end(), bits.begin(), bits.end());
+  pos = 1;
+  const std::uint64_t n = varint_read(p, size, pos);
+  std::array<std::uint64_t, kHuffmanLanes> len{};
+  for (int k = 0; k + 1 < kHuffmanLanes; ++k) {
+    len[k] = varint_read(p, size, pos);
+  }
+  // Each length is checked against what is left, so their sum cannot
+  // overflow before it is caught.
+  std::uint64_t left = size - pos;
+  for (int k = 0; k + 1 < kHuffmanLanes; ++k) {
+    if (len[k] > left) fail("huffman: lane lengths exceed payload");
+    left -= len[k];
+  }
+  len[kHuffmanLanes - 1] = left;
+  if (n > static_cast<std::uint64_t>(size - pos) * 8) {
+    fail("huffman: declared count exceeds stream capacity");
+  }
+  frame.count = static_cast<std::size_t>(n);
+  frame.lanes = kHuffmanLanes;
+  for (int k = 0; k < kHuffmanLanes; ++k) {
+    const std::size_t first = huffman_lane_start(frame.count, k);
+    const std::size_t end = huffman_lane_start(frame.count, k + 1);
+    if (end - first > len[k] * 8) {
+      fail("huffman: declared count exceeds stream capacity");
+    }
+    frame.lane[k] = {payload.subspan(pos, static_cast<std::size_t>(len[k])),
+                     first, end};
+    pos += static_cast<std::size_t>(len[k]);
+  }
+  return frame;
+}
+
+Bytes write_huffman_frame(std::size_t n,
+                          const std::array<Bytes, kHuffmanLanes>& lanes) {
+  Bytes out{0x00};
+  if (n == 0) return out;
+  varint_append(out, n);
+  std::size_t body = 0;
+  for (int k = 0; k < kHuffmanLanes; ++k) {
+    if (k + 1 < kHuffmanLanes) varint_append(out, lanes[k].size());
+    body += lanes[k].size();
+  }
+  out.reserve(out.size() + body);
+  for (const Bytes& lane : lanes) {
+    out.insert(out.end(), lane.begin(), lane.end());
+  }
   return out;
 }
 
+Bytes HuffmanCodec::encode(ByteSpan input) const {
+  const std::size_t n = input.size();
+  std::array<Bytes, kHuffmanLanes> lanes;
+  for (int k = 0; k < kHuffmanLanes; ++k) {
+    BitWriter writer;
+    for (std::size_t i = huffman_lane_start(n, k);
+         i < huffman_lane_start(n, k + 1); ++i) {
+      writer.write(table_->code(input[i]), table_->length(input[i]));
+    }
+    lanes[k] = writer.finish();
+  }
+  return write_huffman_frame(n, lanes);
+}
+
 std::size_t HuffmanCodec::decoded_length(ByteSpan input) {
-  std::size_t pos = 0;
-  return static_cast<std::size_t>(
-      varint_read(input.data(), input.size(), pos));
+  return parse_huffman_frame(input).count;
 }
 
 Bytes HuffmanCodec::decode(ByteSpan input) const {
-  std::size_t pos = 0;
-  const std::uint64_t count = varint_read(input.data(), input.size(), pos);
-  // Untrusted count: every symbol consumes at least one bit, so a count
-  // beyond the stream's bit capacity is corruption — reject it before the
-  // pre-allocation instead of reserving an attacker-chosen amount.
-  if (count > (static_cast<std::uint64_t>(input.size()) - pos) * 8) {
-    fail("huffman: declared count exceeds stream capacity");
-  }
-  Bytes out;
-  out.reserve(count);
-
-  // Bit accumulator: keep >= kMaxCodeLen bits available when possible.
-  const std::uint8_t* p = input.data() + pos;
-  const std::size_t nbytes = input.size() - pos;
-  std::uint32_t acc = 0;
-  int acc_bits = 0;
-  std::size_t byte_pos = 0;
+  const HuffmanFrame frame = parse_huffman_frame(input);
+  Bytes out(frame.count);
   const HuffmanTable::DecodeEntry* table = table_->decode_table();
-
-  for (std::uint64_t i = 0; i < count; ++i) {
-    while (acc_bits < kMaxCodeLen && byte_pos < nbytes) {
-      acc = (acc << 8) | p[byte_pos++];
-      acc_bits += 8;
+  for (int k = 0; k < frame.lanes; ++k) {
+    const HuffmanFrame::Lane& lane = frame.lane[k];
+    // Bit accumulator: keep >= kMaxCodeLen bits available when possible.
+    const std::uint8_t* p = lane.bits.data();
+    const std::size_t nbytes = lane.bits.size();
+    std::uint32_t acc = 0;
+    int acc_bits = 0;
+    std::size_t byte_pos = 0;
+    for (std::size_t i = lane.first; i < lane.end; ++i) {
+      while (acc_bits < kMaxCodeLen && byte_pos < nbytes) {
+        acc = (acc << 8) | p[byte_pos++];
+        acc_bits += 8;
+      }
+      if (acc_bits <= 0) fail("huffman: truncated stream");
+      // MSB-align the next kMaxCodeLen bits (zero-pad at stream end).
+      const std::uint32_t window =
+          acc_bits >= kMaxCodeLen
+              ? (acc >> (acc_bits - kMaxCodeLen)) & ((1u << kMaxCodeLen) - 1)
+              : (acc << (kMaxCodeLen - acc_bits)) & ((1u << kMaxCodeLen) - 1);
+      const auto entry = table[window];
+      if (entry.length > acc_bits) fail("huffman: truncated stream");
+      acc_bits -= entry.length;
+      out[i] = entry.symbol;
     }
-    if (acc_bits <= 0) fail("huffman: truncated stream");
-    // MSB-align the next kMaxCodeLen bits (zero-pad at stream end).
-    const std::uint32_t window =
-        acc_bits >= kMaxCodeLen
-            ? (acc >> (acc_bits - kMaxCodeLen)) & ((1u << kMaxCodeLen) - 1)
-            : (acc << (kMaxCodeLen - acc_bits)) & ((1u << kMaxCodeLen) - 1);
-    const auto entry = table[window];
-    if (entry.length > acc_bits) fail("huffman: truncated stream");
-    acc_bits -= entry.length;
-    out.push_back(entry.symbol);
   }
   return out;
 }

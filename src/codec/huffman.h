@@ -6,11 +6,30 @@
 // serialize it once per matrix, and use stateless encode/decode per block.
 //
 // Codes are canonical with lengths capped at kMaxCodeLen (15), so the
-// table serializes as 256 4-bit lengths (128 bytes) and decode can use a
-// flat 2^15-entry lookup table — the same structure the UDP program's
-// multi-way dispatch exploits.
+// table serializes as 256 4-bit lengths (128 bytes). Decoding uses two
+// flat tables: a 2^15-entry single-symbol table that resolves any code
+// (the same structure the UDP program's multi-way dispatch exploits), and
+// a 2^11-entry, 8 KB table that resolves up to two short codes per probe
+// and stays resident in L1 for the fast decoder (fast_decode.h).
+//
+// Payload frame. A payload of n > 0 symbols is split into kHuffmanLanes
+// lanes: lane k holds symbols [k*q, min(n, (k+1)*q)) with q = ceil(n/4),
+// each an independent MSB-first bit stream under the same table, so a
+// decoder can walk all four at once. The frame is
+//
+//   0x00, varint(n), varint(len0), varint(len1), varint(len2),
+//   lane0 bits, lane1 bits, lane2 bits, lane3 bits
+//
+// where lane 3 takes the bytes left after the first three. The empty
+// payload is the single byte 0x00. Payloads written before lanes existed
+// (v1/v2 containers) are one stream, varint(n) followed by its bits; the
+// only one of those that starts with 0x00 is the one-byte empty payload,
+// so the first byte tells the two forms apart and legacy payloads decode
+// as a single lane. parse_huffman_frame is the one place that reads the
+// header.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -20,6 +39,8 @@
 namespace recode::codec {
 
 inline constexpr int kMaxCodeLen = 15;
+inline constexpr int kFastTableBits = 11;
+inline constexpr int kHuffmanLanes = 4;
 
 class HuffmanTable {
  public:
@@ -54,21 +75,19 @@ class HuffmanTable {
   };
   const DecodeEntry* decode_table() const { return decode_.data(); }
 
-  // Multi-symbol decode table (the fast path's one-lookup-many-symbols
-  // step): index = next kMaxCodeLen bits, value = every symbol whose full
-  // code is contained in those bits, up to 4. At least one symbol is
-  // always present (no code is longer than the window), so the fast
-  // decoder needs no fallback lookup while >= kMaxCodeLen bits remain.
-  // Decoding the entries in sequence is bit-for-bit identical to repeated
-  // single-symbol lookups: symbol k+1 is only packed when its whole code
-  // fits in the window bits left after symbols 1..k, i.e. when it is
-  // fully determined by real stream bits.
-  struct MultiEntry {
-    std::uint8_t symbols[4];  // valid: [0, count); rest zero (slop-safe)
-    std::uint8_t count;       // 1..4 symbols decoded by this window
-    std::uint8_t bits;        // total code bits those symbols consume
+  // Fast decode table: index = next kFastTableBits bits, value = the one
+  // or two symbols whose whole codes fit in those bits. Symbol 2 is only
+  // packed when its code fits in the bits left after symbol 1, so it is
+  // fully determined by real stream bits and decoding the entry equals
+  // two single-symbol lookups. count == 0 marks a window whose first code
+  // is longer than kFastTableBits; the decoder then falls back to
+  // decode_table().
+  struct FastEntry {
+    std::uint8_t symbols[2];  // valid: [0, count); rest zero
+    std::uint8_t count;       // 0 (long code), 1 or 2
+    std::uint8_t bits;        // total code bits of those symbols
   };
-  const MultiEntry* multi_table() const { return multi_.data(); }
+  const FastEntry* fast_table() const { return fast_.data(); }
 
   bool operator==(const HuffmanTable& other) const {
     return lengths_ == other.lengths_;
@@ -81,14 +100,45 @@ class HuffmanTable {
   std::array<std::uint8_t, 256> lengths_{};
   std::array<std::uint16_t, 256> codes_{};
   std::array<DecodeEntry, 1u << kMaxCodeLen> decode_{};
-  std::array<MultiEntry, 1u << kMaxCodeLen> multi_{};
+  std::array<FastEntry, 1u << kFastTableBits> fast_{};
 };
 
-// Stateless Huffman codec bound to a shared table. The encoded stream is:
-// varint(decoded_byte_count) followed by the MSB-first bit stream.
+// First symbol of lane k (0..kHuffmanLanes) in an n-symbol lane frame;
+// lane k holds [huffman_lane_start(n, k), huffman_lane_start(n, k + 1)).
+inline std::size_t huffman_lane_start(std::size_t n, int k) {
+  const std::size_t q = n / kHuffmanLanes + (n % kHuffmanLanes != 0);
+  return std::min(n, q * static_cast<std::size_t>(k));
+}
+
+// A payload's header, parsed and validated: where each lane's bits are
+// and which output symbols they decode to.
+struct HuffmanFrame {
+  struct Lane {
+    ByteSpan bits;       // the lane's MSB-first bit stream
+    std::size_t first;   // output index of its first symbol
+    std::size_t end;     // one past its last symbol
+  };
+  std::size_t count = 0;  // decoded byte count over all lanes
+  int lanes = 0;          // kHuffmanLanes, or 1 for a legacy payload
+  std::array<Lane, kHuffmanLanes> lane{};
+};
+
+// Parses either payload form. Throws recode::Error when a varint is
+// truncated, the lane lengths run past the payload, or a lane declares
+// more symbols than its bits can hold (every symbol takes at least one
+// bit), so count is safe to size a destination with.
+HuffmanFrame parse_huffman_frame(ByteSpan payload);
+
+// Assembles the lane frame from n and the four lanes' bit streams (the
+// one-byte empty payload when n == 0).
+Bytes write_huffman_frame(std::size_t n,
+                          const std::array<Bytes, kHuffmanLanes>& lanes);
+
+// Stateless Huffman codec bound to a shared table, writing the lane frame
+// above.
 //
 // decode() is the scalar reference implementation (one symbol per table
-// lookup, byte-wise refill); the production hot path is
+// lookup, byte-wise refill, lanes in order); the production hot path is
 // fast::huffman_decode (fast_decode.h), which must stay bitwise-identical
 // to it — the fast-decode differential suite enforces that.
 class HuffmanCodec final : public Codec {
@@ -100,7 +150,8 @@ class HuffmanCodec final : public Codec {
   Bytes encode(ByteSpan input) const override;
   Bytes decode(ByteSpan input) const override;
 
-  // Decoded byte count announced by the preamble without decoding.
+  // Decoded byte count announced by the header (parse_huffman_frame)
+  // without decoding.
   static std::size_t decoded_length(ByteSpan input);
 
   const HuffmanTable& table() const { return *table_; }

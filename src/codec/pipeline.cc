@@ -397,27 +397,14 @@ ArenaStream decode_stream_arena(bool huffman, bool snappy, ByteSpan data,
     RECODE_TRACE_SPAN("codec", "huffman_decode");
     telemetry::StageTimer t(telem.decode_huffman.ns);
     telemetry::StageTimer lt(ledger.hop(telemetry::Hop::kHuffman).ns);
-    std::size_t pos = 0;
-    const std::uint64_t n = varint_read(cur, cur_size, pos);
-    if (n > (static_cast<std::uint64_t>(cur_size) - pos) * 8) {
-      fail("huffman: declared count exceeds stream capacity");
-    }
+    const HuffmanFrame frame = parse_huffman_frame({cur, cur_size});
     std::uint8_t* dst = (snappy || transform_on)
-                            ? scratch.slab(DecodeArena::kScratchA,
-                                           static_cast<std::size_t>(n))
-                            : out.slab(out_slot, static_cast<std::size_t>(n));
-    if constexpr (fast::kEnabled) {
-      fast::huffman_decode(*table, {cur, cur_size}, dst);
-      telem.decode_huffman.fast_streams.add(1);
-    } else {
-      const HuffmanCodec hc(std::shared_ptr<const HuffmanTable>(
-          std::shared_ptr<void>(), table));  // non-owning aliasing ptr
-      const Bytes decoded = hc.decode({cur, cur_size});
-      std::memcpy(dst, decoded.data(), decoded.size());
-      telem.decode_huffman.ref_streams.add(1);
-    }
+                            ? scratch.slab(DecodeArena::kScratchA, frame.count)
+                            : out.slab(out_slot, frame.count);
+    fast::huffman_decode(*table, frame, dst);
+    telem.decode_huffman.fast_streams.add(1);
     cur = dst;
-    cur_size = static_cast<std::size_t>(n);
+    cur_size = frame.count;
     telem.decode_huffman.bytes_out.add(cur_size);
     ledger.flow(telemetry::Hop::kHuffman, stage_in, cur_size);
   } else {
@@ -441,14 +428,8 @@ ArenaStream decode_stream_arena(bool huffman, bool snappy, ByteSpan data,
                                    : DecodeArena::kScratchA,
                            static_cast<std::size_t>(n))
             : out.slab(out_slot, static_cast<std::size_t>(n));
-    if constexpr (fast::kEnabled) {
-      fast::snappy_decode({cur, cur_size}, dst);
-      telem.decode_snappy.fast_streams.add(1);
-    } else {
-      const Bytes decoded = SnappyCodec().decode({cur, cur_size});
-      std::memcpy(dst, decoded.data(), decoded.size());
-      telem.decode_snappy.ref_streams.add(1);
-    }
+    fast::snappy_decode({cur, cur_size}, dst);
+    telem.decode_snappy.fast_streams.add(1);
     cur = dst;
     cur_size = static_cast<std::size_t>(n);
     telem.decode_snappy.bytes_out.add(cur_size);
@@ -476,45 +457,23 @@ ArenaStream decode_stream_arena(bool huffman, bool snappy, ByteSpan data,
     }
     case Transform::kDelta32: {
       std::uint8_t* dst = out.slab(out_slot, cur_size);
-      if constexpr (fast::kEnabled) {
-        cur_size = fast::delta_decode({cur, cur_size}, dst);
-        telem.decode_transform.fast_streams.add(1);
-      } else {
-        const Bytes decoded = DeltaCodec().decode({cur, cur_size});
-        std::memcpy(dst, decoded.data(), decoded.size());
-        cur_size = decoded.size();
-        telem.decode_transform.ref_streams.add(1);
-      }
+      cur_size = fast::delta_decode({cur, cur_size}, dst);
+      telem.decode_transform.fast_streams.add(1);
       cur = dst;
       break;
     }
     case Transform::kVarintDelta: {
       std::uint8_t* dst = out.slab(out_slot, expect_bytes);
-      if constexpr (fast::kEnabled) {
-        cur_size = fast::varint_delta_decode({cur, cur_size}, dst,
-                                             expect_bytes);
-        telem.decode_transform.fast_streams.add(1);
-      } else {
-        const Bytes decoded = VarintDeltaCodec().decode({cur, cur_size});
-        std::memcpy(dst, decoded.data(),
-                    std::min(decoded.size(), expect_bytes));
-        cur_size = decoded.size();
-        telem.decode_transform.ref_streams.add(1);
-      }
+      cur_size =
+          fast::varint_delta_decode({cur, cur_size}, dst, expect_bytes);
+      telem.decode_transform.fast_streams.add(1);
       cur = dst;
       break;
     }
     case Transform::kByteTranspose: {
       std::uint8_t* dst = out.slab(out_slot, cur_size);
-      if constexpr (fast::kEnabled) {
-        cur_size = fast::byte_untranspose({cur, cur_size}, dst);
-        telem.decode_transform.fast_streams.add(1);
-      } else {
-        const Bytes decoded = byte_untranspose({cur, cur_size});
-        std::memcpy(dst, decoded.data(), decoded.size());
-        cur_size = decoded.size();
-        telem.decode_transform.ref_streams.add(1);
-      }
+      cur_size = fast::byte_untranspose({cur, cur_size}, dst);
+      telem.decode_transform.fast_streams.add(1);
       cur = dst;
       break;
     }

@@ -9,30 +9,44 @@
 namespace recode {
 
 // Accumulates bits MSB-first into a byte vector. The final byte is
-// zero-padded on flush().
+// zero-padded on finish().
+//
+// Whole codes go into a 64-bit accumulator; once 32 or more bits are
+// pending, the top 32 drain as four bytes at once. Fewer than 32 bits are
+// pending before a write and at most 32 arrive, so the accumulator never
+// overflows.
 class BitWriter {
  public:
   // Writes the low `nbits` bits of `value`, most significant first.
   void write(std::uint32_t value, int nbits) {
     RECODE_CHECK(nbits >= 0 && nbits <= 32);
-    for (int i = nbits - 1; i >= 0; --i) {
-      acc_ = static_cast<std::uint8_t>((acc_ << 1) | ((value >> i) & 1u));
-      if (++nacc_ == 8) {
-        bytes_.push_back(acc_);
-        acc_ = 0;
-        nacc_ = 0;
-      }
+    const std::uint64_t mask = (std::uint64_t{1} << nbits) - 1;
+    acc_ = (acc_ << nbits) | (value & mask);
+    nacc_ += nbits;
+    if (nacc_ >= 32) {
+      nacc_ -= 32;
+      const auto word = static_cast<std::uint32_t>(acc_ >> nacc_);
+      const std::uint8_t be[4] = {static_cast<std::uint8_t>(word >> 24),
+                                  static_cast<std::uint8_t>(word >> 16),
+                                  static_cast<std::uint8_t>(word >> 8),
+                                  static_cast<std::uint8_t>(word)};
+      bytes_.insert(bytes_.end(), be, be + 4);
     }
     bit_count_ += static_cast<std::size_t>(nbits);
   }
 
-  // Pads the trailing partial byte with zeros and returns the buffer.
+  // Drains the pending bits, pads the trailing partial byte with zeros and
+  // returns the buffer.
   std::vector<std::uint8_t> finish() {
+    while (nacc_ >= 8) {
+      nacc_ -= 8;
+      bytes_.push_back(static_cast<std::uint8_t>(acc_ >> nacc_));
+    }
     if (nacc_ > 0) {
       bytes_.push_back(static_cast<std::uint8_t>(acc_ << (8 - nacc_)));
-      acc_ = 0;
-      nacc_ = 0;
     }
+    acc_ = 0;
+    nacc_ = 0;
     return std::move(bytes_);
   }
 
@@ -40,7 +54,7 @@ class BitWriter {
 
  private:
   std::vector<std::uint8_t> bytes_;
-  std::uint8_t acc_ = 0;
+  std::uint64_t acc_ = 0;  // low nacc_ bits are pending output
   int nacc_ = 0;
   std::size_t bit_count_ = 0;
 };

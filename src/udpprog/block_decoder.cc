@@ -108,9 +108,14 @@ codec::ByteSpan UdpPipelineDecoder::decode_stream(
     RECODE_CHECK(huffman_layout != nullptr);
     const std::size_t stage_in = buf.size();
     telemetry::StageTimer lt(ledger.hop(telemetry::Hop::kHuffman).ns);
-    buf = run_stage(*huffman_layout, buf, 0, cycles.huffman,
-                    (snappy_on || transform_on) ? codec::DecodeArena::kScratchA
-                                                : out_slot);
+    // The host parses the lane frame; the program decodes each lane.
+    const codec::HuffmanFrame frame = codec::parse_huffman_frame(buf);
+    std::uint8_t* dst = arena_.slab(
+        (snappy_on || transform_on) ? codec::DecodeArena::kScratchA : out_slot,
+        frame.count);
+    cycles.huffman +=
+        udp_huffman_decode(*huffman_layout, frame, dst, lane_config_);
+    buf = codec::ByteSpan(dst, frame.count);
     ledger.flow(telemetry::Hop::kHuffman, stage_in, buf.size());
   } else {
     ledger.pass_through(telemetry::Hop::kHuffman, buf.size());

@@ -1,5 +1,9 @@
 #include "udpprog/encode_progs.h"
 
+#include <array>
+
+#include "common/varint.h"
+
 namespace recode::udpprog {
 
 using namespace udp;  // NOLINT: program builders read better unqualified
@@ -152,6 +156,26 @@ udp::Program build_huffman_encode_program(const codec::HuffmanTable& table) {
   p.set_entry(init);
   p.validate();
   return p;
+}
+
+codec::Bytes udp_huffman_encode(const udp::Layout& layout,
+                                codec::ByteSpan raw) {
+  const std::size_t n = raw.size();
+  udp::Lane lane(layout);
+  std::array<codec::Bytes, codec::kHuffmanLanes> lanes;
+  for (int k = 0; k < codec::kHuffmanLanes; ++k) {
+    const std::size_t first = codec::huffman_lane_start(n, k);
+    const std::size_t symbols = codec::huffman_lane_start(n, k + 1) - first;
+    const std::pair<int, std::uint64_t> init[] = {{kEncodeCountReg, symbols}};
+    lane.run(raw.subspan(first, symbols), init);
+    const auto out = lane.scratch();
+    const auto end = static_cast<std::size_t>(lane.reg(kEncodeOutReg));
+    std::size_t pos = kEncodeOutBase;
+    varint_read(out.data(), end, pos);  // the lane's own symbol count
+    lanes[k].assign(out.begin() + static_cast<std::ptrdiff_t>(pos),
+                    out.begin() + static_cast<std::ptrdiff_t>(end));
+  }
+  return codec::write_huffman_frame(n, lanes);
 }
 
 }  // namespace recode::udpprog

@@ -14,6 +14,7 @@
 #pragma once
 
 #include "codec/huffman.h"
+#include "udp/lane.h"
 #include "udp/program.h"
 
 namespace recode::udpprog {
@@ -28,8 +29,15 @@ udp::Program build_delta_encode_program();
 
 // Canonical-Huffman bit packing with the table baked into the dispatch
 // arcs (inverse of huffman_prog). Input: raw bytes on the stream.
-// Output at kEncodeOutBase: varint(count) + MSB-first bitstream —
-// byte-identical to codec::HuffmanCodec::encode.
+// Output at kEncodeOutBase: varint(count) + MSB-first bitstream — one
+// single-stream lane of a codec payload.
 udp::Program build_huffman_encode_program(const codec::HuffmanTable& table);
+
+// Huffman-encodes raw on the lane simulator: `layout` (of a
+// build_huffman_encode_program) runs once per lane over that lane's
+// symbols, and the host strips each lane's count and assembles the frame
+// — byte-identical to codec::HuffmanCodec::encode.
+codec::Bytes udp_huffman_encode(const udp::Layout& layout,
+                                codec::ByteSpan raw);
 
 }  // namespace recode::udpprog

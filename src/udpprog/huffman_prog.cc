@@ -1,6 +1,10 @@
 #include "udpprog/huffman_prog.h"
 
+#include <cstring>
 #include <map>
+
+#include "common/error.h"
+#include "common/varint.h"
 
 namespace recode::udpprog {
 
@@ -115,6 +119,31 @@ udp::Program build_huffman_decode_program(const HuffmanTable& table) {
   p.set_entry(vint);
   p.validate();
   return p;
+}
+
+std::uint64_t udp_huffman_decode(const udp::Layout& layout,
+                                 const codec::HuffmanFrame& frame,
+                                 std::uint8_t* dst,
+                                 const udp::LaneConfig& config) {
+  udp::Lane lane(layout, config);
+  const std::pair<int, std::uint64_t> init[] = {{kHuffmanOutReg, 0}};
+  codec::Bytes input;
+  std::uint64_t cycles = 0;
+  for (int k = 0; k < frame.lanes; ++k) {
+    const codec::HuffmanFrame::Lane& l = frame.lane[k];
+    const std::size_t symbols = l.end - l.first;
+    input.clear();
+    varint_append(input, symbols);
+    input.insert(input.end(), l.bits.begin(), l.bits.end());
+    cycles += lane.run(input, init).cycles;
+    if (lane.reg(kHuffmanOutReg) != symbols) {
+      fail("udp huffman: lane output size mismatch");
+    }
+    if (symbols != 0) {
+      std::memcpy(dst + l.first, lane.scratch().data(), symbols);
+    }
+  }
+  return cycles;
 }
 
 }  // namespace recode::udpprog

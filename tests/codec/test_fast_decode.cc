@@ -1,12 +1,13 @@
 // Unit suite for the zero-allocation fast decode path: DecodeArena slab
-// reuse, the multi-symbol Huffman table's equivalence to repeated
-// single-symbol lookups, fast-vs-reference equivalence per codec, and the
+// reuse, the 11-bit Huffman fast table checked exhaustively against the
+// canonical codes, fast-vs-reference equivalence per codec, and the
 // steady-state zero-allocation guarantee asserted through a global
 // operator-new counting hook.
 #include "codec/fast_decode.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -56,8 +57,8 @@ Bytes random_bytes(Prng& prng, std::size_t n) {
   return out;
 }
 
-// Skewed byte distribution: short Huffman codes dominate, so multi-symbol
-// table entries routinely pack 2..4 symbols.
+// Skewed byte distribution: short Huffman codes dominate, so fast table
+// entries routinely pack 2 symbols.
 Bytes skewed_bytes(Prng& prng, std::size_t n) {
   Bytes out(n);
   for (auto& b : out) {
@@ -114,41 +115,79 @@ TEST(DecodeArena, SlopIsAlwaysWritable) {
   }
 }
 
-// The multi-symbol table must replay single-symbol decodes exactly: for
-// every window, the packed symbols and total bits equal what repeated
-// decode_table lookups over the same bits produce.
-void check_multi_table(const HuffmanTable& table) {
-  const auto* single = table.decode_table();
-  const auto* multi = table.multi_table();
-  constexpr std::uint32_t kWindowMask = (1u << kMaxCodeLen) - 1;
-  for (std::uint32_t w = 0; w <= kWindowMask; ++w) {
-    const auto& e = multi[w];
-    ASSERT_GE(e.count, 1);
-    ASSERT_LE(e.count, 4);
-    int consumed = 0;
-    for (int k = 0; k < e.count; ++k) {
-      const auto d = single[(w << consumed) & kWindowMask];
-      ASSERT_EQ(e.symbols[k], d.symbol) << "window " << w << " symbol " << k;
-      consumed += d.length;
-      // Every packed code must be fully determined by real window bits.
-      ASSERT_LE(consumed, kMaxCodeLen) << "window " << w;
+// Symbol whose canonical code is a prefix of the `nbits`-bit value `bits`
+// (MSB first), or -1 when no code fits in nbits. Brute force over the
+// 256 codes, independent of the decode tables.
+int code_prefix(const HuffmanTable& table, std::uint32_t bits, int nbits) {
+  for (int s = 0; s < 256; ++s) {
+    const int len = table.length(static_cast<std::uint8_t>(s));
+    if (len <= nbits &&
+        (bits >> (nbits - len)) == table.code(static_cast<std::uint8_t>(s))) {
+      return s;
     }
-    ASSERT_EQ(e.bits, consumed) << "window " << w;
-    // Unused symbol slots stay zero so the 4-byte bulk emit is exact.
-    for (int k = e.count; k < 4; ++k) ASSERT_EQ(e.symbols[k], 0);
+  }
+  return -1;
+}
+
+// Every 11-bit window's entry holds exactly the codes that fit in it: the
+// first code (or count 0 when it is longer than the window) and a second
+// one whenever it fits in the bits the first left over. Counts the
+// long-code (fallback) windows into *fallbacks.
+void check_fast_table(const HuffmanTable& table, int* fallbacks = nullptr) {
+  const auto* fast = table.fast_table();
+  for (std::uint32_t w = 0; w < (1u << kFastTableBits); ++w) {
+    const auto& e = fast[w];
+    const int first = code_prefix(table, w, kFastTableBits);
+    if (first < 0) {
+      ASSERT_EQ(e.count, 0) << "window " << w;
+      ASSERT_EQ(e.bits, 0) << "window " << w;
+      if (fallbacks != nullptr) ++*fallbacks;
+      continue;
+    }
+    const int len1 = table.length(static_cast<std::uint8_t>(first));
+    const int rest = kFastTableBits - len1;
+    const int second =
+        rest == 0 ? -1 : code_prefix(table, w & ((1u << rest) - 1), rest);
+    ASSERT_EQ(e.symbols[0], first) << "window " << w;
+    if (second < 0) {
+      ASSERT_EQ(e.count, 1) << "window " << w;
+      ASSERT_EQ(e.bits, len1) << "window " << w;
+      ASSERT_EQ(e.symbols[1], 0) << "window " << w;
+    } else {
+      ASSERT_EQ(e.count, 2) << "window " << w;
+      ASSERT_EQ(e.symbols[1], second) << "window " << w;
+      ASSERT_EQ(e.bits, len1 + table.length(static_cast<std::uint8_t>(second)))
+          << "window " << w;
+    }
   }
 }
 
-TEST(MultiSymbolTable, UniformTable) { check_multi_table(HuffmanTable()); }
-
-TEST(MultiSymbolTable, SkewedTable) {
-  Prng prng(2024);
-  check_multi_table(HuffmanTable::train(skewed_bytes(prng, 1 << 16)));
+TEST(FastTable, UniformTable) {
+  int fallbacks = 0;
+  check_fast_table(HuffmanTable(), &fallbacks);
+  EXPECT_EQ(fallbacks, 0);
 }
 
-TEST(MultiSymbolTable, RandomTable) {
+TEST(FastTable, SkewedTable) {
+  Prng prng(2024);
+  check_fast_table(HuffmanTable::train(skewed_bytes(prng, 1 << 16)));
+}
+
+TEST(FastTable, RandomTable) {
   Prng prng(2025);
-  check_multi_table(HuffmanTable::train(random_bytes(prng, 1 << 16)));
+  check_fast_table(HuffmanTable::train(random_bytes(prng, 1 << 16)));
+}
+
+TEST(FastTable, LongCodesFallBack) {
+  // Geometric frequencies: the rare symbols get codes longer than the
+  // window.
+  std::array<std::uint64_t, 256> hist{};
+  for (int s = 0; s < 32; ++s) {
+    hist[static_cast<std::size_t>(s)] = 1ull << (40 - s);
+  }
+  int fallbacks = 0;
+  check_fast_table(HuffmanTable::build(hist), &fallbacks);
+  EXPECT_GT(fallbacks, 0);
 }
 
 TEST(FastHuffman, MatchesReferenceAcrossSizes) {
@@ -159,15 +198,24 @@ TEST(FastHuffman, MatchesReferenceAcrossSizes) {
     const auto table = std::make_shared<const HuffmanTable>(
         HuffmanTable::train(sample));
     const HuffmanCodec codec(table);
-    for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 64u, 1000u, 8192u, 40000u}) {
+    // Every size below 10, and 4q+1 sizes whose last lane is short or
+    // empty.
+    for (const std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 13u, 64u,
+                                1000u, 1025u, 8192u, 8193u, 40000u}) {
       const Bytes raw = skewed ? skewed_bytes(prng, n) : random_bytes(prng, n);
       const Bytes encoded = codec.encode(raw);
       const Bytes ref = codec.decode(encoded);
+      ASSERT_EQ(ref, raw) << "n=" << n;
       DecodeArena arena;
       std::uint8_t* dst = arena.slab(
           DecodeArena::kScratchA, HuffmanCodec::decoded_length(encoded));
+      // Lanes write only their own symbols: nothing lands past n.
+      std::memset(dst, 0xA5, n + kArenaSlop);
       const std::size_t got = fast::huffman_decode(*table, encoded, dst);
       ASSERT_EQ(got, ref.size()) << "n=" << n;
+      for (std::size_t i = n; i < n + kArenaSlop; ++i) {
+        ASSERT_EQ(dst[i], 0xA5) << "n=" << n << " wrote past the end at " << i;
+      }
       // ref.data() is null when n == 0; memcmp's args are declared
       // nonnull, so only compare nonempty outputs.
       if (got != 0) {
@@ -240,9 +288,6 @@ TEST(FastTransforms, VarintDeltaOverflowParsesPastCapacity) {
 }
 
 TEST(FastDecodeAlloc, BlockDecodeIsZeroAllocationOnceWarm) {
-  if (!fast::kEnabled) {
-    GTEST_SKIP() << "fast decode disabled (RECODE_FAST_DECODE=OFF)";
-  }
   const Csr csr =
       sparse::gen_fem_like(4000, 10, 80, ValueModel::kSmoothField, 77);
   const CompressedMatrix cm = compress(csr, PipelineConfig::udp_dsh());
@@ -275,9 +320,6 @@ TEST(FastDecodeAlloc, BlockDecodeIsZeroAllocationOnceWarm) {
 }
 
 TEST(FastDecodeAlloc, AllConfigsZeroAllocationOnceWarm) {
-  if (!fast::kEnabled) {
-    GTEST_SKIP() << "fast decode disabled (RECODE_FAST_DECODE=OFF)";
-  }
   const Csr csr =
       sparse::gen_banded(6000, 6, 0.9, ValueModel::kStencilCoeffs, 78);
   for (const PipelineConfig& cfg :

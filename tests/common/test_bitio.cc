@@ -32,6 +32,50 @@ TEST(BitWriter, TracksBitCount) {
   EXPECT_EQ(w.bit_count(), 16u);
 }
 
+// The bit-at-a-time packer the word-wise writer replaced: the two must
+// produce identical bytes for any sequence of writes.
+std::vector<std::uint8_t> pack_bit_by_bit(
+    const std::vector<std::pair<std::uint32_t, int>>& items) {
+  std::vector<std::uint8_t> bytes;
+  std::uint8_t acc = 0;
+  int nacc = 0;
+  for (const auto& [value, nbits] : items) {
+    for (int i = nbits - 1; i >= 0; --i) {
+      acc = static_cast<std::uint8_t>((acc << 1) | ((value >> i) & 1u));
+      if (++nacc == 8) {
+        bytes.push_back(acc);
+        acc = 0;
+        nacc = 0;
+      }
+    }
+  }
+  if (nacc > 0) bytes.push_back(static_cast<std::uint8_t>(acc << (8 - nacc)));
+  return bytes;
+}
+
+TEST(BitWriter, WordWiseMatchesBitLoop) {
+  Prng prng(43);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::pair<std::uint32_t, int>> items;
+    BitWriter w;
+    std::size_t bits = 0;
+    const std::size_t n = prng.next_below(400);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Widths 0..32, with set bits above the width that write() must
+      // ignore; mostly Huffman-sized codes.
+      const int nbits = prng.next_below(4) == 0
+                            ? static_cast<int>(prng.next_below(33))
+                            : 1 + static_cast<int>(prng.next_below(15));
+      const auto value = static_cast<std::uint32_t>(prng.next());
+      items.emplace_back(value, nbits);
+      w.write(value, nbits);
+      bits += static_cast<std::size_t>(nbits);
+    }
+    EXPECT_EQ(w.bit_count(), bits);
+    ASSERT_EQ(w.finish(), pack_bit_by_bit(items)) << "trial " << trial;
+  }
+}
+
 TEST(BitReader, ReadsBackWhatWriterWrote) {
   Prng prng(42);
   std::vector<std::pair<std::uint32_t, int>> items;

@@ -18,11 +18,13 @@
 #include "codec/huffman.h"
 #include "codec/pipeline.h"
 #include "codec/snappy.h"
+#include "common/bitio.h"
 #include "common/error.h"
 #include "common/prng.h"
 #include "common/varint.h"
 #include "sparse/generators.h"
 #include "testing/corrupt.h"
+#include "udpprog/huffman_prog.h"
 
 namespace recode::testing {
 namespace {
@@ -236,14 +238,9 @@ TEST(FastDecodeDifferential, HuffmanStreamCorruptionParity) {
     std::string fast_err;
     std::uint8_t* dst = nullptr;
     try {
-      // The pipeline's pre-slab validation, replicated.
-      std::size_t pos = 0;
-      const std::uint64_t n =
-          varint_read(variant.data(), variant.size(), pos);
-      if (n > (static_cast<std::uint64_t>(variant.size()) - pos) * 8) {
-        fail("huffman: declared count exceeds stream capacity");
-      }
-      dst = arena.slab(DecodeArena::kScratchA, static_cast<std::size_t>(n));
+      // The pipeline's pre-slab validation: the shared header parse.
+      dst = arena.slab(DecodeArena::kScratchA,
+                       codec::HuffmanCodec::decoded_length(variant));
       fast_n = codec::fast::huffman_decode(*table, variant, dst);
     } catch (const recode::Error& e) {
       fast_err = e.what();
@@ -262,6 +259,183 @@ TEST(FastDecodeDifferential, HuffmanStreamCorruptionParity) {
     }
   }
   EXPECT_GT(rejected, 0);
+}
+
+// --- Huffman lane frame: fast == reference == UDP ---
+
+// One engine's result on one Huffman payload.
+struct HuffmanOutcome {
+  bool ok = false;
+  std::string error;
+  Bytes bytes;
+
+  bool operator==(const HuffmanOutcome& other) const {
+    return ok == other.ok && error == other.error && bytes == other.bytes;
+  }
+};
+
+template <typename F>
+HuffmanOutcome huffman_outcome(F&& decode) {
+  HuffmanOutcome out;
+  try {
+    out.bytes = decode();
+    out.ok = true;
+  } catch (const recode::Error& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+// Decodes `payload` on the reference, fast and UDP engines, asserts they
+// agree bitwise (or throw the same error), and returns the outcome.
+HuffmanOutcome decode_all_engines(
+    const std::shared_ptr<const codec::HuffmanTable>& table,
+    ByteSpan payload) {
+  const HuffmanOutcome ref = huffman_outcome(
+      [&] { return codec::HuffmanCodec(table).decode(payload); });
+  const HuffmanOutcome fast = huffman_outcome([&] {
+    DecodeArena arena;
+    const std::size_t n = codec::HuffmanCodec::decoded_length(payload);
+    std::uint8_t* dst = arena.slab(DecodeArena::kScratchA, n);
+    const std::size_t got = codec::fast::huffman_decode(*table, payload, dst);
+    return Bytes(dst, dst + got);
+  });
+  const HuffmanOutcome udp = huffman_outcome([&] {
+    const udp::Layout layout(udpprog::build_huffman_decode_program(*table));
+    const codec::HuffmanFrame frame = codec::parse_huffman_frame(payload);
+    Bytes out(frame.count);
+    udpprog::udp_huffman_decode(layout, frame, out.data());
+    return out;
+  });
+  EXPECT_EQ(ref, fast) << ref.error << " vs fast " << fast.error;
+  EXPECT_EQ(ref, udp) << ref.error << " vs udp " << udp.error;
+  return ref;
+}
+
+std::shared_ptr<const codec::HuffmanTable> skewed_table(Prng& prng,
+                                                        Bytes& sample) {
+  sample.resize(1 << 14);
+  for (auto& b : sample) {
+    b = prng.next_below(100) < 70
+            ? static_cast<std::uint8_t>(prng.next_below(8))
+            : static_cast<std::uint8_t>(prng.next());
+  }
+  return std::make_shared<const codec::HuffmanTable>(
+      codec::HuffmanTable::train(sample));
+}
+
+// A payload in the single-stream form v1/v2 containers hold:
+// varint(n) followed by one MSB-first bit stream.
+Bytes legacy_payload(const codec::HuffmanTable& table, ByteSpan raw) {
+  Bytes out;
+  varint_append(out, raw.size());
+  BitWriter writer;
+  for (const std::uint8_t b : raw) writer.write(table.code(b), table.length(b));
+  const Bytes bits = writer.finish();
+  out.insert(out.end(), bits.begin(), bits.end());
+  return out;
+}
+
+TEST(HuffmanLanes, SmallAndRaggedSizesAgreeOnEveryEngine) {
+  Prng prng(520);
+  Bytes sample;
+  const auto table = skewed_table(prng, sample);
+  const codec::HuffmanCodec codec(table);
+  // n < 10, then 4q+1 sizes (the last lane short or empty).
+  for (const std::size_t n :
+       {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 13u, 65u, 1029u, 8193u}) {
+    const Bytes raw(sample.begin(), sample.begin() + n);
+    const Bytes payload = codec.encode(raw);
+    const codec::HuffmanFrame frame = codec::parse_huffman_frame(payload);
+    ASSERT_EQ(frame.count, n);
+    ASSERT_EQ(frame.lanes, n == 0 ? 1 : codec::kHuffmanLanes);
+    std::size_t next = 0;
+    for (int k = 0; k < frame.lanes; ++k) {
+      ASSERT_EQ(frame.lane[k].first, next) << "n=" << n << " lane " << k;
+      next = frame.lane[k].end;
+    }
+    ASSERT_EQ(next, n);
+    const HuffmanOutcome out = decode_all_engines(table, payload);
+    ASSERT_TRUE(out.ok) << "n=" << n << ": " << out.error;
+    ASSERT_EQ(out.bytes, raw) << "n=" << n;
+  }
+}
+
+TEST(HuffmanLanes, LegacySingleStreamPayloadsStillDecode) {
+  Prng prng(521);
+  Bytes sample;
+  const auto skewed = skewed_table(prng, sample);
+  const auto uniform = std::make_shared<const codec::HuffmanTable>();
+  for (const auto& table : {skewed, uniform}) {
+    for (const std::size_t n : {0u, 1u, 7u, 127u, 128u, 1000u, 8192u}) {
+      const Bytes raw(sample.begin(), sample.begin() + n);
+      const Bytes payload = legacy_payload(*table, raw);
+      ASSERT_EQ(codec::parse_huffman_frame(payload).lanes, 1);
+      const HuffmanOutcome out = decode_all_engines(table, payload);
+      ASSERT_TRUE(out.ok) << "n=" << n << ": " << out.error;
+      ASSERT_EQ(out.bytes, raw) << "n=" << n;
+    }
+  }
+}
+
+TEST(HuffmanLanes, HostileFramesFailIdenticallyOnEveryEngine) {
+  Prng prng(522);
+  Bytes sample;
+  const auto table = skewed_table(prng, sample);
+  const Bytes raw(sample.begin(), sample.begin() + 4000);
+  const Bytes good = codec::HuffmanCodec(table).encode(raw);
+  const codec::HuffmanFrame frame = codec::parse_huffman_frame(good);
+  const std::size_t body =
+      good.size() - static_cast<std::size_t>(frame.lane[0].bits.data() -
+                                             good.data());
+
+  // Re-frames the valid payload's lane bits behind the given header.
+  const auto reframed = [&](std::uint64_t n,
+                            std::initializer_list<std::uint64_t> lens) {
+    Bytes out{0x00};
+    varint_append(out, n);
+    for (const std::uint64_t len : lens) varint_append(out, len);
+    out.insert(out.end(), good.end() - static_cast<std::ptrdiff_t>(body),
+               good.end());
+    return out;
+  };
+  const std::uint64_t len0 = frame.lane[0].bits.size();
+  const std::uint64_t len1 = frame.lane[1].bits.size();
+  const std::uint64_t len2 = frame.lane[2].bits.size();
+  ASSERT_EQ(decode_all_engines(table, reframed(raw.size(), {len0, len1, len2}))
+                .bytes,
+            raw);
+
+  struct Case {
+    const char* name;
+    Bytes payload;
+    const char* error;
+  };
+  Bytes truncated_len{0x00};
+  varint_append(truncated_len, raw.size());
+  varint_append(truncated_len, len0);
+  truncated_len.push_back(0x80);  // continuation bit, then the end
+  Bytes flipped = legacy_payload(*table, raw);
+  ASSERT_NE(flipped[0], 0x00);
+  flipped[0] = 0x00;
+  const std::vector<Case> cases = {
+      {"lane past payload end", reframed(raw.size(), {len0, body, len2}),
+       "huffman: lane lengths exceed payload"},
+      {"lengths sum overflows",
+       reframed(raw.size(), {len0, ~std::uint64_t{0} - len0 + 2, len2}),
+       "huffman: lane lengths exceed payload"},
+      {"truncated lengths varint", truncated_len, "varint: truncated stream"},
+      {"lane count exceeds its bits", reframed(raw.size(), {1, len1, len2}),
+       "huffman: declared count exceeds stream capacity"},
+      {"legacy first byte flipped to 0x00", flipped, nullptr},
+  };
+  for (const Case& c : cases) {
+    const HuffmanOutcome out = decode_all_engines(table, c.payload);
+    EXPECT_FALSE(out.ok) << c.name;
+    if (c.error != nullptr) {
+      EXPECT_EQ(out.error, c.error) << c.name;
+    }
+  }
 }
 
 TEST(FastDecodeDifferential, SnappyStreamCorruptionParity) {

@@ -233,10 +233,6 @@ TEST(StreamingStress, SchedulerDrainsAfterMidStreamFaultBothModes) {
 // only per-run work is seeding preallocated deques, decoding into grown
 // arenas, and accumulating.
 TEST(StreamingStress, WarmFusedMultiplyIsAllocationFree) {
-  if (!codec::fast::kEnabled) {
-    GTEST_SKIP() << "reference decoders allocate per block "
-                    "(RECODE_FAST_DECODE=OFF)";
-  }
   const std::uint64_t seed = test_seed(47);
   const Csr a = stress_matrix(seed + 29);
   const auto cm = codec::compress(a, PipelineConfig::udp_dsh());

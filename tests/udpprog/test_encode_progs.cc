@@ -90,8 +90,7 @@ TEST(HuffmanEncodeProg, ByteIdenticalToSoftwareEncoder) {
   auto table = trained(raw);
   const codec::HuffmanCodec sw(table);
   const udp::Layout layout(build_huffman_encode_program(*table));
-  EXPECT_EQ(run_lane(layout, raw, raw.size(), kEncodeOutBase),
-            sw.encode(raw));
+  EXPECT_EQ(udp_huffman_encode(layout, raw), sw.encode(raw));
 }
 
 TEST(HuffmanEncodeProg, EmptyInput) {
@@ -99,7 +98,7 @@ TEST(HuffmanEncodeProg, EmptyInput) {
   const codec::HuffmanCodec sw(
       std::make_shared<const codec::HuffmanTable>(uniform));
   const udp::Layout layout(build_huffman_encode_program(uniform));
-  EXPECT_EQ(run_lane(layout, {}, 0, kEncodeOutBase), sw.encode({}));
+  EXPECT_EQ(udp_huffman_encode(layout, {}), sw.encode({}));
 }
 
 TEST(HuffmanEncodeProg, LongCodesFlushCorrectly) {
@@ -116,8 +115,7 @@ TEST(HuffmanEncodeProg, LongCodesFlushCorrectly) {
   const codec::HuffmanCodec sw(
       std::make_shared<const codec::HuffmanTable>(table));
   const udp::Layout layout(build_huffman_encode_program(table));
-  EXPECT_EQ(run_lane(layout, raw, raw.size(), kEncodeOutBase),
-            sw.encode(raw));
+  EXPECT_EQ(udp_huffman_encode(layout, raw), sw.encode(raw));
 }
 
 TEST(HuffmanEncodeProg, RoundTripsThroughUdpDecoder) {
@@ -126,17 +124,12 @@ TEST(HuffmanEncodeProg, RoundTripsThroughUdpDecoder) {
   for (auto& b : raw) b = static_cast<std::uint8_t>(prng.next_below(48));
   auto table = trained(raw);
   const udp::Layout enc_layout(build_huffman_encode_program(*table));
-  const codec::Bytes encoded =
-      run_lane(enc_layout, raw, raw.size(), kEncodeOutBase);
+  const codec::Bytes encoded = udp_huffman_encode(enc_layout, raw);
 
   const udp::Layout dec_layout(build_huffman_decode_program(*table));
-  udp::Lane lane(dec_layout);
-  const std::pair<int, std::uint64_t> init[] = {{kHuffmanOutReg, 0}};
-  lane.run(encoded, init);
-  const auto out_len = lane.reg(kHuffmanOutReg);
-  const auto scratch = lane.scratch();
-  const codec::Bytes decoded(
-      scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(out_len));
+  const codec::HuffmanFrame frame = codec::parse_huffman_frame(encoded);
+  codec::Bytes decoded(frame.count);
+  udp_huffman_decode(dec_layout, frame, decoded.data());
   EXPECT_EQ(decoded, raw);
 }
 
@@ -150,8 +143,7 @@ TEST_P(HuffmanEncodeFuzz, ByteIdenticalToSoftware) {
   auto table = trained(raw);
   const codec::HuffmanCodec sw(table);
   const udp::Layout layout(build_huffman_encode_program(*table));
-  EXPECT_EQ(run_lane(layout, raw, raw.size(), kEncodeOutBase),
-            sw.encode(raw));
+  EXPECT_EQ(udp_huffman_encode(layout, raw), sw.encode(raw));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HuffmanEncodeFuzz,
