@@ -1,7 +1,7 @@
 // Streaming decode->SpMV executor microbench: serial RecodedSpmv vs the
-// pipelined StreamingExecutor across decoder thread counts, reporting
-// wall-clock speedup and measured decode/compute overlap efficiency
-// against the ideal pipelined wall (core::analyze_overlap).
+// work-stealing StreamingExecutor across decode thread counts, reporting
+// wall-clock speedup and measured efficiency against the ideal
+// load-balanced wall (core::analyze_overlap).
 //
 // The acceptance shape: on a multi-core host the software engine reaches
 // >= 2x single-iteration speedup at --threads=8 on a >= 1e6-nnz matrix,
@@ -32,10 +32,8 @@ int run(int argc, char** argv) {
       "nnz", 1000000, "target matrix non-zeros (acceptance floor: 1e6)"));
   const auto max_threads = static_cast<std::size_t>(cli.get_int(
       "threads", 8, "max decoder workers swept (1,2,4,..,N)"));
-  const auto compute_threads = static_cast<std::size_t>(
-      cli.get_int("compute-threads", 1, "CSR-multiply consumer workers"));
-  const auto queue = static_cast<std::size_t>(cli.get_int(
-      "queue", 2, "decoded slabs buffered per band (2 = double buffer)"));
+  const auto compute_threads = static_cast<std::size_t>(cli.get_int(
+      "compute-threads", 1, "extra workers added to each pool size"));
   const auto blocks_per_band = static_cast<std::size_t>(cli.get_int(
       "blocks-per-band", 8, "target blocks per row band"));
   const int reps =
@@ -59,7 +57,7 @@ int run(int argc, char** argv) {
                           ? spmv::DecodeEngine::kUdpSimulated
                           : spmv::DecodeEngine::kSoftware;
   print_header("micro_streaming",
-               "pipelined decode->SpMV vs serial RecodedSpmv (" +
+               "parallel decode->SpMV vs serial RecodedSpmv (" +
                    engine_name + " engine)");
 
   const auto n = static_cast<sparse::index_t>(nnz / 12 + 1);
@@ -105,7 +103,7 @@ int run(int argc, char** argv) {
       static_cast<std::size_t>(std::thread::hardware_concurrency());
   report.add_result("host_cores", static_cast<double>(host_cores));
 
-  Table table({"decoders", "consumers", "wall ms", "speedup", "decode s",
+  Table table({"decode thr", "compute thr", "wall ms", "speedup", "decode s",
                "compute s", "overlap eff", "steals"});
   std::vector<double> y(y_serial.size());
   bool bitwise_ok = true;
@@ -113,7 +111,6 @@ int run(int argc, char** argv) {
     spmv::StreamingConfig cfg;
     cfg.decode_threads = threads;
     cfg.compute_threads = compute_threads;
-    cfg.queue_capacity = queue;
     cfg.blocks_per_band = blocks_per_band;
     cfg.engine = engine;
     spmv::StreamingExecutor exec(cm, cfg);
@@ -132,9 +129,6 @@ int run(int argc, char** argv) {
     m.wall_seconds = stats.wall_seconds;
     m.decode_busy_seconds = stats.decode_busy_seconds;
     m.compute_busy_seconds = stats.compute_busy_seconds;
-    m.decode_workers = static_cast<int>(stats.decode_threads);
-    m.compute_workers = static_cast<int>(stats.compute_threads);
-    m.fused_workers = stats.fused;
     m.workers = static_cast<int>(stats.workers);
     const auto overlap = core::analyze_overlap(m);
     table.add_row({std::to_string(threads), std::to_string(compute_threads),

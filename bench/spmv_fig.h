@@ -74,9 +74,6 @@ inline void run_spmv_figure(const std::string& figure,
       om.wall_seconds = st.wall_seconds;
       om.decode_busy_seconds = st.decode_busy_seconds;
       om.compute_busy_seconds = st.compute_busy_seconds;
-      om.decode_workers = static_cast<int>(st.decode_threads);
-      om.compute_workers = static_cast<int>(st.compute_threads);
-      om.fused_workers = st.fused;
       om.workers = static_cast<int>(st.workers);
       const auto report = core::analyze_overlap(om);
       overlap_eff.add(report.measured_efficiency);

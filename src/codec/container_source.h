@@ -4,7 +4,10 @@
 // compressed streams of any block on demand, from one of three
 // backends:
 //
-//   ResidentSource   the historical fully-in-RAM path (cm.blocks),
+//   ResidentSource   the fully-in-RAM path (cm.blocks); every consumer
+//                    reaches resident matrices through it too
+//                    (make_resident_source), so no engine keeps a
+//                    separate in-RAM decode branch,
 //   MmapSource       a read-only mmap of the .rcm file; prefetch is
 //                    madvise(WILLNEED) touch-ahead, acquire touches the
 //                    pages so the fault cost lands on the prefetcher,
@@ -13,8 +16,9 @@
 //                    background IO thread services prefetches so reads
 //                    overlap decode the way decode overlaps the kernel.
 //
-// The lease protocol engines follow, per contiguous block range
-// (a band, a split task, or a serial chunk):
+// The lease protocol engines follow, per contiguous block range (a
+// band, a run of frontier-needed blocks, or a serial chunk); a range
+// that was prefetched must later be leased with the same (first, count):
 //
 //   prefetch(first, n)   hint, never blocks; drops when the window
 //                        budget or queue is full (acquire then reads
@@ -22,7 +26,8 @@
 //                        prefetch happening)
 //   acquire(first, n)    blocks until the range's bytes are addressable
 //   block(b)             compressed index/value spans, valid while the
-//                        covering lease is held
+//                        covering lease is held (read by
+//                        spmv::BlockDecoder, the one decode call)
 //   release(first, n)    ends the lease, recycles windows; also discards
 //                        a prefetched-but-unneeded range (cache hits)
 //   end_run()            run boundary: reclaims everything not in use

@@ -1,18 +1,18 @@
 // Minimal work-stealing-free thread pool with a parallel_for helper, plus
-// the bounded queue / cancellation primitives the streaming SpMV executor
-// builds its decode->multiply pipeline on.
+// the allocation-free team/gate primitives spmv::BandRunner fans its band
+// tasks out on (WorkerTeam runs a body on every thread, WorkerGate
+// collects their completion and first error).
 //
-// Used by the threaded SpMV kernels, the CPU-side block decompression
-// baseline, and spmv::StreamingExecutor. Sized from
-// std::thread::hardware_concurrency() by default but fully functional at
-// any size (including 1, as on the CI host).
+// ThreadPool serves the threaded SpMV kernels and the CPU-side block
+// decompression baseline. Sized from std::thread::hardware_concurrency()
+// by default but fully functional at any size (including 1, as on the CI
+// host).
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -65,128 +65,16 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-// Bounded multi-producer multi-consumer FIFO with blocking push/pop and
-// two shutdown modes:
-//
-//  * close()  — no further pushes; pops drain what is already queued and
-//               then fail. The producer-side "end of stream" signal.
-//  * cancel() — both sides fail immediately, queued items are dropped.
-//               The error path: a failing pipeline stage cancels every
-//               queue it touches so no peer can stay blocked.
-//
-// push/pop return false instead of throwing so pipeline workers can exit
-// their loops without exception plumbing; the first real exception travels
-// through the owning executor instead.
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  BoundedQueue(const BoundedQueue&) = delete;
-  BoundedQueue& operator=(const BoundedQueue&) = delete;
-
-  std::size_t capacity() const { return capacity_; }
-
-  // Blocks while full. Returns false (dropping `item`) once the queue is
-  // closed or cancelled.
-  bool push(T item) {
-    std::size_t depth;
-    return push(std::move(item), depth);
-  }
-
-  // Same, also reporting the queue depth right after the push — the
-  // occupancy sample the streaming telemetry histograms, taken under the
-  // lock the push already holds (no extra acquisition).
-  bool push(T item, std::size_t& depth_after) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [this] {
-      return closed_ || cancelled_ || items_.size() < capacity_;
-    });
-    if (closed_ || cancelled_) return false;
-    items_.push_back(std::move(item));
-    depth_after = items_.size();
-    if (depth_after > high_water_) high_water_ = depth_after;
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  // Blocks while empty. Returns false once cancelled, or once the queue is
-  // closed and fully drained.
-  bool pop(T& out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock,
-                    [this] { return cancelled_ || closed_ || !items_.empty(); });
-    if (cancelled_ || items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return true;
-  }
-
-  // Producer-side end of stream: queued items remain poppable.
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
-  // Error-path shutdown: unblocks both sides immediately and drops any
-  // queued items.
-  void cancel() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      cancelled_ = true;
-      items_.clear();
-    }
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
-  bool cancelled() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return cancelled_;
-  }
-
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
-  // Highest depth the queue ever reached. Monotonic: survives pops,
-  // close() and cancel() (cancel drops the items but not the record of
-  // how full the queue got).
-  std::size_t high_water() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return high_water_;
-  }
-
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<T> items_;
-  std::size_t high_water_ = 0;
-  bool closed_ = false;
-  bool cancelled_ = false;
-};
-
 // Latch-style completion gate for a fixed set of pipeline workers: the
 // owner arms it with the worker count, each worker signals exactly once
 // (normally or with the exception it died on), and wait() blocks until
 // all have reported, then rethrows the first captured exception on the
-// waiting thread. This is how StreamingExecutor guarantees "drain cleanly,
+// waiting thread. This is how BandRunner guarantees "drain cleanly,
 // rethrow on the caller thread".
 //
 // Reusable: after wait() returns (or throws), reset(n) re-arms the gate
 // for the next run without constructing a new one — the zero-steady-state
-// allocation path of the streaming executor keeps one gate per executor.
+// allocation path keeps one gate per BandRunner.
 class WorkerGate {
  public:
   explicit WorkerGate(std::size_t workers) : remaining_(workers) {}
@@ -244,9 +132,9 @@ class WorkerGate {
 // Fixed team of persistent threads that re-execute a caller-installed
 // body run after run. Unlike ThreadPool::submit (one heap-allocated
 // std::function per task), arming a run stores a raw function pointer
-// and context — no allocation — which is what keeps the streaming
-// executor's steady-state multiply path heap-silent while still fanning
-// out to real threads.
+// and context — no allocation — which is what keeps a warmed BandRunner
+// (and so the streaming executor's multiply) heap-silent while still
+// fanning out to real threads.
 //
 // Protocol: run(body, ctx) wakes every thread; each executes
 // body(ctx, worker_index) exactly once; wait() blocks until all have

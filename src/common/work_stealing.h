@@ -1,7 +1,7 @@
-// Work-stealing scheduling primitives for the streaming SpMV executor
-// (and any future per-item parallel stage): a Chase–Lev-style per-worker
-// deque plus a scheduler that combines one deque per worker with a small
-// mutex-guarded injector queue.
+// Work-stealing scheduling primitives behind spmv::BandRunner (the fan-out
+// of the streaming executor, SpGEMM and SpMSpV): a Chase–Lev-style
+// per-worker deque plus a scheduler that combines one deque per worker
+// with a small mutex-guarded injector queue.
 //
 // Why this replaces the bounded per-band queues: with rigid capacity-2
 // band queues the decode stage (96% of the measured busy time,
@@ -203,22 +203,14 @@ class WorkStealingScheduler {
   // Quiescent: distribute tasks round-robin across the worker deques,
   // overflowing into the injector when a deque is full. Expects a reset
   // scheduler. Also arms the outstanding-task counter.
-  //
-  // use_workers limits seeding to the first `use_workers` deques (0 =
-  // all) — the streaming executor's split mode seeds only the decoder
-  // deques so every seeded deque has an owner that will drain it on
-  // cancel (non-acquiring workers never touch their deque).
-  void seed(const std::vector<T>& tasks, std::size_t use_workers = 0) {
-    if (use_workers == 0 || use_workers > deques_.size()) {
-      use_workers = deques_.size();
-    }
+  void seed(const std::vector<T>& tasks) {
     std::size_t w = 0;
     for (const T& task : tasks) {
       if (!deques_[w]->push_bottom(task)) {
         std::lock_guard<std::mutex> lock(injector_mu_);
         injector_.push_back(task);
       }
-      w = (w + 1) % use_workers;
+      w = (w + 1) % deques_.size();
     }
     remaining_.store(tasks.size(), std::memory_order_relaxed);
   }

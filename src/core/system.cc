@@ -109,19 +109,10 @@ PowerSavings HeterogeneousSystem::analyze_power(const MatrixProfile& p) const {
 
 OverlapReport analyze_overlap(const OverlapMeasurement& m) {
   OverlapReport r;
-  if (m.fused_workers) {
-    // Fused scheduling has no stage boundary to overlap across: the
-    // ideal wall is all busy time load-balanced over the worker pool.
-    const int wn = m.workers > 0 ? m.workers : 1;
-    r.ideal_wall_seconds =
-        (m.decode_busy_seconds + m.compute_busy_seconds) / wn;
-  } else {
-    const int dn = m.decode_workers > 0 ? m.decode_workers : 1;
-    const int cn = m.compute_workers > 0 ? m.compute_workers : 1;
-    const double decode_wall = m.decode_busy_seconds / dn;
-    const double compute_wall = m.compute_busy_seconds / cn;
-    r.ideal_wall_seconds = std::max(decode_wall, compute_wall);
-  }
+  // Fused scheduling has no stage boundary to overlap across: the ideal
+  // wall is all busy time load-balanced over the worker pool.
+  const int wn = m.workers > 0 ? m.workers : 1;
+  r.ideal_wall_seconds = (m.decode_busy_seconds + m.compute_busy_seconds) / wn;
   r.serial_wall_seconds = m.decode_busy_seconds + m.compute_busy_seconds;
   const double busy = r.serial_wall_seconds;
   r.decode_fraction = busy > 0 ? m.decode_busy_seconds / busy : 0.0;
@@ -131,7 +122,7 @@ OverlapReport analyze_overlap(const OverlapMeasurement& m) {
   }
   // Publish the derived overlap figures so a metrics snapshot taken after
   // a streaming run carries the Fig 14/15 model inputs next to the raw
-  // queue-wait histograms they explain.
+  // scheduler-wait histograms they explain.
   if constexpr (telemetry::kEnabled) {
     auto& reg = telemetry::MetricsRegistry::global();
     reg.gauge("core.overlap.measured_efficiency").set(r.measured_efficiency);

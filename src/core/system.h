@@ -87,27 +87,22 @@ struct PowerSavings {
 // models above assume the UDP decodes *while* the CPU multiplies; this is
 // the empirical counterpart measured on the host-side executor.
 struct OverlapMeasurement {
-  double wall_seconds = 0.0;          // pipelined wall clock
-  double decode_busy_seconds = 0.0;   // summed over decode workers
-  double compute_busy_seconds = 0.0;  // summed over compute workers
-  int decode_workers = 1;
-  int compute_workers = 1;
-  // Work-stealing fused mode: every worker runs both stages, so the
-  // ideal wall is the total busy time spread over `workers`, not the
-  // max of two dedicated stages. False keeps the split-pipeline model
-  // (dedicated decode_workers / compute_workers).
-  bool fused_workers = false;
-  int workers = 0;  // used only when fused_workers
+  double wall_seconds = 0.0;          // parallel wall clock
+  double decode_busy_seconds = 0.0;   // summed over workers
+  double compute_busy_seconds = 0.0;  // summed over workers
+  // Every worker runs both stages (fused scheduling), so the ideal wall
+  // is the total busy time spread over the pool.
+  int workers = 1;
 };
 
 struct OverlapReport {
-  // Wall clock a perfectly overlapped pipeline would need: the slower
-  // stage running alone across its workers.
+  // Wall clock a perfectly load-balanced run would need: all busy time
+  // spread evenly over the workers.
   double ideal_wall_seconds = 0.0;
   // Wall clock of the serial chain (decode then multiply, one thread).
   double serial_wall_seconds = 0.0;
-  // ideal / measured wall: 1.0 means the pipeline fully hides the faster
-  // stage behind the slower one, the assumption Figs 14/15 encode.
+  // ideal / measured wall: 1.0 means no worker ever idled, the full
+  // overlap Figs 14/15 assume.
   double measured_efficiency = 0.0;
   // serial / measured wall: the end-to-end win of overlapping + fan-out.
   double overlap_speedup = 0.0;

@@ -6,9 +6,9 @@
 // encode, and a *hot set held decoded in plain CSR* skips the codec chain
 // entirely at the cost of pinned memory. BandCache turns that
 // memory-power tradeoff into a runtime policy: bands whose decoded CSR
-// slabs fit the byte budget are pinned after their first decode and
-// served straight to the compute workers on later iterations; cold bands
-// keep streaming through the decode workers. Budget 0 disables the
+// streams fit the byte budget are pinned after their first decode and
+// accumulated straight from the pinned copy on later iterations; cold
+// bands keep streaming through the decoders. Budget 0 disables the
 // cache, SIZE_MAX pins everything.
 //
 // Ownership contract: cached bands own exact-sized copies of the decoded
@@ -18,7 +18,7 @@
 // (the arena.h ownership rule). Entries are handed out as
 // shared_ptr<const CachedBand>; eviction drops the cache's reference,
 // and in-flight readers keep theirs until the run ends, so eviction can
-// never free memory a compute worker is still accumulating from.
+// never free memory a worker is still accumulating from.
 //
 // Scan protection: the executor touches every band exactly once per
 // multiply, in an order the work-stealing scheduler does not fix. Pure

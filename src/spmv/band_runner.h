@@ -1,44 +1,109 @@
-// One-shot work-stealing fan-out over row-disjoint band tasks.
+// Reusable work-stealing fan-out over row-disjoint band tasks: the one
+// harness the streaming executor, SpGEMM and SpMSpV all run on.
 //
-// The streaming executor owns a persistent scheduler/team pair because
-// its multiply is the steady-state hot loop; the SpGEMM and SpMSpV
-// engines run coarser, call-at-a-time jobs, so they share this small
-// harness instead: seed a WorkStealingScheduler with task ids, fan out a
-// WorkerTeam, and let idle workers steal — the same Chase-Lev machinery
-// (common/work_stealing.h), minus the per-run reuse plumbing.
+// A BandRunner owns a WorkStealingScheduler (common/work_stealing.h), a
+// WorkerTeam and a WorkerGate and keeps them across runs. run() seeds
+// the scheduler with a task order, wakes the team, and lets idle workers
+// steal. The body is a raw function pointer plus context, so a run on a
+// warmed runner performs no heap allocation — the streaming executor
+// holds one runner for its lifetime for exactly that reason; SpGEMM and
+// SpMSpV build one per call.
 //
-// Determinism contract (identical to the executor's): callers hand in
-// tasks that own disjoint output row ranges and a body whose work for
-// task t does not depend on the executing worker beyond scratch arenas,
-// so output is bitwise-identical for any worker count and steal order.
-// With workers <= 1 (or a single task) the body runs inline on the
-// calling thread in task order — the serial reference is the same code.
+// A one-worker runner has no scheduler and no threads: it runs the order
+// inline on the calling thread, which is also how the executor's small-
+// matrix path and every `threads = 1` serial reference execute.
 //
-// Error contract: the first exception a body throws cancels the
-// scheduler, every worker drains and exits, and the exception is
-// rethrown on the calling thread.
+// Lookahead: when a lookahead hook is set, each worker pops its next task
+// (try_acquire only) before running the one in hand and passes it to the
+// hook — out-of-core consumers prefetch that band's compressed bytes
+// behind the current decode, so in-flight bytes stay bounded by about one
+// window per worker however stealing reorders the run. Only tasks popped
+// ahead reach the hook: a task a worker had to wait or steal for is read
+// by that worker itself, in parallel with the hinted reads. The inline
+// path hints order[i + 1] before running order[i]. Without a hook nothing
+// is popped ahead.
+//
+// Determinism contract: callers hand in tasks that own disjoint output
+// row ranges and a body whose work for a task does not depend on the
+// executing worker beyond scratch arenas, so output is bitwise-identical
+// for any worker count and steal order.
+//
+// Error contract: the first exception a body (or hook) throws cancels
+// the scheduler; the faulting worker drains its own deque, the others
+// drain on their next acquire, and run() rethrows the error on the
+// calling thread once every worker has returned. queued() is 0 after
+// every run, failed or not, and the runner stays usable.
+//
+// Telemetry: each blocking acquire is timed into spmv.sched.acquire_wait_us
+// (and BandRunStats::acquire_wait_seconds), and each acquisition samples
+// the worker's own deque depth into spmv.sched.deque_occupancy. Both are
+// zero-cost when RECODE_TELEMETRY=OFF.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <memory>
+#include <vector>
+
+#include "common/thread_pool.h"
+#include "common/work_stealing.h"
 
 namespace recode::spmv {
 
 struct BandRunStats {
   std::uint64_t steals = 0;
   std::uint64_t steal_attempts = 0;
-  std::size_t workers = 0;  // threads that actually ran (1 = inline)
+  std::uint64_t local_pops = 0;
+  std::uint64_t injector_pops = 0;
+  // Time workers spent waiting in a blocking acquire, summed over
+  // workers. Measured by the telemetry wait probe: 0 when telemetry is
+  // compiled out, and always 0 on the inline path.
+  double acquire_wait_seconds = 0.0;
+  std::size_t workers = 0;  // threads that ran (1 = inline)
 };
 
-// Runs body(task, worker) for every task in [0, tasks) across `workers`
-// threads (0 = hardware_concurrency). When `lookahead` is non-null the
-// runner calls it with the task it will hand the same worker next, before
-// the current body runs — the hook out-of-core engines use to prefetch
-// the next band's compressed bytes behind the current decode.
-BandRunStats run_band_tasks(
-    std::size_t workers, std::size_t tasks,
-    const std::function<void(std::size_t task, std::size_t worker)>& body,
-    const std::function<void(std::size_t task)>& lookahead = nullptr);
+class BandRunner {
+ public:
+  using Body = void (*)(void* ctx, std::uint32_t task, std::size_t worker);
+  using Lookahead = void (*)(void* ctx, std::uint32_t task);
+
+  // `workers` threads (0 = hardware_concurrency); runs may hand in at most
+  // `max_tasks` tasks. The team is spawned here, never during a run.
+  BandRunner(std::size_t workers, std::size_t max_tasks);
+  ~BandRunner();
+
+  BandRunner(const BandRunner&) = delete;
+  BandRunner& operator=(const BandRunner&) = delete;
+
+  // Runs body(ctx, task, worker) once for every task of `order`, seeded
+  // in that order. Blocks until the run has drained; rethrows the first
+  // error. last_stats() is refreshed either way.
+  void run(const std::vector<std::uint32_t>& order, Body body, void* ctx,
+           Lookahead lookahead = nullptr);
+
+  const BandRunStats& last_stats() const { return stats_; }
+
+  // Tasks still queued in the scheduler: 0 whenever no run is in flight,
+  // including after an error (the drained-deques contract).
+  std::size_t queued() const;
+
+ private:
+  static void worker_entry(void* self, std::size_t worker);
+  void worker_loop(std::size_t worker);
+  void run_inline(const std::vector<std::uint32_t>& order);
+
+  std::size_t workers_;
+  std::unique_ptr<WorkStealingScheduler<std::uint32_t>> scheduler_;
+  WorkerGate gate_{0};
+  std::vector<double> acquire_wait_;  // per-worker, reset each run
+  // The run in flight.
+  Body body_ = nullptr;
+  Lookahead lookahead_ = nullptr;
+  void* ctx_ = nullptr;
+  BandRunStats stats_;
+  // Declared last: its threads use every member above, so it is
+  // destroyed (and its threads joined) first.
+  std::unique_ptr<WorkerTeam> team_;
+};
 
 }  // namespace recode::spmv

@@ -44,6 +44,12 @@ constexpr std::size_t kPrefetchDistance = 16;
 // at most two chunks of compressed bytes are addressable at once.
 constexpr std::size_t kSourceChunkBlocks = 16;
 
+codec::ContainerSource& checked(
+    const std::shared_ptr<codec::ContainerSource>& source) {
+  RECODE_CHECK(source != nullptr);
+  return *source;
+}
+
 inline void prefetch_read(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
@@ -53,14 +59,6 @@ inline void prefetch_read(const void* p) {
 }
 
 }  // namespace
-
-const char* decode_engine_name(DecodeEngine engine) {
-  switch (engine) {
-    case DecodeEngine::kSoftware: return "software";
-    case DecodeEngine::kUdpSimulated: return "udp-sim";
-  }
-  return "?";
-}
 
 void accumulate_block(const sparse::BlockRange& range,
                       std::span<const sparse::offset_t> row_ptr,
@@ -84,20 +82,16 @@ void accumulate_block(const sparse::BlockRange& range,
   ledger_kernel_block(range, 1);
 }
 
-void check_block_indices(std::span<const sparse::index_t> indices,
-                         sparse::index_t cols) {
-  for (const sparse::index_t c : indices) {
-    RECODE_PARSE_CHECK(c >= 0 && c < cols,
-                       "decoded column index out of range");
-  }
-}
-
 void accumulate_block_batch(const sparse::BlockRange& range,
                             std::span<const sparse::offset_t> row_ptr,
                             std::span<const sparse::index_t> indices,
                             std::span<const double> values,
                             std::span<const double> x, std::span<double> y,
                             int k) {
+  if (k == 1) {
+    accumulate_block(range, row_ptr, indices, values, x, y);
+    return;
+  }
   telemetry::StageTimer ledger_timer(
       telemetry::MovementLedger::global().hop(telemetry::Hop::kKernel).ns);
   sparse::index_t row = range.first_row;
@@ -120,32 +114,22 @@ void accumulate_block_batch(const sparse::BlockRange& range,
 
 RecodedSpmv::RecodedSpmv(const codec::CompressedMatrix& cm,
                          DecodeEngine engine)
-    : cm_(&cm), engine_(engine) {
-  if (engine_ == DecodeEngine::kUdpSimulated) {
-    udp_decoder_ = std::make_unique<udpprog::UdpPipelineDecoder>(cm);
-  }
-}
+    : RecodedSpmv(cm, codec::make_resident_source(cm), engine) {}
 
 RecodedSpmv::RecodedSpmv(const codec::CompressedMatrix& cm,
                          std::shared_ptr<codec::ContainerSource> source,
                          DecodeEngine engine)
-    : cm_(&cm), engine_(engine) {
-  RECODE_CHECK(source != nullptr);
-  if (source->out_of_core()) {
-    if (engine_ == DecodeEngine::kUdpSimulated) {
-      fail("recoded spmv: the UDP simulator needs resident blocks; "
-           "out-of-core sources support the software engine only");
-    }
-    source_ = std::move(source);
-  } else if (engine_ == DecodeEngine::kUdpSimulated) {
-    udp_decoder_ = std::make_unique<udpprog::UdpPipelineDecoder>(cm);
-  }
-}
+    : cm_(&cm),
+      source_(std::move(source)),
+      decoder_(cm, checked(source_), engine) {}
 
 void RecodedSpmv::multiply(std::span<const double> x, std::span<double> y) {
   multiply_batch(x, y, 1);
 }
 
+// Chunked loop: lease kSourceChunkBlocks at a time, and hint the *next*
+// chunk before decoding the current one so an out-of-core source's reads
+// run ahead of decode (leases and hints are no-ops for resident sources).
 void RecodedSpmv::multiply_batch(std::span<const double> x,
                                  std::span<double> y, int k) {
   RECODE_CHECK(k >= 1);
@@ -155,49 +139,6 @@ void RecodedSpmv::multiply_batch(std::span<const double> x,
                static_cast<std::size_t>(cm_->rows) * static_cast<std::size_t>(k));
   std::fill(y.begin(), y.end(), 0.0);
 
-  if (source_) {
-    multiply_batch_source(x, y, k);
-    return;
-  }
-
-  for (std::size_t b = 0; b < cm_->blocks.size(); ++b) {
-    const auto& range = cm_->blocking.blocks[b];
-    std::span<const sparse::index_t> indices;
-    std::span<const double> values;
-    if (engine_ == DecodeEngine::kSoftware) {
-      const codec::DecodedBlock decoded =
-          codec::decompress_block_fast(*cm_, b, scratch_, out_);
-      indices = decoded.indices;
-      values = decoded.values;
-    } else {
-      udpprog::BlockResult result = udp_decoder_->decode_block(b);
-      indices_ = std::move(result.indices);
-      values_ = std::move(result.values);
-      udp_cycles_ += result.lane_cycles();
-      indices = indices_;
-      values = values_;
-    }
-    check_block_indices(indices, cm_->cols);
-    ++blocks_decoded_;
-    // +1: the block's codec-id dispatch byte travels with its streams
-    // (container v2), matching CompressedMatrix::stream_bytes().
-    compressed_bytes_streamed_ += cm_->blocks[b].bytes() + 1;
-
-    if (k == 1) {
-      accumulate_block(range, cm_->row_ptr, indices, values, x, y);
-    } else {
-      accumulate_block_batch(range, cm_->row_ptr, indices, values, x, y, k);
-    }
-  }
-}
-
-// Chunked out-of-core loop: lease kSourceChunkBlocks at a time, and hint
-// the *next* chunk before decoding the current one so the source's reads
-// run ahead of decode. Decode goes through the span overload of
-// decompress_block_fast — the same stages and arenas as the resident
-// path, so results are bitwise identical.
-void RecodedSpmv::multiply_batch_source(std::span<const double> x,
-                                        std::span<double> y, int k) {
   const std::size_t nblocks = cm_->blocking.blocks.size();
   std::size_t first = 0;
   std::size_t count = std::min(kSourceChunkBlocks, nblocks);
@@ -210,21 +151,12 @@ void RecodedSpmv::multiply_batch_source(std::span<const double> x,
           std::min(kSourceChunkBlocks, nblocks - next_first);
       if (next_count > 0) source_->prefetch(next_first, next_count);
       for (std::size_t b = first; b < first + count; ++b) {
-        const codec::SourceBlockBytes bytes = source_->block(b);
-        const codec::DecodedBlock decoded = codec::decompress_block_fast(
-            *cm_, b, bytes.index_data, bytes.value_data, scratch_, out_);
-        check_block_indices(decoded.indices, cm_->cols);
+        const BlockStreams s = decoder_.decode(b);
         ++blocks_decoded_;
-        compressed_bytes_streamed_ +=
-            bytes.index_data.size() + bytes.value_data.size() + 1;
-        const auto& range = cm_->blocking.blocks[b];
-        if (k == 1) {
-          accumulate_block(range, cm_->row_ptr, decoded.indices,
-                           decoded.values, x, y);
-        } else {
-          accumulate_block_batch(range, cm_->row_ptr, decoded.indices,
-                                 decoded.values, x, y, k);
-        }
+        compressed_bytes_streamed_ += s.stream_bytes;
+        udp_cycles_ += s.udp_cycles;
+        accumulate_block_batch(cm_->blocking.blocks[b], cm_->row_ptr,
+                               s.indices, s.values, x, y, k);
       }
       source_->release(first, count);
       first = next_first;

@@ -12,19 +12,11 @@
 #include <memory>
 #include <span>
 
-#include "codec/arena.h"
 #include "codec/container_source.h"
 #include "codec/pipeline.h"
-#include "udpprog/block_decoder.h"
+#include "spmv/block_decoder.h"
 
 namespace recode::spmv {
-
-enum class DecodeEngine {
-  kSoftware,      // software codecs (the functional reference)
-  kUdpSimulated,  // every block through the UDP lane simulator
-};
-
-const char* decode_engine_name(DecodeEngine engine);
 
 // The Fig 7 inner loop over one decoded block: walks the decoded streams,
 // advancing the row as nnz positions cross row_ptr boundaries, and
@@ -39,15 +31,9 @@ void accumulate_block(const sparse::BlockRange& range,
                       std::span<const double> values,
                       std::span<const double> x, std::span<double> y);
 
-// Throws recode::Error if any decoded column index falls outside
-// [0, cols). A corrupt-but-well-framed index stream must surface as a
-// recoverable error, never as an out-of-bounds gather in the multiply
-// (the PR 1 hardening contract, extended to the SpMV consumers).
-void check_block_indices(std::span<const sparse::index_t> indices,
-                         sparse::index_t cols);
-
 // Multi-RHS variant: X is cols x k row-major, Y is rows x k row-major
-// (the spmm_csr layout). Callers dispatch k == 1 to accumulate_block.
+// (the spmm_csr layout). k == 1 runs accumulate_block itself, so every
+// engine reaches the single-vector kernel through this one entry point.
 void accumulate_block_batch(const sparse::BlockRange& range,
                             std::span<const sparse::offset_t> row_ptr,
                             std::span<const sparse::index_t> indices,
@@ -57,6 +43,7 @@ void accumulate_block_batch(const sparse::BlockRange& range,
 
 class RecodedSpmv {
  public:
+  // Resident matrix: blocks are served by codec::make_resident_source.
   explicit RecodedSpmv(const codec::CompressedMatrix& cm,
                        DecodeEngine engine = DecodeEngine::kSoftware);
 
@@ -92,23 +79,11 @@ class RecodedSpmv {
   sparse::index_t cols() const { return cm_->cols; }
 
  private:
-  void multiply_batch_source(std::span<const double> x, std::span<double> y,
-                             int k);
-
   const codec::CompressedMatrix* cm_;
-  DecodeEngine engine_;
-  // Non-null only on the out-of-core path (kResident sources decode
-  // through the historical cm_->blocks loop).
   std::shared_ptr<codec::ContainerSource> source_;
-  std::unique_ptr<udpprog::UdpPipelineDecoder> udp_decoder_;
-  // Software-engine decode arenas: blocks decode straight into out_'s
-  // slabs (codec::decompress_block_fast), so after the first block the
-  // decode loop performs zero heap allocations and no output copy.
-  codec::DecodeArena scratch_;
-  codec::DecodeArena out_;
-  // kUdpSimulated destination (the lane simulator returns vectors).
-  std::vector<sparse::index_t> indices_;
-  std::vector<double> values_;
+  // Decodes into its own arenas, so after the first block the decode
+  // loop performs zero heap allocations and no output copy.
+  BlockDecoder decoder_;
   std::uint64_t blocks_decoded_ = 0;
   std::uint64_t compressed_bytes_streamed_ = 0;
   std::uint64_t udp_cycles_ = 0;

@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "codec/arena.h"
 #include "common/error.h"
 #include "sparse/stats.h"
 #include "spmv/band_runner.h"
-#include "spmv/recoded.h"
+#include "spmv/block_decoder.h"
 #include "spmv/streaming_executor.h"
 #include "telemetry/telemetry.h"
 
@@ -42,8 +42,11 @@ inline void ledger_kernel_band(std::uint64_t a_nnz, std::uint64_t c_nnz,
 
 // Per-worker scratch reused across every band the worker executes.
 struct WorkerScratch {
-  codec::DecodeArena scratch;
-  codec::DecodeArena out;
+  WorkerScratch(const codec::CompressedMatrix& a,
+                codec::ContainerSource& source)
+      : decoder(a, source) {}
+
+  BlockDecoder decoder;
   // Band-local contiguous copies of A's decoded streams (rows span block
   // boundaries, so the Gustavson row loop needs the whole band flat).
   std::vector<sparse::index_t> a_idx;
@@ -90,13 +93,14 @@ std::size_t block_merge_threshold(const sparse::BlockStats& bs,
 
 struct SpgemmJob {
   const codec::CompressedMatrix* a = nullptr;
-  codec::ContainerSource* source = nullptr;  // null = resident cm.blocks
+  codec::ContainerSource* source = nullptr;
   const sparse::Csr* b = nullptr;
   const SpgemmConfig* cfg = nullptr;
   std::vector<RowBand> bands;
   std::vector<BandOut> outs;
   // Per-row C lengths; disjoint row ranges per band, so plain writes.
   std::vector<sparse::offset_t> c_row_len;
+  std::vector<std::unique_ptr<WorkerScratch>> scratch;  // one per worker
 };
 
 void process_band(SpgemmJob& job, std::size_t band_id, WorkerScratch& ws) {
@@ -118,26 +122,12 @@ void process_band(SpgemmJob& job, std::size_t band_id, WorkerScratch& ws) {
   // Decode the band's blocks into the flat band-local streams, recording
   // each block's merge threshold for the row strategy choice below.
   std::vector<std::size_t> block_threshold(band.block_count);
-  bool acquired = false;
-  if (job.source) {
-    job.source->acquire(band.first_block, band.block_count);
-    acquired = true;
-  }
+  job.source->acquire(band.first_block, band.block_count);
   try {
     for (std::size_t i = 0; i < band.block_count; ++i) {
       const std::size_t bi = band.first_block + i;
-      codec::DecodedBlock decoded;
-      if (job.source) {
-        const codec::SourceBlockBytes bytes = job.source->block(bi);
-        decoded = codec::decompress_block_fast(
-            a, bi, bytes.index_data, bytes.value_data, ws.scratch, ws.out);
-        out.compressed_bytes +=
-            bytes.index_data.size() + bytes.value_data.size() + 1;
-      } else {
-        decoded = codec::decompress_block_fast(a, bi, ws.scratch, ws.out);
-        out.compressed_bytes += a.blocks[bi].bytes() + 1;
-      }
-      check_block_indices(decoded.indices, a.cols);
+      const BlockStreams decoded = ws.decoder.decode(bi);
+      out.compressed_bytes += decoded.stream_bytes;
       ++out.blocks_decoded;
       const std::size_t off = blocks[bi].first_nnz - band_first_nnz;
       std::memcpy(ws.a_idx.data() + off, decoded.indices.data(),
@@ -149,10 +139,10 @@ void process_band(SpgemmJob& job, std::size_t band_id, WorkerScratch& ws) {
           job.cfg->merge_max_products);
     }
   } catch (...) {
-    if (acquired) job.source->release(band.first_block, band.block_count);
+    job.source->release(band.first_block, band.block_count);
     throw;
   }
-  if (acquired) job.source->release(band.first_block, band.block_count);
+  job.source->release(band.first_block, band.block_count);
 
   // Gustavson row loop over the band's rows. Timed as the kernel hop.
   telemetry::StageTimer ledger_timer(
@@ -271,10 +261,10 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a,
   c.row_ptr.assign(static_cast<std::size_t>(a.rows) + 1, 0);
   if (stats) *stats = SpgemmStats{};
 
+  if (!a_source) a_source = codec::make_resident_source(a);
   SpgemmJob job;
   job.a = &a;
-  job.source =
-      (a_source && a_source->out_of_core()) ? a_source.get() : nullptr;
+  job.source = a_source.get();
   job.b = &b;
   job.cfg = &cfg;
   job.bands = make_row_bands(a.blocking, cfg.blocks_per_band);
@@ -283,57 +273,55 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a,
     return c;  // nnz == 0: C is all-empty rows
   }
   std::size_t workers = cfg.threads;
-  if (workers != 1 && job.bands.size() > 1) {
+  if (workers == 0) {
+    workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  }
+  if (workers > 1 && job.bands.size() > 1) {
     // Spread the matrix over ~4 tasks per worker so stealing has slack.
-    const std::size_t w =
-        workers == 0
-            ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-            : workers;
     const std::size_t max_blocks = std::max<std::size_t>(
-        1, a.blocking.block_count() / std::max<std::size_t>(1, 4 * w));
+        1, a.blocking.block_count() / (4 * workers));
     job.bands = split_row_bands(a.blocking, job.bands, max_blocks);
   }
+  workers = std::min(workers, job.bands.size());
   job.outs.resize(job.bands.size());
   job.c_row_len.assign(static_cast<std::size_t>(a.rows), 0);
-
-  if (job.source) {
-    std::size_t max_extent = 0;
-    for (const RowBand& band : job.bands) {
-      max_extent = std::max(
-          max_extent,
-          job.source->range_extent_bytes(band.first_block, band.block_count));
-    }
-    const std::size_t w = workers == 0 ? 8 : workers;
-    job.source->reserve(2 * w, max_extent);
+  for (std::size_t w = 0; w < workers; ++w) {
+    job.scratch.push_back(std::make_unique<WorkerScratch>(a, *job.source));
   }
 
-  std::vector<std::unique_ptr<WorkerScratch>> scratch;
-  const std::size_t max_workers = std::min(
-      job.bands.size(),
-      workers == 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : workers);
-  for (std::size_t i = 0; i < std::max<std::size_t>(1, max_workers); ++i) {
-    scratch.push_back(std::make_unique<WorkerScratch>());
+  // An out-of-core source stages at most two bands per worker: the one in
+  // hand plus its lookahead prefetch.
+  std::size_t max_extent = 0;
+  for (const RowBand& band : job.bands) {
+    max_extent = std::max(max_extent, job.source->range_extent_bytes(
+                                          band.first_block, band.block_count));
+  }
+  if (max_extent > 0) job.source->reserve(2 * workers, max_extent);
+  BandRunner::Lookahead prefetch = nullptr;
+  if (job.source->out_of_core()) {
+    prefetch = [](void* ctx, std::uint32_t t) {
+      const auto& j = *static_cast<SpgemmJob*>(ctx);
+      j.source->prefetch(j.bands[t].first_block, j.bands[t].block_count);
+    };
   }
 
-  BandRunStats run_stats;
+  std::vector<std::uint32_t> order(job.bands.size());
+  std::iota(order.begin(), order.end(), 0u);
+  BandRunner runner(workers, order.size());
   try {
-    run_stats = run_band_tasks(
-        workers, job.bands.size(),
-        [&](std::size_t band_id, std::size_t worker) {
-          process_band(job, band_id, *scratch[worker]);
+    runner.run(
+        order,
+        [](void* ctx, std::uint32_t band_id, std::size_t worker) {
+          auto& j = *static_cast<SpgemmJob*>(ctx);
+          process_band(j, band_id, *j.scratch[worker]);
         },
-        job.source ? std::function<void(std::size_t)>([&](std::size_t t) {
-          job.source->prefetch(job.bands[t].first_block,
-                               job.bands[t].block_count);
-        })
-                   : std::function<void(std::size_t)>());
+        &job, prefetch);
   } catch (...) {
-    if (job.source) job.source->end_run();
+    job.source->end_run();
     throw;
   }
-  if (job.source) job.source->end_run();
+  job.source->end_run();
+  const BandRunStats& run_stats = runner.last_stats();
 
   // Stitch: bands are row-ordered and own disjoint row ranges, so C is
   // the in-order concatenation of the band outputs.

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <thread>
 
 #include "common/error.h"
 #include "spmv/band_runner.h"
-#include "spmv/recoded.h"
 #include "telemetry/telemetry.h"
 
 namespace recode::spmv {
@@ -38,8 +38,11 @@ inline void ledger_kernel_block(const sparse::BlockRange& range) {
 }  // namespace
 
 struct SpmspvEngine::WorkerScratch {
-  codec::DecodeArena scratch;
-  codec::DecodeArena out;
+  WorkerScratch(const codec::CompressedMatrix& cm,
+                codec::ContainerSource& source)
+      : decoder(cm, source) {}
+
+  BlockDecoder decoder;
   std::vector<double> products;  // phase-1 output, one slot per block nnz
 };
 
@@ -51,8 +54,9 @@ SpmspvEngine::SpmspvEngine(const codec::CompressedMatrix& cm, SpmspvConfig cfg)
 SpmspvEngine::SpmspvEngine(const codec::CompressedMatrix& cm,
                            std::shared_ptr<codec::ContainerSource> source,
                            SpmspvConfig cfg)
-    : cm_(&cm), cfg_(cfg) {
-  if (source && source->out_of_core()) source_ = std::move(source);
+    : cm_(&cm),
+      source_(source ? std::move(source) : codec::make_resident_source(cm)),
+      cfg_(cfg) {
   bands_ = make_row_bands(cm_->blocking, cfg_.blocks_per_band);
   in_frontier_.assign(static_cast<std::size_t>(cm_->cols), 0);
   x_dense_.assign(static_cast<std::size_t>(cm_->cols), 0.0);
@@ -63,7 +67,7 @@ SpmspvEngine::SpmspvEngine(const codec::CompressedMatrix& cm,
   }
   workers = std::min(workers, std::max<std::size_t>(1, bands_.size()));
   for (std::size_t i = 0; i < workers; ++i) {
-    scratch_.push_back(std::make_unique<WorkerScratch>());
+    scratch_.push_back(std::make_unique<WorkerScratch>(*cm_, *source_));
   }
   survey_blocks();
 }
@@ -79,24 +83,16 @@ void SpmspvEngine::survey_blocks() {
   constexpr std::size_t kChunk = 16;
   std::size_t first = 0;
   std::size_t count = std::min(kChunk, blocks.size());
-  if (source_) source_->prefetch(first, count);
+  source_->prefetch(first, count);
   try {
     while (first < blocks.size()) {
-      if (source_) source_->acquire(first, count);
+      source_->acquire(first, count);
       const std::size_t next_first = first + count;
       const std::size_t next_count =
           std::min(kChunk, blocks.size() - next_first);
-      if (source_ && next_count > 0) source_->prefetch(next_first, next_count);
+      if (next_count > 0) source_->prefetch(next_first, next_count);
       for (std::size_t b = first; b < first + count; ++b) {
-        codec::DecodedBlock decoded;
-        if (source_) {
-          const codec::SourceBlockBytes bytes = source_->block(b);
-          decoded = codec::decompress_block_fast(
-              *cm_, b, bytes.index_data, bytes.value_data, ws.scratch, ws.out);
-        } else {
-          decoded = codec::decompress_block_fast(*cm_, b, ws.scratch, ws.out);
-        }
-        check_block_indices(decoded.indices, cm_->cols);
+        const BlockStreams decoded = ws.decoder.decode(b);
         BlockSummary& s = summaries_[b];
         s.col_min = cm_->cols;
         s.col_max = -1;
@@ -107,18 +103,16 @@ void SpmspvEngine::survey_blocks() {
           s.signature |= column_bit(c);
         }
       }
-      if (source_) source_->release(first, count);
+      source_->release(first, count);
       first = next_first;
       count = next_count;
     }
   } catch (...) {
-    if (source_) {
-      source_->release(first, count);
-      source_->end_run();
-    }
+    source_->release(first, count);
+    source_->end_run();
     throw;
   }
-  if (source_) source_->end_run();
+  source_->end_run();
 }
 
 bool SpmspvEngine::block_needed(const BlockSummary& s) const {
@@ -134,45 +128,37 @@ bool SpmspvEngine::block_needed(const BlockSummary& s) const {
   return it != frontier_cols_.end() && *it <= s.col_max;
 }
 
-void SpmspvEngine::process_band(std::size_t band_id, WorkerScratch& ws,
-                                std::span<double> y) {
+template <typename Fn>
+void SpmspvEngine::for_each_needed_run(const RowBand& band, Fn&& fn) const {
+  const std::size_t end = band.first_block + band.block_count;
+  std::size_t b = band.first_block;
+  while (b < end) {
+    if (!block_needed(summaries_[b])) {
+      ++b;
+      continue;
+    }
+    std::size_t run = 1;
+    while (b + run < end && block_needed(summaries_[b + run])) ++run;
+    fn(b, run);
+    b += run;
+  }
+}
+
+void SpmspvEngine::process_band(std::size_t band_id, WorkerScratch& ws) {
   const RowBand& band = bands_[band_id];
   SpmspvStats& bs = band_stats_[band_id];
   bs = SpmspvStats{};
   bs.blocks_total = band.block_count;
   const auto& blocks = cm_->blocking.blocks;
 
-  // Walk the band as maximal contiguous runs of non-skippable blocks so
-  // out-of-core leases cover only the bytes that will be decoded.
-  std::size_t i = 0;
-  while (i < band.block_count) {
-    const std::size_t bi = band.first_block + i;
-    if (!block_needed(summaries_[bi])) {
-      ++bs.blocks_skipped;
-      ++i;
-      continue;
-    }
-    std::size_t run = 1;
-    while (i + run < band.block_count &&
-           block_needed(summaries_[band.first_block + i + run])) {
-      ++run;
-    }
-    if (source_) source_->acquire(bi, run);
+  // Lease exactly the runs the lookahead hinted, so out-of-core leases
+  // cover only the bytes that will be decoded.
+  for_each_needed_run(band, [&](std::size_t first, std::size_t run) {
+    source_->acquire(first, run);
     try {
-      for (std::size_t k = 0; k < run; ++k) {
-        const std::size_t b = bi + k;
-        codec::DecodedBlock decoded;
-        if (source_) {
-          const codec::SourceBlockBytes bytes = source_->block(b);
-          decoded = codec::decompress_block_fast(
-              *cm_, b, bytes.index_data, bytes.value_data, ws.scratch, ws.out);
-          bs.compressed_bytes +=
-              bytes.index_data.size() + bytes.value_data.size() + 1;
-        } else {
-          decoded = codec::decompress_block_fast(*cm_, b, ws.scratch, ws.out);
-          bs.compressed_bytes += cm_->blocks[b].bytes() + 1;
-        }
-        check_block_indices(decoded.indices, cm_->cols);
+      for (std::size_t b = first; b < first + run; ++b) {
+        const BlockStreams decoded = ws.decoder.decode(b);
+        bs.compressed_bytes += decoded.stream_bytes;
         ++bs.blocks_decoded;
 
         const sparse::BlockRange& range = blocks[b];
@@ -200,19 +186,19 @@ void SpmspvEngine::process_band(std::size_t band_id, WorkerScratch& ws,
               row_ptr[static_cast<std::size_t>(r) + 1]);
           const std::size_t seg_end =
               std::min(row_end - range.first_nnz, range.count);
-          double partial = y[static_cast<std::size_t>(r)];
+          double partial = y_[static_cast<std::size_t>(r)];
           for (; n < seg_end; ++n) partial += ws.products[n];
-          y[static_cast<std::size_t>(r)] = partial;
+          y_[static_cast<std::size_t>(r)] = partial;
         }
         ledger_kernel_block(range);
       }
     } catch (...) {
-      if (source_) source_->release(bi, run);
+      source_->release(first, run);
       throw;
     }
-    if (source_) source_->release(bi, run);
-    i += run;
-  }
+    source_->release(first, run);
+  });
+  bs.blocks_skipped = band.block_count - bs.blocks_decoded;
   if (bs.blocks_skipped == band.block_count) bs.bands_skipped = 1;
 }
 
@@ -249,30 +235,38 @@ void SpmspvEngine::multiply(const SparseVector& x, std::span<double> y) {
   SpmspvStats totals;
   totals.frontier_nnz = x.indices.size();
   if (!bands_.empty() && !x.indices.empty()) {
-    if (source_) {
-      std::size_t max_extent = 0;
-      for (const RowBand& band : bands_) {
-        max_extent = std::max(max_extent,
-                              source_->range_extent_bytes(band.first_block,
-                                                          band.block_count));
-      }
-      source_->reserve(2 * scratch_.size(), max_extent);
+    std::size_t max_extent = 0;
+    for (const RowBand& band : bands_) {
+      max_extent = std::max(max_extent,
+                            source_->range_extent_bytes(band.first_block,
+                                                        band.block_count));
     }
+    if (max_extent > 0) source_->reserve(2 * scratch_.size(), max_extent);
+    BandRunner::Lookahead prefetch = nullptr;
+    if (source_->out_of_core()) {
+      prefetch = [](void* ctx, std::uint32_t t) {
+        // Hint exactly the runs process_band will lease.
+        const auto& e = *static_cast<SpmspvEngine*>(ctx);
+        e.for_each_needed_run(e.bands_[t],
+                              [&e](std::size_t first, std::size_t count) {
+                                e.source_->prefetch(first, count);
+                              });
+      };
+    }
+    std::vector<std::uint32_t> order(bands_.size());
+    std::iota(order.begin(), order.end(), 0u);
+    y_ = y;
+    BandRunner runner(scratch_.size(), order.size());
     try {
-      run_band_tasks(
-          std::min(cfg_.threads == 0 ? scratch_.size() : cfg_.threads,
-                   scratch_.size()),
-          bands_.size(),
-          [&](std::size_t band_id, std::size_t worker) {
-            process_band(band_id, *scratch_[worker], y);
+      runner.run(
+          order,
+          [](void* ctx, std::uint32_t band_id, std::size_t worker) {
+            auto& e = *static_cast<SpmspvEngine*>(ctx);
+            e.process_band(band_id, *e.scratch_[worker]);
           },
-          source_ ? std::function<void(std::size_t)>([&](std::size_t t) {
-            // Hint the whole band; acquire later narrows to needed runs.
-            source_->prefetch(bands_[t].first_block, bands_[t].block_count);
-          })
-                  : std::function<void(std::size_t)>());
+          this, prefetch);
     } catch (...) {
-      if (source_) source_->end_run();
+      source_->end_run();
       // Un-scatter before propagating so the engine stays usable.
       for (const sparse::index_t c : x.indices) {
         in_frontier_[static_cast<std::size_t>(c)] = 0;
@@ -280,7 +274,7 @@ void SpmspvEngine::multiply(const SparseVector& x, std::span<double> y) {
       }
       throw;
     }
-    if (source_) source_->end_run();
+    source_->end_run();
     for (const SpmspvStats& bs : band_stats_) {
       totals.blocks_total += bs.blocks_total;
       totals.blocks_skipped += bs.blocks_skipped;

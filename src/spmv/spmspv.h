@@ -43,7 +43,6 @@
 #include <span>
 #include <vector>
 
-#include "codec/arena.h"
 #include "codec/container_source.h"
 #include "codec/pipeline.h"
 #include "sparse/formats.h"
@@ -122,8 +121,13 @@ class SpmspvEngine {
   struct WorkerScratch;
 
   void survey_blocks();
-  void process_band(std::size_t band_id, WorkerScratch& ws,
-                    std::span<double> y);
+  // Calls fn(first, count) for each maximal run of consecutive blocks of
+  // `band` the current frontier needs, in stream order. The lookahead
+  // hint and process_band both walk a band through this, so prefetched
+  // ranges and leased ranges always match exactly.
+  template <typename Fn>
+  void for_each_needed_run(const RowBand& band, Fn&& fn) const;
+  void process_band(std::size_t band_id, WorkerScratch& ws);
   // True when the block can contribute a nonzero product: the 64-bit
   // signatures intersect AND some frontier column falls inside the
   // block's exact column span (binary search over the sorted frontier —
@@ -138,7 +142,8 @@ class SpmspvEngine {
   }
 
   const codec::CompressedMatrix* cm_;
-  std::shared_ptr<codec::ContainerSource> source_;  // null = resident
+  // The caller's source, or a resident source over cm.blocks.
+  std::shared_ptr<codec::ContainerSource> source_;
   SpmspvConfig cfg_;
   std::vector<BlockSummary> summaries_;
   std::vector<RowBand> bands_;
@@ -150,6 +155,7 @@ class SpmspvEngine {
   std::vector<sparse::index_t> frontier_cols_;    // sorted, current multiply
   // Per-band outputs of the current multiply (worker-disjoint).
   std::vector<SpmspvStats> band_stats_;
+  std::span<double> y_;  // output of the multiply in flight
   std::vector<std::unique_ptr<WorkerScratch>> scratch_;
   SpmspvStats last_stats_;
   std::uint64_t total_blocks_decoded_ = 0;

@@ -1,16 +1,12 @@
 #include "spmv/streaming_executor.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <string>
 #include <thread>
 
 #include "codec/arena.h"
 #include "common/error.h"
 #include "common/timer.h"
 #include "telemetry/telemetry.h"
-#include "udpprog/block_decoder.h"
 
 namespace recode::spmv {
 
@@ -18,11 +14,11 @@ namespace {
 
 // Registry handles resolved once (registration locks; the workers only
 // touch the lock-free instruments). All of this is a no-op skeleton when
-// RECODE_TELEMETRY=OFF.
+// RECODE_TELEMETRY=OFF. The scheduler histograms live with the band
+// runner (spmv.sched.*).
 struct StreamTelemetry {
   telemetry::Counter& runs;
   telemetry::Counter& fused_runs;
-  telemetry::Counter& split_runs;
   telemetry::Counter& inline_runs;
   telemetry::Counter& blocks;
   telemetry::Counter& bytes;
@@ -43,19 +39,12 @@ struct StreamTelemetry {
   telemetry::Counter& steal_attempts;
   telemetry::Counter& local_pops;
   telemetry::Counter& injector_pops;
-  telemetry::Histogram& deque_occupancy;    // own-deque depth per acquire
-  telemetry::Histogram& acquire_wait_us;    // scheduler spin per task
-  telemetry::Histogram& ready_push_wait_us; // split: decoder backpressured
-  telemetry::Histogram& ready_pop_wait_us;  // split: accumulator starved
-  telemetry::Histogram& ready_occupancy;    // split: depth at each push
-  telemetry::Histogram& free_pop_wait_us;   // split: decoder out of slabs
 
   static StreamTelemetry& get() {
     auto& reg = telemetry::MetricsRegistry::global();
     static StreamTelemetry* t = new StreamTelemetry{
         reg.counter("spmv.stream.runs"),
         reg.counter("spmv.exec.fused_runs"),
-        reg.counter("spmv.exec.split_runs"),
         reg.counter("spmv.exec.inline_runs"),
         reg.counter("spmv.stream.blocks_decoded"),
         reg.counter("spmv.stream.compressed_bytes"),
@@ -76,12 +65,6 @@ struct StreamTelemetry {
         reg.counter("spmv.steal.attempts"),
         reg.counter("spmv.steal.local_pops"),
         reg.counter("spmv.steal.injector_pops"),
-        reg.histogram("spmv.sched.deque_occupancy"),
-        reg.histogram("spmv.sched.acquire_wait_us"),
-        reg.histogram("spmv.ready_queue.push_wait_us"),
-        reg.histogram("spmv.ready_queue.pop_wait_us"),
-        reg.histogram("spmv.ready_queue.occupancy"),
-        reg.histogram("spmv.free_queue.pop_wait_us"),
     };
     return *t;
   }
@@ -193,105 +176,41 @@ std::vector<RowBand> split_row_bands(const sparse::Blocking& blocking,
   return out;
 }
 
-WorkerPlan plan_worker_split(std::size_t workers, double decode_fraction) {
-  WorkerPlan plan;
-  if (workers <= 1 || decode_fraction >= 0.5) {
-    plan.decoders = std::max<std::size_t>(1, workers);
-    plan.accumulators = 0;
-    return plan;
-  }
-  auto accumulators = static_cast<std::size_t>(
-      std::lround(static_cast<double>(workers) * (1.0 - decode_fraction)));
-  accumulators = std::clamp<std::size_t>(accumulators, 1, workers - 1);
-  plan.decoders = workers - accumulators;
-  plan.accumulators = accumulators;
-  return plan;
-}
-
-// Per-worker persistent state: the decode arenas (monotonic capacity —
-// the zero-steady-state-allocation reservoir), the lazily built UDP lane
-// simulator, the split-mode slab pool, and this worker's stats slot
+// Per-worker persistent state: the block decoder (its arenas are the
+// zero-steady-state-allocation reservoir) and this worker's stats slot
 // (written only by the owning worker during a run, read by the caller
-// after the gate).
+// after the runner returns).
 struct StreamingExecutor::WorkerState {
-  // Stage-intermediate and output arenas. Fused mode decodes into `out`
-  // and accumulates immediately, so the spans never outlive the arena
-  // contents; split mode copies into a TaskSlab before handoff.
-  codec::DecodeArena scratch;
-  codec::DecodeArena out;
-  std::unique_ptr<udpprog::UdpPipelineDecoder> udp;
-  std::vector<std::unique_ptr<TaskSlab>> slabs;  // built on first split run
+  WorkerState(const codec::CompressedMatrix& cm,
+              codec::ContainerSource& source, DecodeEngine engine)
+      : decoder(cm, source, engine) {}
 
-  // Per-run stats slot, reset by the caller before each run.
+  BlockDecoder decoder;
   double decode_busy = 0.0;
   double compute_busy = 0.0;
-  double decode_blocked = 0.0;
-  double compute_blocked = 0.0;
   std::uint64_t blocks = 0;
   std::uint64_t bytes = 0;
   std::uint64_t udp_cycles = 0;
   std::uint64_t hit_blocks = 0;
   std::size_t hit_bands = 0;
   std::size_t miss_bands = 0;
-  std::exception_ptr error;
 
   void reset_slot() {
-    decode_busy = compute_busy = decode_blocked = compute_blocked = 0.0;
+    decode_busy = compute_busy = 0.0;
     blocks = bytes = udp_cycles = hit_blocks = 0;
     hit_bands = miss_bands = 0;
-    error = nullptr;
   }
-};
-
-// Split mode: one whole decoded task in flight from a decoder to an
-// accumulator. The decoder copies each decoded block out of its arena
-// into the slab's vectors (capacity reused run after run) because the
-// arena is recycled for the next block before the accumulator runs.
-struct StreamingExecutor::TaskSlab {
-  struct Buf {
-    std::vector<sparse::index_t> indices;
-    std::vector<double> values;
-    std::size_t block = 0;
-  };
-  std::vector<Buf> bufs;
-  std::size_t used = 0;   // bufs[0..used) valid for the current task
-  std::size_t owner = 0;  // decoder whose pool this slab belongs to
-  std::size_t task = 0;
-  std::uint64_t udp_cycles = 0;
-};
-
-// What travels through the split-mode ready queue. Cache-served tasks
-// carry the pinned band (the shared_ptr keeps it alive past eviction)
-// and no slab; decoded tasks carry the slab to accumulate from and then
-// recycle to its owner's free queue.
-struct StreamingExecutor::ReadyItem {
-  std::size_t task = 0;
-  TaskSlab* slab = nullptr;
-  std::shared_ptr<const CachedBand> cached;
-};
-
-// Per-run state. The fused path touches only the trivially reusable
-// fields (no allocation); split runs rebuild their queues each call so a
-// cancelled run can never leave a closed/cancelled queue behind.
-struct StreamingExecutor::Run {
-  std::span<const double> x;
-  std::span<double> y;
-  int k = 1;
-  bool fused = true;
-  std::size_t decoders = 0;
-  std::atomic<std::size_t> active_decoders{0};
-  std::unique_ptr<BoundedQueue<ReadyItem>> ready;
-  std::vector<std::unique_ptr<BoundedQueue<TaskSlab*>>> free_qs;
-  // Out-of-core prefetch cursor: next position in `order` to hint to
-  // the source. Shared across workers so prefetch depth tracks global
-  // decode progress regardless of who steals what.
-  const std::vector<std::uint32_t>* order = nullptr;
-  std::atomic<std::size_t> prefetch_cursor{0};
 };
 
 StreamingExecutor::StreamingExecutor(const codec::CompressedMatrix& cm,
                                      StreamingConfig config)
-    : cm_(&cm), config_(config) {
+    : StreamingExecutor(cm, codec::make_resident_source(cm), config) {}
+
+StreamingExecutor::StreamingExecutor(
+    const codec::CompressedMatrix& cm,
+    std::shared_ptr<codec::ContainerSource> source, StreamingConfig config)
+    : cm_(&cm), source_(std::move(source)), config_(config) {
+  RECODE_CHECK(source_ != nullptr);
   if (config_.compute_threads == 0) config_.compute_threads = 1;
   if (config_.decode_threads == 0) {
     const std::size_t hw =
@@ -299,16 +218,15 @@ StreamingExecutor::StreamingExecutor(const codec::CompressedMatrix& cm,
     config_.decode_threads =
         hw > config_.compute_threads ? hw - config_.compute_threads : 1;
   }
-  if (config_.queue_capacity == 0) config_.queue_capacity = 1;
   if (config_.blocks_per_band == 0) config_.blocks_per_band = 1;
-  workers_ = config_.decode_threads + config_.compute_threads;
+  const std::size_t pool = config_.decode_threads + config_.compute_threads;
 
   std::size_t threshold = config_.split_blocks_threshold;
   if (threshold == 0) {
     // Auto: enough tasks for stealing to balance (>= 4 per worker) but
     // never finer than the configured band granularity.
     const std::size_t total = cm_->blocking.blocks.size();
-    const std::size_t want_tasks = workers_ * 4;
+    const std::size_t want_tasks = pool * 4;
     threshold = std::max(config_.blocks_per_band,
                          (total + want_tasks - 1) / std::max<std::size_t>(
                                                         1, want_tasks));
@@ -323,106 +241,64 @@ StreamingExecutor::StreamingExecutor(const codec::CompressedMatrix& cm,
   }
   task_ids_rev_.assign(task_ids_fwd_.rbegin(), task_ids_fwd_.rend());
 
+  // Small matrices run inline: the runner with one worker and no threads.
+  const bool inline_run =
+      bands_.size() <= 1 ||
+      cm_->blocking.blocks.size() <= config_.fused_inline_blocks;
+  workers_ = inline_run ? 1 : pool;
   states_.reserve(workers_);
   for (std::size_t w = 0; w < workers_; ++w) {
-    states_.push_back(std::make_unique<WorkerState>());
+    // Throws for an engine the source cannot serve (UDP out of core).
+    states_.push_back(
+        std::make_unique<WorkerState>(*cm_, *source_, config_.engine));
   }
-  scheduler_ = std::make_unique<WorkStealingScheduler<std::uint32_t>>(
-      workers_, bands_.size() + 1);
-  gate_ = std::make_unique<WorkerGate>(0);
-  run_ = std::make_unique<Run>();
+  runner_ = std::make_unique<BandRunner>(workers_, bands_.size());
   if (config_.cache_budget_bytes > 0) {
     cache_ = std::make_unique<BandCache>(config_.cache_budget_bytes);
   }
-  // team_ is built lazily on the first non-inline run so executors that
-  // only ever take the inline path never spawn a thread.
-}
-
-StreamingExecutor::StreamingExecutor(
-    const codec::CompressedMatrix& cm,
-    std::shared_ptr<codec::ContainerSource> source, StreamingConfig config)
-    : StreamingExecutor(cm, config) {
-  RECODE_CHECK(source != nullptr);
-  if (source->out_of_core()) {
-    if (config_.engine == DecodeEngine::kUdpSimulated) {
-      fail("streaming executor: the UDP simulator needs resident blocks; "
-           "out-of-core sources support the software engine only");
-    }
-    source_ = std::move(source);
-    // Pre-provision the source's window pool for this executor's lease
-    // discipline — each worker holds at most two staged ranges (the
-    // band in hand plus its lookahead prefetch) — so the warmed steady
-    // state stays allocation-free even when a concurrency spike touches
-    // a window that demand-driven growth never warmed.
-    std::size_t max_extent = 0;
-    for (const RowBand& band : bands_) {
-      max_extent = std::max(max_extent, source_->range_extent_bytes(
-                                            band.first_block,
-                                            band.block_count));
-    }
-    if (max_extent > 0) source_->reserve(2 * workers_, max_extent);
+  // Pre-provision an out-of-core source's window pool for this
+  // executor's lease discipline — each worker holds at most two staged
+  // ranges (the band in hand plus its lookahead prefetch) — so the warmed
+  // steady state stays allocation-free even when a concurrency spike
+  // touches a window that demand-driven growth never warmed. Resident
+  // sources report no extents and ignore the hint.
+  std::size_t max_extent = 0;
+  for (const RowBand& band : bands_) {
+    max_extent = std::max(max_extent, source_->range_extent_bytes(
+                                          band.first_block, band.block_count));
   }
+  if (max_extent > 0) source_->reserve(2 * workers_, max_extent);
 }
 
 StreamingExecutor::~StreamingExecutor() = default;
 
-// Inline-run prefetch: advance a cursor over the run order and stage
-// the next band that will actually decode. Only the single-threaded
-// inline path uses this — there, execution order IS the run order, so
-// cursor-ahead prefetching lands exactly one band early. Threaded
-// workers must not use it: work-stealing pop order diverges from run
-// order, stale windows pile up against the in-flight byte budget, and
-// once the budget is exhausted by windows only blocked workers would
-// consume, every acquire() deadlocks. They use prefetch_band() on the
-// task they just popped instead (see fused_worker/decode_worker).
-void StreamingExecutor::prefetch_next_band() {
-  if (!source_) return;
-  const auto& order = *run_->order;
-  for (;;) {
-    const std::size_t i =
-        run_->prefetch_cursor.fetch_add(1, std::memory_order_relaxed);
-    if (i >= order.size()) return;
-    const std::uint32_t task = order[i];
-    // Cache-served bands never touch storage; skip to the next band
-    // that will actually decode. contains() is non-perturbing, so the
-    // probe doesn't spend the band's scan protection. A band evicted
-    // between this probe and its lookup just reads synchronously.
-    if (cache_ && cache_->contains(task)) continue;
-    const RowBand& band = bands_[task];
-    source_->prefetch(band.first_block, band.block_count);
-    return;
-  }
-}
-
-// Worker-lookahead prefetch: stage one specific band's compressed
-// extent. Never blocks — a full window budget or queue drops the hint
-// and the band's acquire() falls back to a synchronous read. Skips
-// cache-resident bands (contains() is non-perturbing, so the probe
-// doesn't spend scan protection; a band evicted between this probe and
-// its lookup just reads synchronously).
-void StreamingExecutor::prefetch_band(std::uint32_t task) {
-  if (!source_) return;
-  if (cache_ && cache_->contains(task)) return;
-  const RowBand& band = bands_[task];
-  source_->prefetch(band.first_block, band.block_count);
-}
-
-double StreamingExecutor::planning_decode_fraction() const {
-  if (config_.decode_fraction_hint > 0.0) {
-    return std::min(config_.decode_fraction_hint, 1.0);
-  }
-  return decode_fraction_ewma_;
-}
-
 std::size_t StreamingExecutor::scheduler_queued() const {
-  return scheduler_ ? scheduler_->queued() : 0;
+  return runner_->queued();
 }
 
-// One task, fused: decode every block and accumulate it immediately on
-// the same worker, in stream order. Serves/warms the band cache.
-void StreamingExecutor::execute_task_fused(WorkerState& ws, std::size_t task,
-                                           std::span<const double> x,
-                                           std::span<double> y, int k) {
+void StreamingExecutor::run_task(void* self, std::uint32_t task,
+                                 std::size_t worker) {
+  auto* exec = static_cast<StreamingExecutor*>(self);
+  exec->execute_task(*exec->states_[worker], task);
+  trace_ledger_counters();
+}
+
+// Lookahead hook: stage one band's compressed extent. Never blocks — a
+// full window budget or queue drops the hint and the band's acquire()
+// falls back to a synchronous read. Skips cache-resident bands
+// (contains() is non-perturbing, so the probe doesn't spend scan
+// protection; a band evicted between this probe and its lookup just
+// reads synchronously).
+void StreamingExecutor::prefetch_task(void* self, std::uint32_t task) {
+  auto* exec = static_cast<StreamingExecutor*>(self);
+  if (exec->cache_ && exec->cache_->contains(task)) return;
+  const RowBand& band = exec->bands_[task];
+  exec->source_->prefetch(band.first_block, band.block_count);
+}
+
+// One task: decode every block and accumulate it immediately on the same
+// worker, in stream order. Serves/warms the band cache.
+void StreamingExecutor::execute_task(WorkerState& ws, std::uint32_t task) {
   const RowBand& band = bands_[task];
   RECODE_TRACE_SPAN_ARG("spmv", "task_fused", "task", task);
   Timer timer;
@@ -432,17 +308,12 @@ void StreamingExecutor::execute_task_fused(WorkerState& ws, std::size_t task,
       // Warm task: accumulate straight from the pinned decoded copy; the
       // local shared_ptr keeps it alive past any concurrent eviction.
       // A prefetch that raced the band into the cache is discarded.
-      if (source_) source_->release(band.first_block, band.block_count);
+      source_->release(band.first_block, band.block_count);
       ++ws.hit_bands;
       for (const CachedBlock& cb : cached->blocks) {
-        const auto& range = cm_->blocking.blocks[cb.block];
         timer.reset();
-        if (k == 1) {
-          accumulate_block(range, cm_->row_ptr, cb.indices, cb.values, x, y);
-        } else {
-          accumulate_block_batch(range, cm_->row_ptr, cb.indices, cb.values,
-                                 x, y, k);
-        }
+        accumulate_block_batch(cm_->blocking.blocks[cb.block], cm_->row_ptr,
+                               cb.indices, cb.values, x_, y_, k_);
         ws.compute_busy += timer.seconds();
         ++ws.hit_blocks;
       }
@@ -468,430 +339,43 @@ void StreamingExecutor::execute_task_fused(WorkerState& ws, std::size_t task,
     }
   }
 
-  // Out-of-core: lease the band's compressed extent for the duration of
-  // the decode loop (the spans block() returns alias the lease).
-  if (source_) source_->acquire(band.first_block, band.block_count);
+  // Lease the band's compressed extent for the decode loop (the spans
+  // the decoder reads alias the lease; a no-op for resident sources).
+  source_->acquire(band.first_block, band.block_count);
   try {
     for (std::size_t i = 0; i < band.block_count; ++i) {
       const std::size_t b = band.first_block + i;
-      std::span<const sparse::index_t> indices;
-      std::span<const double> values;
-      udpprog::BlockResult udp_result;
-      std::size_t stream_bytes = 0;
+      BlockStreams s;
       {
         RECODE_TRACE_SPAN_ARG("spmv", "decode_block", "block", b);
         timer.reset();
-        if (source_) {
-          const codec::SourceBlockBytes sb = source_->block(b);
-          const codec::DecodedBlock decoded = codec::decompress_block_fast(
-              *cm_, b, sb.index_data, sb.value_data, ws.scratch, ws.out);
-          indices = decoded.indices;
-          values = decoded.values;
-          stream_bytes = sb.index_data.size() + sb.value_data.size() + 1;
-        } else if (config_.engine == DecodeEngine::kSoftware) {
-          const codec::DecodedBlock decoded =
-              codec::decompress_block_fast(*cm_, b, ws.scratch, ws.out);
-          indices = decoded.indices;
-          values = decoded.values;
-          stream_bytes = cm_->blocks[b].bytes() + 1;  // +1: codec-id byte
-        } else {
-          if (!ws.udp) {
-            ws.udp = std::make_unique<udpprog::UdpPipelineDecoder>(*cm_);
-          }
-          udp_result = ws.udp->decode_block(b);
-          indices = udp_result.indices;
-          values = udp_result.values;
-          ws.udp_cycles += udp_result.lane_cycles();
-          stream_bytes = cm_->blocks[b].bytes() + 1;
-        }
-        check_block_indices(indices, cm_->cols);
+        s = ws.decoder.decode(b);
         ws.decode_busy += timer.seconds();
       }
       ++ws.blocks;
-      ws.bytes += stream_bytes;
+      ws.bytes += s.stream_bytes;
+      ws.udp_cycles += s.udp_cycles;
       if (pending) {
         CachedBlock cb;
         cb.block = b;
-        cb.indices.assign(indices.begin(), indices.end());
-        cb.values.assign(values.begin(), values.end());
+        cb.indices.assign(s.indices.begin(), s.indices.end());
+        cb.values.assign(s.values.begin(), s.values.end());
         pending->blocks.push_back(std::move(cb));
       }
-      const auto& range = cm_->blocking.blocks[b];
       {
         RECODE_TRACE_SPAN_ARG("spmv", "accumulate_block", "block", b);
         timer.reset();
-        if (k == 1) {
-          accumulate_block(range, cm_->row_ptr, indices, values, x, y);
-        } else {
-          accumulate_block_batch(range, cm_->row_ptr, indices, values, x, y,
-                                 k);
-        }
+        accumulate_block_batch(cm_->blocking.blocks[b], cm_->row_ptr,
+                               s.indices, s.values, x_, y_, k_);
         ws.compute_busy += timer.seconds();
       }
     }
   } catch (...) {
-    if (source_) source_->release(band.first_block, band.block_count);
+    source_->release(band.first_block, band.block_count);
     throw;
   }
-  if (source_) source_->release(band.first_block, band.block_count);
+  source_->release(band.first_block, band.block_count);
   if (pending) cache_->insert(task, std::move(pending));
-}
-
-void StreamingExecutor::fused_worker(std::size_t worker) {
-  WorkerState& ws = *states_[worker];
-  StreamTelemetry& telem = StreamTelemetry::get();
-  if (telemetry::Tracer::global().enabled()) {
-    telemetry::Tracer::global().set_thread_name("fused-" +
-                                                std::to_string(worker));
-  }
-  try {
-    // Out-of-core lookahead: pop the NEXT task (one non-blocking sweep)
-    // and prefetch its band before executing the task in hand, so every
-    // prefetched window is consumed next by the worker that staged it
-    // and in-flight compressed bytes stay bounded by ~one window per
-    // worker. The blocking acquire() is only ever entered with no task
-    // in hand — it spins until remaining_ hits zero, so re-entering it
-    // while holding an uncompleted task would deadlock the last worker.
-    std::uint32_t task = 0;
-    bool have_task = false;
-    for (;;) {
-      std::uint32_t next = 0;
-      bool got;
-      if (have_task) {
-        got = scheduler_->try_acquire(worker, next);
-        if (got) {
-          telem.deque_occupancy.observe(
-              static_cast<double>(scheduler_->deque_size(worker)));
-          prefetch_band(next);
-        }
-        execute_task_fused(ws, task, run_->x, run_->y, run_->k);
-        trace_ledger_counters();
-        scheduler_->complete();
-        have_task = false;
-        if (got) {
-          task = next;
-          have_task = true;
-        }
-        continue;
-      }
-      {
-        telemetry::WaitTimer wait(telem.acquire_wait_us, &ws.decode_blocked);
-        got = scheduler_->acquire(worker, next);
-      }
-      if (!got) break;
-      telem.deque_occupancy.observe(
-          static_cast<double>(scheduler_->deque_size(worker)));
-      if (source_) {
-        prefetch_band(next);
-        task = next;
-        have_task = true;
-      } else {
-        execute_task_fused(ws, next, run_->x, run_->y, run_->k);
-        trace_ledger_counters();
-        scheduler_->complete();
-      }
-    }
-  } catch (...) {
-    ws.error = std::current_exception();
-    scheduler_->cancel();
-    // The faulting worker never re-enters acquire(), so drain its own
-    // deque here — the "all deques drained after an error" contract.
-    std::uint32_t discard;
-    scheduler_->acquire(worker, discard);
-  }
-  if (ws.error) {
-    gate_->arrive_with_error(ws.error);
-  } else {
-    gate_->arrive();
-  }
-}
-
-void StreamingExecutor::decode_worker(std::size_t worker) {
-  WorkerState& ws = *states_[worker];
-  StreamTelemetry& telem = StreamTelemetry::get();
-  if (telemetry::Tracer::global().enabled()) {
-    telemetry::Tracer::global().set_thread_name("decode-" +
-                                                std::to_string(worker));
-  }
-  try {
-    // Same out-of-core lookahead as fused_worker: prefetch the band of
-    // the task just popped, then decode the one already in hand. The
-    // blocking acquire() is only entered with no task in hand.
-    std::uint32_t task = 0;
-    bool have_task = false;
-    for (;;) {
-      std::uint32_t next = 0;
-      bool got;
-      if (have_task) {
-        got = scheduler_->try_acquire(worker, next);
-        if (got) {
-          telem.deque_occupancy.observe(
-              static_cast<double>(scheduler_->deque_size(worker)));
-          prefetch_band(next);
-        }
-        if (!decode_one_task(worker, ws, task)) break;  // cancelled
-        have_task = false;
-        if (got) {
-          task = next;
-          have_task = true;
-        }
-        continue;
-      }
-      {
-        telemetry::WaitTimer wait(telem.acquire_wait_us, &ws.decode_blocked);
-        got = scheduler_->acquire(worker, next);
-      }
-      if (!got) break;
-      telem.deque_occupancy.observe(
-          static_cast<double>(scheduler_->deque_size(worker)));
-      if (source_) {
-        prefetch_band(next);
-        task = next;
-        have_task = true;
-      } else if (!decode_one_task(worker, ws, next)) {
-        break;  // cancelled
-      }
-    }
-  } catch (...) {
-    ws.error = std::current_exception();
-    scheduler_->cancel();
-    run_->ready->cancel();
-    for (auto& q : run_->free_qs) q->cancel();
-  }
-  // A decoder can exit through a cancelled queue without re-entering
-  // acquire(); drain its deque so "all deques drained after an error"
-  // holds no matter which exit path was taken.
-  if (scheduler_->cancelled()) {
-    std::uint32_t discard;
-    scheduler_->acquire(worker, discard);
-  }
-  // The last decoder out closes the ready stream so idle accumulators
-  // stop waiting for more tasks (a no-op after cancel).
-  if (run_->active_decoders.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    run_->ready->close();
-  }
-  if (ws.error) {
-    gate_->arrive_with_error(ws.error);
-  } else {
-    gate_->arrive();
-  }
-}
-
-// One decode task end-to-end: cache lookup or slab decode, then hand
-// the ReadyItem to the accumulators and complete() the task. Returns
-// false when a cancelled queue ended the run (the caller exits its
-// loop; the surrounding cancel handling drains the deque).
-bool StreamingExecutor::decode_one_task(std::size_t worker, WorkerState& ws,
-                                        std::uint32_t task) {
-  StreamTelemetry& telem = StreamTelemetry::get();
-  const RowBand& band = bands_[task];
-  RECODE_TRACE_SPAN_ARG("spmv", "decode_task", "task", task);
-
-  ReadyItem item;
-  item.task = task;
-  bool served_from_cache = false;
-  if (cache_) {
-    if (auto cached = cache_->lookup(task)) {
-      if (source_) source_->release(band.first_block, band.block_count);
-      ++ws.hit_bands;
-      ws.hit_blocks += cached->blocks.size();
-      item.cached = std::move(cached);
-      served_from_cache = true;
-    } else {
-      ++ws.miss_bands;
-    }
-  }
-
-  if (!served_from_cache) {
-    TaskSlab* slab = nullptr;
-    bool got_slab;
-    {
-      telemetry::WaitTimer wait(telem.free_pop_wait_us, &ws.decode_blocked);
-      got_slab = run_->free_qs[worker]->pop(slab);
-    }
-    if (!got_slab) return false;  // cancelled
-    slab->used = 0;
-    slab->task = task;
-    slab->udp_cycles = 0;
-    if (slab->bufs.size() < band.block_count) {
-      slab->bufs.resize(band.block_count);  // grows once, then reused
-    }
-
-    std::shared_ptr<CachedBand> pending;
-    if (cache_) {
-      std::size_t task_nnz = 0;
-      for (std::size_t i = 0; i < band.block_count; ++i) {
-        task_nnz += cm_->blocking.blocks[band.first_block + i].count;
-      }
-      const std::size_t decoded_bytes = decoded_band_bytes(task_nnz);
-      if (cache_->admissible(decoded_bytes)) {
-        pending = std::make_shared<CachedBand>();
-        pending->blocks.reserve(band.block_count);
-        pending->bytes = decoded_bytes;
-      }
-    }
-
-    if (source_) source_->acquire(band.first_block, band.block_count);
-    try {
-      for (std::size_t i = 0; i < band.block_count; ++i) {
-        const std::size_t b = band.first_block + i;
-        TaskSlab::Buf& buf = slab->bufs[i];
-        RECODE_TRACE_SPAN_ARG("spmv", "decode_block", "block", b);
-        Timer timer;
-        std::size_t stream_bytes = 0;
-        if (source_) {
-          const codec::SourceBlockBytes sb = source_->block(b);
-          const codec::DecodedBlock decoded =
-              codec::decompress_block_fast(*cm_, b, sb.index_data,
-                                           sb.value_data, ws.scratch, ws.out);
-          buf.indices.assign(decoded.indices.begin(), decoded.indices.end());
-          buf.values.assign(decoded.values.begin(), decoded.values.end());
-          stream_bytes = sb.index_data.size() + sb.value_data.size() + 1;
-        } else if (config_.engine == DecodeEngine::kSoftware) {
-          const codec::DecodedBlock decoded =
-              codec::decompress_block_fast(*cm_, b, ws.scratch, ws.out);
-          buf.indices.assign(decoded.indices.begin(), decoded.indices.end());
-          buf.values.assign(decoded.values.begin(), decoded.values.end());
-          stream_bytes = cm_->blocks[b].bytes() + 1;  // +1: codec-id byte
-        } else {
-          if (!ws.udp) {
-            ws.udp = std::make_unique<udpprog::UdpPipelineDecoder>(*cm_);
-          }
-          udpprog::BlockResult result = ws.udp->decode_block(b);
-          buf.indices = std::move(result.indices);
-          buf.values = std::move(result.values);
-          slab->udp_cycles += result.lane_cycles();
-          stream_bytes = cm_->blocks[b].bytes() + 1;
-        }
-        buf.block = b;
-        check_block_indices(buf.indices, cm_->cols);
-        ws.decode_busy += timer.seconds();
-        ++ws.blocks;
-        ws.bytes += stream_bytes;
-        if (pending) {
-          CachedBlock cb;
-          cb.block = b;
-          cb.indices = buf.indices;
-          cb.values = buf.values;
-          pending->blocks.push_back(std::move(cb));
-        }
-        slab->used = i + 1;
-      }
-    } catch (...) {
-      if (source_) source_->release(band.first_block, band.block_count);
-      throw;
-    }
-    if (source_) source_->release(band.first_block, band.block_count);
-    ws.udp_cycles += slab->udp_cycles;
-    if (pending) cache_->insert(task, std::move(pending));
-    item.slab = slab;
-  }
-
-  std::size_t depth = 0;
-  bool pushed;
-  {
-    telemetry::WaitTimer wait(telem.ready_push_wait_us, &ws.decode_blocked);
-    pushed = run_->ready->push(std::move(item), depth);
-  }
-  if (!pushed) return false;  // cancelled
-  telem.ready_occupancy.observe(static_cast<double>(depth));
-  trace_ledger_counters();
-  scheduler_->complete();
-  return true;
-}
-
-void StreamingExecutor::accumulate_worker(std::size_t worker) {
-  WorkerState& ws = *states_[worker];
-  StreamTelemetry& telem = StreamTelemetry::get();
-  if (telemetry::Tracer::global().enabled()) {
-    telemetry::Tracer::global().set_thread_name("acc-" +
-                                                std::to_string(worker));
-  }
-  const std::span<const double> x = run_->x;
-  const std::span<double> y = run_->y;
-  const int k = run_->k;
-  try {
-    ReadyItem item;
-    for (;;) {
-      bool got;
-      {
-        telemetry::WaitTimer wait(telem.ready_pop_wait_us,
-                                  &ws.compute_blocked);
-        got = run_->ready->pop(item);
-      }
-      if (!got) break;
-      RECODE_TRACE_SPAN_ARG("spmv", "accumulate_task", "task", item.task);
-      Timer timer;
-      if (item.cached) {
-        for (const CachedBlock& cb : item.cached->blocks) {
-          const auto& range = cm_->blocking.blocks[cb.block];
-          timer.reset();
-          if (k == 1) {
-            accumulate_block(range, cm_->row_ptr, cb.indices, cb.values, x,
-                             y);
-          } else {
-            accumulate_block_batch(range, cm_->row_ptr, cb.indices,
-                                   cb.values, x, y, k);
-          }
-          ws.compute_busy += timer.seconds();
-        }
-        item.cached.reset();
-      } else {
-        TaskSlab* slab = item.slab;
-        for (std::size_t i = 0; i < slab->used; ++i) {
-          const TaskSlab::Buf& buf = slab->bufs[i];
-          const auto& range = cm_->blocking.blocks[buf.block];
-          timer.reset();
-          if (k == 1) {
-            accumulate_block(range, cm_->row_ptr, buf.indices, buf.values, x,
-                             y);
-          } else {
-            accumulate_block_batch(range, cm_->row_ptr, buf.indices,
-                                   buf.values, x, y, k);
-          }
-          ws.compute_busy += timer.seconds();
-        }
-        if (!run_->free_qs[slab->owner]->push(slab)) break;  // cancelled
-      }
-      trace_ledger_counters();
-    }
-  } catch (...) {
-    ws.error = std::current_exception();
-    scheduler_->cancel();
-    run_->ready->cancel();
-    for (auto& q : run_->free_qs) q->cancel();
-  }
-  if (ws.error) {
-    gate_->arrive_with_error(ws.error);
-  } else {
-    gate_->arrive();
-  }
-}
-
-void StreamingExecutor::worker_trampoline(void* self, std::size_t worker) {
-  auto* exec = static_cast<StreamingExecutor*>(self);
-  if (exec->run_->fused) {
-    exec->fused_worker(worker);
-  } else if (worker < exec->run_->decoders) {
-    exec->decode_worker(worker);
-  } else {
-    exec->accumulate_worker(worker);
-  }
-}
-
-// Small-matrix path: the whole fused loop on the calling thread, no
-// scheduler, no handoff. Exceptions propagate directly.
-void StreamingExecutor::run_inline(std::span<const double> x,
-                                   std::span<double> y, int k,
-                                   bool reverse) {
-  WorkerState& ws = *states_[0];
-  const auto& order = reverse ? task_ids_rev_ : task_ids_fwd_;
-  for (const std::uint32_t task : order) {
-    // Keep the out-of-core pipeline one band ahead of the decode (the
-    // cursor was primed two deep by multiply_batch); a no-op in-core.
-    prefetch_next_band();
-    execute_task_fused(ws, task, x, y, k);
-  }
 }
 
 void StreamingExecutor::multiply(std::span<const double> x,
@@ -921,114 +405,39 @@ void StreamingExecutor::multiply_batch(std::span<const double> x,
   if (cache_) cache_->begin_run();
   // Serpentine scan: see the task_ids_ member comment.
   const bool reverse = (run_counter_++ & 1) == 1;
-
-  const WorkerPlan plan = plan_worker_split(workers_,
-                                            planning_decode_fraction());
-  const bool inline_run =
-      workers_ == 1 || bands_.size() == 1 ||
-      cm_->blocking.blocks.size() <= config_.fused_inline_blocks;
-
-  // Prime the inline run's out-of-core prefetch pipeline two bands
-  // ahead; run_inline keeps it that deep by advancing the cursor per
-  // task. Threaded runs don't prime — each worker prefetches the band
-  // of the task it just popped (pop-order lookahead), which keeps
-  // in-flight compressed bytes bounded by ~one window per worker.
-  run_->order = reverse ? &task_ids_rev_ : &task_ids_fwd_;
-  run_->prefetch_cursor.store(0, std::memory_order_relaxed);
-  if (source_ && inline_run) {
-    for (std::size_t i = 0; i < 2; ++i) prefetch_next_band();
-  }
+  x_ = x;
+  y_ = y;
+  k_ = k;
+  stats_.workers = workers_;
+  stats_.inline_run = workers_ == 1;
 
   RECODE_TRACE_SPAN_ARG("spmv", "multiply_batch", "rhs", k);
   Timer wall;
-
-  if (inline_run) {
-    stats_.fused = true;
-    stats_.inline_run = true;
-    stats_.workers = 1;
-    stats_.decode_threads = 1;
-    stats_.compute_threads = 1;
-    try {
-      run_inline(x, y, k, reverse);
-    } catch (...) {
-      finish_run(wall.seconds());
-      throw;
-    }
-    finish_run(wall.seconds());
-    return;
-  }
-
-  run_->x = x;
-  run_->y = y;
-  run_->k = k;
-  run_->fused = plan.fused();
-  run_->decoders = plan.fused() ? workers_ : plan.decoders;
-  stats_.fused = plan.fused();
-  stats_.workers = workers_;
-  if (plan.fused()) {
-    stats_.decode_threads = workers_;
-    stats_.compute_threads = workers_;
-  } else {
-    stats_.decode_threads = plan.decoders;
-    stats_.compute_threads = plan.accumulators;
-  }
-
-  scheduler_->reset();
-  scheduler_->seed(reverse ? task_ids_rev_ : task_ids_fwd_, run_->decoders);
-  gate_->reset(workers_);
-  if (!plan.fused()) {
-    // Split runs rebuild their queues so a cancelled run leaves no
-    // closed/cancelled queue behind (allocation here is fine — the
-    // zero-steady-state guarantee covers the fused default path).
-    run_->active_decoders.store(run_->decoders, std::memory_order_relaxed);
-    run_->ready = std::make_unique<BoundedQueue<ReadyItem>>(
-        config_.queue_capacity * workers_);
-    run_->free_qs.clear();
-    for (std::size_t d = 0; d < run_->decoders; ++d) {
-      WorkerState& ws = *states_[d];
-      while (ws.slabs.size() < config_.queue_capacity + 1) {
-        auto slab = std::make_unique<TaskSlab>();
-        slab->owner = d;
-        ws.slabs.push_back(std::move(slab));
-      }
-      auto q = std::make_unique<BoundedQueue<TaskSlab*>>(ws.slabs.size());
-      for (auto& slab : ws.slabs) q->push(slab.get());
-      run_->free_qs.push_back(std::move(q));
-    }
-  }
-
-  if (!team_) team_ = std::make_unique<WorkerTeam>(workers_);
-  team_->run(&StreamingExecutor::worker_trampoline, this);
-
-  // Blocks until every worker has drained, then rethrows the first
-  // error on this (the caller's) thread. team_->wait() afterwards parks
-  // the threads so the next run() is legal.
   try {
-    gate_->wait();
+    runner_->run(reverse ? task_ids_rev_ : task_ids_fwd_,
+                 &StreamingExecutor::run_task, this,
+                 source_->out_of_core() ? &StreamingExecutor::prefetch_task
+                                        : nullptr);
   } catch (...) {
-    team_->wait();
     finish_run(wall.seconds());
     throw;
   }
-  team_->wait();
   finish_run(wall.seconds());
 }
 
-// Aggregates the per-worker stats slots and the scheduler counters into
-// last_stats(), publishes telemetry, feeds the decode-fraction EWMA, and
-// bumps the lifetime totals. Runs on the caller thread after every
-// multiply, including failed ones (partial progress still counts).
+// Aggregates the per-worker stats slots and the runner's scheduler
+// counters into last_stats(), publishes telemetry, and bumps the
+// lifetime totals. Runs on the caller thread after every multiply,
+// including failed ones (partial progress still counts).
 void StreamingExecutor::finish_run(double wall_seconds) {
   // Run boundary for the source: reclaims prefetched-but-unconsumed
   // windows (a cancelled run leaves some behind; a clean run none).
-  if (source_) source_->end_run();
+  source_->end_run();
   StreamTelemetry& telem = StreamTelemetry::get();
   stats_.wall_seconds = wall_seconds;
   for (const auto& ws : states_) {
     stats_.decode_busy_seconds += ws->decode_busy;
     stats_.compute_busy_seconds += ws->compute_busy;
-    stats_.decode_blocked_seconds += ws->decode_blocked;
-    stats_.compute_blocked_seconds += ws->compute_blocked;
     stats_.blocks_decoded += ws->blocks;
     stats_.compressed_bytes += ws->bytes;
     stats_.udp_cycles += ws->udp_cycles;
@@ -1036,23 +445,20 @@ void StreamingExecutor::finish_run(double wall_seconds) {
     stats_.cache_miss_bands += ws->miss_bands;
     stats_.cache_hit_blocks += ws->hit_blocks;
   }
-  if (!stats_.inline_run) {
-    const StealStats& ss = scheduler_->stats();
-    stats_.steals = ss.steals.load(std::memory_order_relaxed);
-    stats_.steal_attempts = ss.steal_attempts.load(std::memory_order_relaxed);
-    telem.steal_count.add(stats_.steals);
-    telem.steal_attempts.add(stats_.steal_attempts);
-    telem.local_pops.add(ss.local_pops.load(std::memory_order_relaxed));
-    telem.injector_pops.add(ss.injector_pops.load(std::memory_order_relaxed));
-  }
+  const BandRunStats& rs = runner_->last_stats();
+  stats_.decode_blocked_seconds = rs.acquire_wait_seconds;
+  stats_.steals = rs.steals;
+  stats_.steal_attempts = rs.steal_attempts;
 
   telem.runs.add(1);
   if (stats_.inline_run) {
     telem.inline_runs.add(1);
-  } else if (stats_.fused) {
-    telem.fused_runs.add(1);
   } else {
-    telem.split_runs.add(1);
+    telem.fused_runs.add(1);
+    telem.steal_count.add(rs.steals);
+    telem.steal_attempts.add(rs.steal_attempts);
+    telem.local_pops.add(rs.local_pops);
+    telem.injector_pops.add(rs.injector_pops);
   }
   telem.tasks_scheduled.add(stats_.bands);
   telem.tasks_split.add(stats_.split_bands);
@@ -1076,15 +482,6 @@ void StreamingExecutor::finish_run(double wall_seconds) {
     telem.cache_bytes_pinned.set(static_cast<double>(cs.bytes_pinned));
   }
 
-  // Feed the measured decode fraction back into the next run's worker
-  // allocation (EWMA so one anomalous run cannot flip the mode).
-  const double busy =
-      stats_.decode_busy_seconds + stats_.compute_busy_seconds;
-  if (busy > 0.0) {
-    decode_fraction_ewma_ = 0.5 * decode_fraction_ewma_ +
-                            0.5 * (stats_.decode_busy_seconds / busy);
-  }
-
   total_blocks_decoded_ += stats_.blocks_decoded;
   total_compressed_bytes_ += stats_.compressed_bytes;
 
@@ -1100,22 +497,22 @@ void StreamingExecutor::finish_run(double wall_seconds) {
     std::size_t scratch_max = 0;
     std::size_t out_max = 0;
     for (const auto& ws : states_) {
-      scratch_max = std::max(scratch_max, ws->scratch.slot_capacity(slot));
-      out_max = std::max(out_max, ws->out.slot_capacity(slot));
+      scratch_max = std::max(scratch_max,
+                             ws->decoder.scratch_arena().slot_capacity(slot));
+      out_max = std::max(out_max, ws->decoder.out_arena().slot_capacity(slot));
     }
     for (const auto& ws : states_) {
-      if (scratch_max > 0) ws->scratch.slab(slot, scratch_max);
-      if (out_max > 0) ws->out.slab(slot, out_max);
+      if (scratch_max > 0) ws->decoder.scratch_arena().slab(slot, scratch_max);
+      if (out_max > 0) ws->decoder.out_arena().slab(slot, out_max);
     }
   }
 }
 
 void StreamingExecutor::set_engine(DecodeEngine engine) {
   if (engine == config_.engine) return;
-  if (source_ && engine == DecodeEngine::kUdpSimulated) {
-    fail("streaming executor: the UDP simulator needs resident blocks; "
-         "out-of-core sources support the software engine only");
-  }
+  // Every decoder runs the same check, so the first one throws before
+  // any has switched.
+  for (auto& ws : states_) ws->decoder.set_engine(engine);
   config_.engine = engine;
   clear_cache();
 }

@@ -1,28 +1,19 @@
 // Work-stealing parallel decode->SpMV execution engine (the paper's §V-B
 // co-scheduling, host-side). The matrix is cut into row-aligned *tasks*
-// (sub-bands); a Chase-Lev-style scheduler (common/work_stealing.h) hands
-// tasks to workers, and an idle worker steals from a loaded one instead
-// of blocking on a fixed queue — the rearchitecture that removed the
-// capacity-2 per-band queues which made the PR-2 pipeline lose to serial
-// at every thread count (BENCH_streaming.json, overlap efficiency 0.11).
+// (sub-bands) and fanned out over a BandRunner (spmv/band_runner.h): a
+// Chase-Lev-style scheduler hands tasks to workers, and an idle worker
+// steals from a loaded one instead of blocking on a fixed queue.
 //
-// Execution modes, chosen per run from the measured decode fraction
-// (core.overlap.decode_fraction, EWMA across this executor's runs):
+// One execution mode, fused: every worker decodes AND accumulates its own
+// tasks back-to-back, each block straight from the worker's decode arena
+// into y. Decoded data never crosses a thread and is never copied except
+// into the band cache. Small matrices (at most fused_inline_blocks
+// blocks, or a single task) run the same loop inline on the calling
+// thread: the runner with one worker, no scheduler, no handoff.
 //
-//  * fused (decode fraction >= 0.5, the measured regime — software decode
-//    is ~96% of the work): every worker decodes AND accumulates its own
-//    tasks back-to-back. Pipelining decode against a 4% accumulate stage
-//    can win at most 4%; parallelizing whole tasks across workers wins
-//    linearly, so decode-heavy runs get all workers fused.
-//  * split (decode fraction < 0.5, e.g. many-RHS SpMM where the multiply
-//    dominates): round(workers * (1 - decode_fraction)) workers become
-//    dedicated accumulators fed decoded task slabs through a bounded
-//    ready queue; the rest decode. This is the paper's "many decoders
-//    feeding few consumers" shape with the ratio derived from the
-//    measurement instead of fixed in the config.
-//
-// Small matrices (or one worker) skip the scheduler entirely and run the
-// fused loop inline on the calling thread — no thread handoff at all.
+// Every block reaches the executor through one BlockDecoder::decode call
+// per worker (spmv/block_decoder.h); resident matrices are served by
+// codec::make_resident_source, out-of-core ones by the caller's source.
 //
 // Determinism contract: tasks are maximal runs of consecutive blocks cut
 // only where a block boundary coincides with a row boundary, so tasks own
@@ -30,32 +21,27 @@
 // stream order by exactly one worker, through the same accumulate kernels
 // as the serial engine, into rows no other task touches. Output is
 // therefore bitwise-identical to serial RecodedSpmv::multiply for any
-// worker count, any schedule, any steal order, and either mode — the
-// merge order of partial results is fixed by construction because every
-// row's partial sums live in exactly one task.
+// worker count, any schedule, any steal order and any cache budget.
 //
 // Dynamic band splitting: a band whose block count exceeds
 // split_blocks_threshold is re-cut at interior row-aligned boundaries so
-// one oversized band cannot serialize the run (the long-band starvation
-// the fixed per-band queues suffered). A band with no interior row
-// boundary is unsplittable and streams as one task.
+// one oversized band cannot serialize the run. A band with no interior
+// row boundary is unsplittable and streams as one task.
 //
 // Error contract: a recode::Error thrown mid-stream (corrupt block, lane
-// fault) cancels the scheduler and every split-mode queue, lets all
-// workers drain their deques, and is rethrown on the calling thread. The
-// executor stays usable afterwards.
+// fault) cancels the scheduler, lets every worker drain its deque, and is
+// rethrown on the calling thread. The executor stays usable afterwards.
 //
-// Steady-state allocation: the scheduler, worker team, gate, arenas and
-// slabs are executor-owned and reused run after run — a fused software
-// multiply on a warmed executor performs zero heap allocations (the PR-4
-// contract extended to the whole parallel path; asserted by the
-// operator-new counting test in tests/spmv/test_streaming_stress.cc).
+// Steady-state allocation: the runner (scheduler, worker team, gate),
+// decoders and arenas are executor-owned and reused run after run — a
+// warmed multiply performs zero heap allocations, with or without a warm
+// band cache (asserted by the operator-new counting tests in
+// tests/spmv/test_streaming_stress.cc).
 //
 // Decoded-band cache: with cache_budget_bytes > 0, tasks whose decoded
 // CSR streams fit the budget are pinned (exact-sized copies, LRU
 // evicted) after their first decode and served without touching the
-// codec chain — bitwise-identical at any budget (PR 5, unchanged from
-// the caller's view).
+// codec chain — bitwise-identical at any budget.
 #pragma once
 
 #include <cstdint>
@@ -64,26 +50,18 @@
 #include <vector>
 
 #include "codec/pipeline.h"
-#include "common/thread_pool.h"
-#include "common/work_stealing.h"
 #include "spmv/band_cache.h"
+#include "spmv/band_runner.h"
 #include "spmv/recoded.h"
 
 namespace recode::spmv {
 
 struct StreamingConfig {
-  // Worker threads that decode (every worker in fused mode; the decode
-  // side of the split). 0 = max(1, hardware_concurrency - compute_threads).
+  // Worker pool = decode_threads + compute_threads. Every worker both
+  // decodes and accumulates its own tasks, so only the sum matters.
+  // decode_threads: 0 = max(1, hardware_concurrency - compute_threads).
   std::size_t decode_threads = 0;
-  // Additional worker threads. The executor pools decode_threads +
-  // compute_threads workers and derives the decode/accumulate allocation
-  // at runtime from the measured decode fraction; the two knobs are kept
-  // separate for compatibility and as the pool-size expression.
   std::size_t compute_threads = 1;
-  // Split mode only: decoded task slabs buffered toward the accumulators
-  // per worker (the ready-queue depth is queue_capacity * workers).
-  // Fused mode has no queues and ignores this.
-  std::size_t queue_capacity = 2;
   // Band granularity target: bands are grown to at least this many blocks
   // before cutting at the next row-aligned boundary.
   std::size_t blocks_per_band = 8;
@@ -91,12 +69,9 @@ struct StreamingConfig {
   // boundaries (dynamic band splitting). 0 = auto: spread the matrix over
   // at least 4 tasks per worker when the block count allows it.
   std::size_t split_blocks_threshold = 0;
-  // Matrices with at most this many blocks (or runs with one worker, or
-  // a single task) run the fused loop inline on the calling thread.
+  // Matrices with at most this many blocks (or a single task) run the
+  // fused loop inline on the calling thread.
   std::size_t fused_inline_blocks = 16;
-  // Overrides the measured decode-fraction EWMA when > 0 (tests pin this
-  // to force the fused [>= 0.5] or split [< 0.5] path deterministically).
-  double decode_fraction_hint = 0.0;
   DecodeEngine engine = DecodeEngine::kSoftware;
   // Decoded-band cache budget in bytes (0 = off). See band_cache.h.
   std::size_t cache_budget_bytes = 0;
@@ -130,36 +105,20 @@ std::vector<RowBand> split_row_bands(const sparse::Blocking& blocking,
                                      std::size_t max_blocks,
                                      std::size_t* splits = nullptr);
 
-// Decode/accumulate worker allocation for a pool of `workers` threads
-// given the measured decode fraction: decode-heavy runs (fraction >=
-// 0.5) fuse both stages on every worker (accumulators == 0); compute-
-// heavy runs dedicate round(workers * (1 - fraction)) accumulators,
-// always leaving at least one decoder. Exposed for the scheduler tests.
-struct WorkerPlan {
-  std::size_t decoders = 0;
-  std::size_t accumulators = 0;  // 0 == fused mode
-  bool fused() const { return accumulators == 0; }
-};
-WorkerPlan plan_worker_split(std::size_t workers, double decode_fraction);
-
 // Measured profile of the last multiply()/multiply_batch() call, the
 // input core::analyze_overlap() consumes.
 struct OverlapStats {
   double wall_seconds = 0.0;
   double decode_busy_seconds = 0.0;   // summed across workers
   double compute_busy_seconds = 0.0;  // summed across workers
-  // Time workers spent waiting: fused mode counts scheduler acquire
-  // spin (decode side); split mode adds ready/free queue waits.
+  // Time workers spent waiting in the scheduler's blocking acquire.
   // Measured by the telemetry wait probes — 0 when RECODE_TELEMETRY=OFF.
   double decode_blocked_seconds = 0.0;
+  // Always 0: no worker waits on another's decode. Kept so profile
+  // readers that sum both blocked fields keep working.
   double compute_blocked_seconds = 0.0;
-  // Worker allocation of the run: fused ? (workers, workers) : the
-  // split-mode (decoders, accumulators) — what analyze_overlap divides
-  // the busy sums by.
-  std::size_t decode_threads = 0;
-  std::size_t compute_threads = 0;
   std::size_t workers = 0;    // threads that actually ran
-  bool fused = true;          // mode of this run
+  bool fused = true;          // always true: the only execution mode
   bool inline_run = false;    // small-matrix path: no threads at all
   std::size_t bands = 0;      // tasks scheduled (post-split partition)
   std::size_t split_bands = 0;  // extra tasks created by dynamic splitting
@@ -187,13 +146,12 @@ class StreamingExecutor {
 
   // Out-of-core variant: compressed streams come from `source` (cm may
   // be header-only). The source reads at least one band ahead of
-  // decode: threaded workers pop the next task from the scheduler
-  // before decoding the one in hand and prefetch its band (pop-order
-  // lookahead, so in-flight compressed bytes stay bounded by ~one
-  // window per worker no matter how stealing reorders the run); the
-  // single-threaded inline path advances a cursor over the run order,
-  // primed two bands deep. Bands the BandCache serves are skipped
-  // (warm runs re-stream only what the cache couldn't pin).
+  // decode: the band runner's lookahead hook hands each worker's next
+  // task to prefetch before the task in hand decodes (pop-order
+  // lookahead, so in-flight compressed bytes stay bounded by ~one window
+  // per worker however stealing reorders the run; the inline path hints
+  // the next task of the run order). Bands the BandCache serves are
+  // skipped (warm runs re-stream only what the cache couldn't pin).
   // kUdpSimulated needs resident blocks and throws recode::Error here.
   StreamingExecutor(const codec::CompressedMatrix& cm,
                     std::shared_ptr<codec::ContainerSource> source,
@@ -216,11 +174,6 @@ class StreamingExecutor {
   const std::vector<RowBand>& bands() const { return bands_; }
   const StreamingConfig& config() const { return config_; }
   const OverlapStats& last_stats() const { return stats_; }
-
-  // Decode fraction the next run's worker allocation will use: the
-  // config hint when set, else the EWMA of measured fractions (prior
-  // 0.95 — the BENCH_streaming measurement — before the first run).
-  double planning_decode_fraction() const;
 
   // Tasks still queued in the scheduler; 0 whenever no multiply is in
   // flight, including after an error (the drained-deques contract).
@@ -246,35 +199,18 @@ class StreamingExecutor {
   }
 
  private:
-  struct WorkerState;  // per-worker arenas, UDP engine, slabs, stat slot
-  struct TaskSlab;     // split mode: one decoded task in flight
-  struct ReadyItem;    // split mode: what travels to the accumulators
-  struct Run;          // per-call state (persistent core + split queues)
+  struct WorkerState;  // per-worker block decoder and stats slot
 
-  // Inline-path prefetch: advances the run-order cursor one task
-  // (skipping cache-served bands) and hints its band to the source.
-  // Only run_inline uses it — there execution order is the run order.
-  void prefetch_next_band();
-  // Worker-path prefetch: hints one specific band (the task the worker
-  // just popped) to the source; skips cache-served bands.
-  void prefetch_band(std::uint32_t task);
+  // BandRunner hooks (ctx = this).
+  static void run_task(void* self, std::uint32_t task, std::size_t worker);
+  static void prefetch_task(void* self, std::uint32_t task);
 
-  void fused_worker(std::size_t worker);
-  void decode_worker(std::size_t worker);
-  bool decode_one_task(std::size_t worker, WorkerState& ws,
-                       std::uint32_t task);
-  void accumulate_worker(std::size_t worker);
-  void run_inline(std::span<const double> x, std::span<double> y, int k,
-                  bool reverse);
-  void execute_task_fused(WorkerState& ws, std::size_t task,
-                          std::span<const double> x, std::span<double> y,
-                          int k);
+  void execute_task(WorkerState& ws, std::uint32_t task);
   void finish_run(double wall_seconds);
-  static void worker_trampoline(void* self, std::size_t worker);
 
   const codec::CompressedMatrix* cm_;
-  // Non-null only on the out-of-core path; resident matrices keep the
-  // historical cm_->blocks decode (and its zero-allocation guarantee).
+  // Serves every block: the caller's source, or a resident source over
+  // cm.blocks. Leases are no-ops for resident sources.
   std::shared_ptr<codec::ContainerSource> source_;
   StreamingConfig config_;
   std::size_t workers_ = 0;
@@ -291,19 +227,21 @@ class StreamingExecutor {
   std::vector<std::uint32_t> task_ids_rev_;
   std::uint64_t run_counter_ = 0;
   std::vector<std::unique_ptr<WorkerState>> states_;
-  std::unique_ptr<WorkStealingScheduler<std::uint32_t>> scheduler_;
-  std::unique_ptr<WorkerTeam> team_;
-  std::unique_ptr<WorkerGate> gate_;
-  std::unique_ptr<Run> run_;          // persistent, reset per multiply
+  // Operands of the multiply in flight, read by the workers.
+  std::span<const double> x_;
+  std::span<double> y_;
+  int k_ = 1;
   std::unique_ptr<BandCache> cache_;  // null when cache_budget_bytes == 0
   OverlapStats stats_;
-  double decode_fraction_ewma_ = 0.95;  // prior: the measured BENCH gauge
   std::uint64_t total_blocks_decoded_ = 0;
   std::uint64_t total_compressed_bytes_ = 0;
   // Lifetime cache counters already published to telemetry, so each run
   // adds only its delta to the process-wide insert/evict counters.
   std::uint64_t cache_inserts_seen_ = 0;
   std::uint64_t cache_evictions_seen_ = 0;
+  // One worker == the inline path. Declared last: its threads reach the
+  // members above through the hooks, so it is destroyed first.
+  std::unique_ptr<BandRunner> runner_;
 };
 
 }  // namespace recode::spmv

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -118,203 +116,6 @@ TEST(ThreadPool, ParallelForUsableAfterException) {
     });
     EXPECT_EQ(count.load(), 64);
   }
-}
-
-// --- BoundedQueue -------------------------------------------------------
-
-TEST(BoundedQueue, FifoWithinCapacity) {
-  BoundedQueue<int> q(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.push(i));
-  EXPECT_EQ(q.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    int out = -1;
-    EXPECT_TRUE(q.pop(out));
-    EXPECT_EQ(out, i);
-  }
-}
-
-TEST(BoundedQueue, PushBlocksUntilPopAtCapacityOne) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(q.push(2));
-    second_pushed.store(true);
-  });
-  // The producer must be stuck until we make room.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(second_pushed.load());
-  int out = 0;
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 1);
-  producer.join();
-  EXPECT_TRUE(second_pushed.load());
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 2);
-}
-
-TEST(BoundedQueue, CloseDrainsThenFails) {
-  BoundedQueue<int> q(8);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  q.close();
-  EXPECT_FALSE(q.push(3));
-  int out = 0;
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_FALSE(q.pop(out));  // closed and drained
-}
-
-TEST(BoundedQueue, CancelUnblocksBlockedProducerAndDropsItems) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));  // full: the next push must block
-  std::thread blocked_producer([&] { EXPECT_FALSE(q.push(2)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.cancel();
-  blocked_producer.join();
-  int out = 0;
-  EXPECT_FALSE(q.pop(out));  // the queued item 1 was dropped
-  EXPECT_FALSE(q.push(9));
-  EXPECT_TRUE(q.cancelled());
-}
-
-TEST(BoundedQueue, CancelUnblocksBlockedConsumer) {
-  BoundedQueue<int> q(1);  // empty: the next pop must block
-  std::thread blocked_consumer([&] {
-    int out = 0;
-    EXPECT_FALSE(q.pop(out));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.cancel();
-  blocked_consumer.join();
-  EXPECT_TRUE(q.cancelled());
-}
-
-TEST(BoundedQueue, MpmcTransfersEveryItemExactlyOnce) {
-  BoundedQueue<int> q(3);
-  constexpr int kProducers = 4, kConsumers = 3, kPerProducer = 500;
-  std::atomic<long long> sum{0};
-  std::atomic<int> popped{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.push(p * kPerProducer + i));
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      int out = 0;
-      while (q.pop(out)) {
-        sum.fetch_add(out);
-        popped.fetch_add(1);
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[static_cast<std::size_t>(p)].join();
-  q.close();
-  for (std::size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
-  const long long n = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load(), n);
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
-
-// --- BoundedQueue size / high-water accounting --------------------------
-
-TEST(BoundedQueue, SizeTracksPushesAndPops) {
-  BoundedQueue<int> q(4);
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_EQ(q.size(), 2u);
-  int out = 0;
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(BoundedQueue, PushReportsDepthAfterInsert) {
-  BoundedQueue<int> q(4);
-  std::size_t depth = 0;
-  EXPECT_TRUE(q.push(1, depth));
-  EXPECT_EQ(depth, 1u);
-  EXPECT_TRUE(q.push(2, depth));
-  EXPECT_EQ(depth, 2u);
-  int out = 0;
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_TRUE(q.push(3, depth));
-  EXPECT_EQ(depth, 2u);  // depth after the push, not a running total
-}
-
-TEST(BoundedQueue, HighWaterIsMonotonicAcrossPops) {
-  BoundedQueue<int> q(8);
-  EXPECT_EQ(q.high_water(), 0u);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_TRUE(q.push(3));
-  EXPECT_EQ(q.high_water(), 3u);
-  int out = 0;
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(q.pop(out));
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(q.high_water(), 3u);  // survives the drain
-  EXPECT_TRUE(q.push(4));
-  EXPECT_EQ(q.high_water(), 3u);  // a shallower refill does not lower it
-}
-
-TEST(BoundedQueue, HighWaterBoundedByCapacity) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  int out = 0;
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_TRUE(q.push(3));
-  EXPECT_EQ(q.high_water(), 2u);
-}
-
-TEST(BoundedQueue, CloseKeepsSizeAndHighWaterReadable) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  q.close();
-  // Queued items stay poppable; the accessors keep reporting them.
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.high_water(), 2u);
-  int out = 0;
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_FALSE(q.pop(out));
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(q.high_water(), 2u);
-}
-
-TEST(BoundedQueue, CancelDropsItemsButKeepsHighWater) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_TRUE(q.push(3));
-  q.cancel();
-  EXPECT_EQ(q.size(), 0u);        // items dropped
-  EXPECT_EQ(q.high_water(), 3u);  // the record of peak depth survives
-  EXPECT_FALSE(q.push(4));
-  EXPECT_EQ(q.high_water(), 3u);  // failed pushes don't move it
-}
-
-TEST(BoundedQueue, HighWaterUnderConcurrentTraffic) {
-  BoundedQueue<int> q(4);
-  constexpr int kItems = 2000;
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(q.push(i));
-    q.close();
-  });
-  std::thread consumer([&] {
-    int out = 0;
-    while (q.pop(out)) {
-    }
-  });
-  producer.join();
-  consumer.join();
-  EXPECT_GE(q.high_water(), 1u);
-  EXPECT_LE(q.high_water(), 4u);  // never exceeds capacity
 }
 
 // --- WorkerGate ---------------------------------------------------------

@@ -181,16 +181,6 @@ TEST(WorkStealingScheduler, SeedDistributesAndAcquireDrainsEverything) {
   EXPECT_GT(sched.stats().steals.load(), 0u);
 }
 
-TEST(WorkStealingScheduler, SeedLimitedToFirstWorkersLeavesOthersEmpty) {
-  WorkStealingScheduler<std::uint32_t> sched(4, 16);
-  std::vector<std::uint32_t> tasks(12);
-  std::iota(tasks.begin(), tasks.end(), 0);
-  sched.seed(tasks, 2);  // split mode: only deques 0 and 1 own work
-  EXPECT_EQ(sched.deque_size(2), 0u);
-  EXPECT_EQ(sched.deque_size(3), 0u);
-  EXPECT_EQ(sched.deque_size(0) + sched.deque_size(1), tasks.size());
-}
-
 TEST(WorkStealingScheduler, InjectOverflowAndInjectorPops) {
   // Deque capacity 1 forces nearly everything through the injector.
   WorkStealingScheduler<std::uint32_t> sched(2, 1);

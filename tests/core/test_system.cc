@@ -102,13 +102,12 @@ TEST(System, SpeedupTracksCompressionRatio) {
 
 TEST(System, AnalyzeOverlapPerfectPipeline) {
   // Decode-bound run whose wall equals the ideal: efficiency 1.0 and the
-  // speedup is the whole serial chain over the decode stage.
+  // speedup is the whole serial chain over the balanced wall.
   OverlapMeasurement m;
   m.decode_busy_seconds = 0.8;
   m.compute_busy_seconds = 0.2;
-  m.decode_workers = 4;
-  m.compute_workers = 1;
-  m.wall_seconds = 0.2;  // == max(0.8/4, 0.2/1)
+  m.workers = 5;
+  m.wall_seconds = 0.2;  // == (0.8 + 0.2) / 5
   const OverlapReport r = analyze_overlap(m);
   EXPECT_DOUBLE_EQ(r.ideal_wall_seconds, 0.2);
   EXPECT_DOUBLE_EQ(r.serial_wall_seconds, 1.0);
@@ -121,9 +120,8 @@ TEST(System, AnalyzeOverlapImperfectPipelineAndGuards) {
   OverlapMeasurement m;
   m.decode_busy_seconds = 0.6;
   m.compute_busy_seconds = 0.3;
-  m.decode_workers = 2;
-  m.compute_workers = 1;
-  m.wall_seconds = 0.6;  // stalls: 2x the ideal 0.3
+  m.workers = 3;
+  m.wall_seconds = 0.6;  // stalls: 2x the ideal (0.6 + 0.3) / 3
   const OverlapReport r = analyze_overlap(m);
   EXPECT_DOUBLE_EQ(r.ideal_wall_seconds, 0.3);
   EXPECT_DOUBLE_EQ(r.measured_efficiency, 0.5);

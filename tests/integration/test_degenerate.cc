@@ -173,20 +173,20 @@ TEST(Degenerate, StreamingExecutorAllModes) {
     const auto cm = codec::compress(m, PipelineConfig::udp_dsh());
     const auto x = random_vector(static_cast<std::size_t>(m.cols), 13);
     const auto want = sparse::spmv_reference(m, x);
-    // Inline (1 thread), fused (hint 0.9), split (hint 0.3).
+    // Inline at 1 and 2 threads, then the scheduler forced on.
     struct ModeCase {
       std::size_t threads;
-      double hint;
+      std::size_t inline_blocks;
     };
-    const ModeCase cases[] = {{1, 0.9}, {2, 0.9}, {2, 0.3}};
+    const ModeCase cases[] = {{1, 16}, {2, 16}, {2, 0}};
     for (const ModeCase& mode : cases) {
       SCOPED_TRACE("threads=" + std::to_string(mode.threads) +
-                   " hint=" + std::to_string(mode.hint));
+                   " inline_blocks=" + std::to_string(mode.inline_blocks));
       spmv::StreamingConfig cfg;
       cfg.decode_threads = mode.threads;
       cfg.compute_threads = 1;
       cfg.blocks_per_band = 2;
-      cfg.decode_fraction_hint = mode.hint;
+      cfg.fused_inline_blocks = mode.inline_blocks;
       spmv::StreamingExecutor exec(cm, cfg);
       std::vector<double> y(static_cast<std::size_t>(m.rows));
       exec.multiply(x, y);

@@ -179,9 +179,9 @@ TEST(Ledger, WarmOnlyWindowConserves) {
   EXPECT_GT(r.flows.hop(Hop::kCache).bytes_out, 0u);
 }
 
-TEST(Ledger, SplitModeConserves) {
-  // Force the split (dedicated accumulators) path: the decode and
-  // kernel hops are then fed from different worker threads.
+TEST(Ledger, ScheduledWorkersConserve) {
+  // Four workers on the scheduler: the decode and kernel hops are fed
+  // from several threads at once, with steals moving bands between them.
   const sparse::Csr a = test_matrix();
   const auto cm = codec::compress(a, codec::PipelineConfig::udp_dsh());
   const auto x = random_vector(static_cast<std::size_t>(a.cols), 11);
@@ -189,11 +189,10 @@ TEST(Ledger, SplitModeConserves) {
   spmv::StreamingConfig cfg;
   cfg.decode_threads = 2;
   cfg.compute_threads = 2;
-  cfg.decode_fraction_hint = 0.3;  // < 0.5 pins split mode
   cfg.fused_inline_blocks = 1;     // don't bypass the scheduler
   spmv::StreamingExecutor exec(cm, cfg);
   const RunReport r =
-      window("stream-split", [&] { exec.multiply(x, y); });
+      window("stream-scheduled", [&] { exec.multiply(x, y); });
   expect_conserves(r);
   if (!kEnabled) return;
   EXPECT_EQ(r.flows.hop(Hop::kKernel).bytes_in, a.nnz() * 12);

@@ -26,6 +26,7 @@
 #include "common/prng.h"
 #include "sparse/generators.h"
 #include "spmv/recoded.h"
+#include "spmv/streaming_executor.h"
 #include "testing/corrupt.h"
 
 namespace recode::codec {
@@ -324,10 +325,35 @@ TEST(ContainerSource, UdpEngineRejectsOutOfCoreSources) {
   EXPECT_THROW((spmv::RecodedSpmv(*oc.matrix, oc.source,
                                   spmv::DecodeEngine::kUdpSimulated)),
                Error);
+  // The executor goes through the same check, at construction...
+  spmv::StreamingConfig udp_cfg;
+  udp_cfg.decode_threads = 2;
+  udp_cfg.engine = spmv::DecodeEngine::kUdpSimulated;
+  EXPECT_THROW((spmv::StreamingExecutor(*oc.matrix, oc.source, udp_cfg)),
+               Error);
+  // ...and on an engine switch, which must leave the executor on the
+  // software engine and fully usable.
+  spmv::StreamingConfig sw_cfg;
+  sw_cfg.decode_threads = 2;
+  sw_cfg.fused_inline_blocks = 0;
+  spmv::StreamingExecutor exec(*oc.matrix, oc.source, sw_cfg);
+  EXPECT_THROW(exec.set_engine(spmv::DecodeEngine::kUdpSimulated), Error);
+  EXPECT_EQ(exec.config().engine, spmv::DecodeEngine::kSoftware);
+  Prng prng(7);
+  std::vector<double> x(static_cast<std::size_t>(oc.matrix->cols));
+  for (auto& v : x) v = prng.next_double() * 2.0 - 1.0;
+  std::vector<double> y(static_cast<std::size_t>(oc.matrix->rows));
+  std::vector<double> y_serial(y.size());
+  spmv::RecodedSpmv(cm).multiply(x, y_serial);
+  exec.multiply(x, y);
+  EXPECT_EQ(0, std::memcmp(y.data(), y_serial.data(),
+                           y.size() * sizeof(double)));
+
   // A resident source carries real blocks; the UDP engine stays legal.
   OpenedContainer res = open_container(path, SourceKind::kResident);
   EXPECT_NO_THROW((spmv::RecodedSpmv(*res.matrix, res.source,
                                      spmv::DecodeEngine::kUdpSimulated)));
+  EXPECT_NO_THROW((spmv::StreamingExecutor(*res.matrix, res.source, udp_cfg)));
 }
 
 }  // namespace

@@ -1,9 +1,7 @@
-// Out-of-core differential battery (ISSUE 9): the resident, mmap, and
-// streamed backends must produce bitwise-identical SpMV / SpMM / CG
-// results across thread counts {1, 2, 7}, cache budgets {0, half,
-// unlimited}, and both executor modes (fused / split, forced through
-// decode_fraction_hint) — the PR 2/5 bitwise contract extended to the
-// storage tier. Warm solver iterations must re-stream only the bands
+// Out-of-core differential battery: the resident, mmap, and streamed
+// backends must produce bitwise-identical SpMV / SpMM / CG results
+// across thread counts {1, 2, 7} and cache budgets {0, half, unlimited}
+// — the executor's bitwise contract extended to the storage tier. Warm solver iterations must re-stream only the bands
 // the BandCache couldn't pin (asserted on the source's bytes_read), and
 // the streamed backend's warmed steady state must perform zero heap
 // allocations (global operator-new hook, the PR 4 pattern). Runs under
@@ -83,18 +81,16 @@ std::string write_container(const Csr& a, const char* tag) {
 }
 
 StreamingExecutor make_executor(const OpenedContainer& oc,
-                                std::size_t threads, std::size_t cache_bytes,
-                                double fraction_hint) {
+                                std::size_t threads, std::size_t cache_bytes) {
   StreamingConfig cfg;
   cfg.decode_threads = threads;
   cfg.compute_threads = 1;
   cfg.blocks_per_band = 4;
   cfg.cache_budget_bytes = cache_bytes;
-  cfg.decode_fraction_hint = fraction_hint;
   return StreamingExecutor(*oc.matrix, oc.source, cfg);
 }
 
-TEST(OutOfCoreDifferential, SpmvBitwiseAcrossBackendsThreadsCachesModes) {
+TEST(OutOfCoreDifferential, SpmvBitwiseAcrossBackendsThreadsCaches) {
   const std::uint64_t seed = test_seed(61);
   const Csr a = diff_matrix(seed);
   const std::string path = write_container(a, "spmv");
@@ -108,8 +104,6 @@ TEST(OutOfCoreDifferential, SpmvBitwiseAcrossBackendsThreadsCachesModes) {
 
   const std::size_t decoded_bytes = a.nnz() * 12;
   const std::size_t budgets[] = {0, decoded_bytes / 2, SIZE_MAX};
-  // 0.9 forces fused, 0.3 forces split (plan_worker_split thresholds).
-  const double hints[] = {0.9, 0.3};
 
   for (const SourceKind kind : kAllKinds) {
     OpenedContainer oc = codec::open_container(path, kind);
@@ -124,16 +118,14 @@ TEST(OutOfCoreDifferential, SpmvBitwiseAcrossBackendsThreadsCachesModes) {
 
     for (const std::size_t threads : {1u, 2u, 7u}) {
       for (const std::size_t cache : budgets) {
-        for (const double hint : hints) {
-          StreamingExecutor exec = make_executor(oc, threads, cache, hint);
-          for (int rep = 0; rep < 3; ++rep) {  // cold + warm + serpentine
-            std::fill(y.begin(), y.end(), 1e300);
-            exec.multiply(x, y);
-            ASSERT_EQ(0, std::memcmp(y.data(), y_ref.data(),
-                                     y.size() * sizeof(double)))
-                << codec::source_kind_name(kind) << " threads=" << threads
-                << " cache=" << cache << " hint=" << hint << " rep=" << rep;
-          }
+        StreamingExecutor exec = make_executor(oc, threads, cache);
+        for (int rep = 0; rep < 3; ++rep) {  // cold + warm + serpentine
+          std::fill(y.begin(), y.end(), 1e300);
+          exec.multiply(x, y);
+          ASSERT_EQ(0, std::memcmp(y.data(), y_ref.data(),
+                                   y.size() * sizeof(double)))
+              << codec::source_kind_name(kind) << " threads=" << threads
+              << " cache=" << cache << " rep=" << rep;
         }
       }
     }
@@ -155,8 +147,8 @@ TEST(OutOfCoreDifferential, SpmmBatchBitwiseAcrossBackends) {
 
   for (const SourceKind kind : kAllKinds) {
     OpenedContainer oc = codec::open_container(path, kind);
-    // Split mode is the SpMM regime; keep a cache to cross the modes.
-    StreamingExecutor exec = make_executor(oc, 3, SIZE_MAX, 0.3);
+    // Cold then cache-served: the second batch decodes nothing.
+    StreamingExecutor exec = make_executor(oc, 3, SIZE_MAX);
     std::vector<double> y(y_ref.size());
     for (int rep = 0; rep < 2; ++rep) {
       exec.multiply_batch(x, y, k);
@@ -183,7 +175,7 @@ TEST(OutOfCoreDifferential, CgBitwiseAndWarmIterationsRestreamOnlyMisses) {
   opts.tol = 0.0;  // fixed iteration count: identical work across runs
 
   OpenedContainer ref = codec::open_container(path, SourceKind::kResident);
-  StreamingExecutor ref_exec = make_executor(ref, 2, SIZE_MAX, 0.9);
+  StreamingExecutor ref_exec = make_executor(ref, 2, SIZE_MAX);
   const auto x_ref = solver::conjugate_gradient(solver::make_operator(ref_exec),
                                                 b, opts);
 
@@ -191,7 +183,7 @@ TEST(OutOfCoreDifferential, CgBitwiseAndWarmIterationsRestreamOnlyMisses) {
     // Unlimited cache: after the cold iteration pins every band, warm
     // iterations must not touch storage at all.
     OpenedContainer oc = codec::open_container(path, kind);
-    StreamingExecutor exec = make_executor(oc, 2, SIZE_MAX, 0.9);
+    StreamingExecutor exec = make_executor(oc, 2, SIZE_MAX);
     const auto x = solver::conjugate_gradient(solver::make_operator(exec), b,
                                               opts);
     ASSERT_EQ(x_ref.iterations, x.iterations);
@@ -212,7 +204,7 @@ TEST(OutOfCoreDifferential, CgBitwiseAndWarmIterationsRestreamOnlyMisses) {
     // Budget 0: every iteration re-streams everything — the other end of
     // the re-stream-only-misses contract.
     OpenedContainer cold = codec::open_container(path, kind);
-    StreamingExecutor cold_exec = make_executor(cold, 2, 0, 0.9);
+    StreamingExecutor cold_exec = make_executor(cold, 2, 0);
     const auto x_cold = solver::conjugate_gradient(
         solver::make_operator(cold_exec), b, opts);
     ASSERT_EQ(0, std::memcmp(x_cold.x.data(), x_ref.x.data(),
@@ -235,7 +227,7 @@ TEST(OutOfCoreDifferential, StreamedWarmSteadyStateIsAllocationFree) {
   OpenedContainer oc = codec::open_container(path, SourceKind::kStreamed);
   // Cache off: every multiply re-streams through the windowed reader —
   // the steady state under test is the source's, not the cache's.
-  StreamingExecutor exec = make_executor(oc, 2, 0, 0.9);
+  StreamingExecutor exec = make_executor(oc, 2, 0);
   std::vector<double> y(static_cast<std::size_t>(a.rows));
 
   // Warm until a full multiply (both serpentine directions) allocates

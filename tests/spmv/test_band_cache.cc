@@ -420,7 +420,6 @@ TEST(BandCacheExecutor, ConcurrentChurnStress) {
     StreamingConfig cfg;
     cfg.decode_threads = threads;
     cfg.compute_threads = 2;
-    cfg.queue_capacity = 1;
     cfg.blocks_per_band = 1;
     cfg.cache_budget_bytes = 2 * max_band_bytes;
     StreamingExecutor exec(f.cm, cfg);

@@ -3,8 +3,8 @@
 // equals RecodedSpmv::multiply with the frontier scattered dense — block
 // skipping only drops additions of exact zeros (segmented-sum accumulate
 // per Liu & Vinter, arXiv 1504.06474). Asserted across sparse / full /
-// empty frontiers, thread counts {1, 2, 7}, all three container
-// backends, and kRandom values; plus skip-ratio sanity on power-law
+// empty frontiers and a contiguous column band, thread counts {1, 2, 7},
+// all three container backends, and kRandom values; plus skip-ratio sanity on power-law
 // matrices with small frontiers and frontier-validation rejection.
 #include <gtest/gtest.h>
 
@@ -108,30 +108,49 @@ TEST(Spmspv, BitwiseAcrossThreadsAndBackends) {
   const std::string path = "spmspv_diff.rcm";
   codec::write_compressed_file(path, cm, /*with_index=*/true);
 
-  const SparseVector x = random_frontier(a.cols, 0.05, seed + 1);
-  std::vector<double> y_ref(static_cast<std::size_t>(a.rows));
+  // A scattered 5% frontier, and a contiguous column band that needs only
+  // a few blocks — so most bands are only partly needed and their
+  // out-of-core leases must cover just the needed runs.
+  SparseVector banded;
   {
-    SpmspvEngine serial(cm);
-    serial.multiply(x, y_ref);
+    Prng prng(seed + 2);
+    for (sparse::index_t c = 3000; c < 3300; ++c) {
+      banded.indices.push_back(c);
+      banded.values.push_back(prng.next_double() * 2.0 - 1.0);
+    }
   }
+  const SparseVector frontiers[] = {random_frontier(a.cols, 0.05, seed + 1),
+                                    banded};
+  const SparseVector& banded_x = frontiers[1];
 
-  for (const SourceKind kind : kAllKinds) {
-    for (const std::size_t threads : {1u, 2u, 7u}) {
-      OpenedContainer oc = codec::open_container(path, kind);
-      SpmspvConfig cfg;
-      cfg.threads = threads;
-      cfg.blocks_per_band = 4;
-      SpmspvEngine engine(*oc.matrix, oc.source, cfg);
-      std::vector<double> y(y_ref.size());
-      // Two applies back to back: the second runs with warm scatter
-      // buffers and must produce the same bits.
-      engine.multiply(x, y);
-      const std::string tag =
-          "kind=" + std::to_string(static_cast<int>(kind)) +
-          " threads=" + std::to_string(threads);
-      expect_bitwise(y, y_ref, tag.c_str());
-      engine.multiply(x, y);
-      expect_bitwise(y, y_ref, (tag + " warm").c_str());
+  for (const SparseVector& x : frontiers) {
+    std::vector<double> y_ref(static_cast<std::size_t>(a.rows));
+    {
+      SpmspvEngine serial(cm);
+      serial.multiply(x, y_ref);
+    }
+    for (const SourceKind kind : kAllKinds) {
+      for (const std::size_t threads : {1u, 2u, 7u}) {
+        OpenedContainer oc = codec::open_container(path, kind);
+        SpmspvConfig cfg;
+        cfg.threads = threads;
+        cfg.blocks_per_band = 4;
+        SpmspvEngine engine(*oc.matrix, oc.source, cfg);
+        std::vector<double> y(y_ref.size());
+        // Two applies back to back: the second runs with warm scatter
+        // buffers and must produce the same bits.
+        engine.multiply(x, y);
+        const std::string tag =
+            "frontier_nnz=" + std::to_string(x.nnz()) +
+            " kind=" + std::to_string(static_cast<int>(kind)) +
+            " threads=" + std::to_string(threads);
+        expect_bitwise(y, y_ref, tag.c_str());
+        engine.multiply(x, y);
+        expect_bitwise(y, y_ref, (tag + " warm").c_str());
+        if (&x == &banded_x) {
+          EXPECT_GT(engine.last_stats().blocks_skipped, 0u) << tag;
+        }
+      }
     }
   }
   std::remove(path.c_str());

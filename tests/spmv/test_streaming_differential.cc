@@ -1,6 +1,6 @@
 // Differential suite for the streaming executor's determinism contract:
-// for any decoder/consumer thread count, queue capacity, and band
-// granularity, StreamingExecutor::multiply is BITWISE-identical to serial
+// for any worker count, cache budget, and band granularity,
+// StreamingExecutor::multiply is BITWISE-identical to serial
 // RecodedSpmv::multiply — same engine, same matrix, same x. The row-band
 // partition plus the shared accumulate kernels make this exact, not
 // approximate, so memcmp is the assertion.
@@ -82,7 +82,6 @@ void expect_bitwise_equal_across_threads(const Csr& a,
     cfg.engine = engine;
     cfg.decode_threads = threads;
     cfg.compute_threads = 1 + knobs.next_below(2);
-    cfg.queue_capacity = 1 + knobs.next_below(3);
     cfg.blocks_per_band = 1 + knobs.next_below(6);
     StreamingExecutor exec(cm, cfg);
     std::vector<double> y(y_serial.size(), -1.0);
@@ -92,7 +91,6 @@ void expect_bitwise_equal_across_threads(const Csr& a,
         << "seed=" << seed << " engine=" << decode_engine_name(engine)
         << " decode_threads=" << threads
         << " compute_threads=" << cfg.compute_threads
-        << " queue=" << cfg.queue_capacity
         << " blocks_per_band=" << cfg.blocks_per_band
         << " bands=" << exec.bands().size();
     EXPECT_EQ(exec.last_stats().blocks_decoded, cm.blocks.size());
@@ -112,7 +110,7 @@ TEST(StreamingDifferential, SoftwareEngineBitwiseAcrossThreadCounts) {
 
 TEST(StreamingDifferential, UdpSimulatedEngineBitwiseAcrossThreadCounts) {
   // The lane simulator is slower per block, so the 20 UDP matrices stay
-  // small (a handful of blocks each) — enough to cover band/queue
+  // small (a handful of blocks each) — enough to cover band/steal
   // interleavings while the cycle-level decode stays tractable.
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const auto n = static_cast<sparse::index_t>(400 + 40 * seed);
@@ -150,7 +148,7 @@ TEST(StreamingDifferential, MultiRhsBitwiseMatchesSerialBatch) {
 }
 
 TEST(StreamingDifferential, RepeatedCallsAreDeterministic) {
-  // Same executor, repeated calls: identical bits every time (slab reuse
+  // Same executor, repeated calls: identical bits every time (arena reuse
   // must not leak state between passes).
   const Csr a = random_matrix(7, 2600);
   const auto cm = codec::compress(a, PipelineConfig::udp_dsh());
@@ -158,7 +156,6 @@ TEST(StreamingDifferential, RepeatedCallsAreDeterministic) {
   StreamingConfig cfg;
   cfg.decode_threads = 4;
   cfg.compute_threads = 2;
-  cfg.queue_capacity = 1;
   cfg.blocks_per_band = 1;
   StreamingExecutor exec(cm, cfg);
   std::vector<double> first(static_cast<std::size_t>(a.rows));
@@ -174,11 +171,10 @@ TEST(StreamingDifferential, RepeatedCallsAreDeterministic) {
 }
 
 // The scheduler-era contract: bitwise parallel ≡ serial for every
-// combination of thread count × engine × cache budget × execution mode
-// (fused and split, forced via decode_fraction_hint), warm and cold.
+// combination of thread count × engine × cache budget, warm and cold.
 // Every run of a combination must agree with serial exactly — cache
-// hits, steals, split-mode slab handoff and mode switches included.
-TEST(StreamingDifferential, FusedAndSplitModesBitwiseAcrossCacheBudgets) {
+// hits, steals and serpentine order included.
+TEST(StreamingDifferential, BitwiseAcrossThreadsEnginesAndCacheBudgets) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     // UDP's cycle-level sim is slow; alternate engines across seeds and
     // keep UDP matrices small.
@@ -204,37 +200,31 @@ TEST(StreamingDifferential, FusedAndSplitModesBitwiseAcrossCacheBudgets) {
     const std::size_t budgets[] = {0, decoded_total / 2, SIZE_MAX};
 
     for (const std::size_t threads : kThreadCounts) {
-      for (const double hint : {0.96, 0.2}) {  // fused / split
-        for (const std::size_t budget : budgets) {
-          StreamingConfig cfg;
-          cfg.engine = engine;
-          cfg.decode_threads = threads;
-          cfg.compute_threads = 1 + threads % 2;
-          cfg.blocks_per_band = 1 + seed % 3;
-          cfg.decode_fraction_hint = hint;
-          cfg.fused_inline_blocks = 0;  // force the scheduler path
-          cfg.cache_budget_bytes = budget;
-          StreamingExecutor exec(cm, cfg);
-          for (int pass = 0; pass < 3; ++pass) {
-            std::vector<double> y(y_serial.size(), -1.0);
-            exec.multiply(x, y);
-            ASSERT_EQ(0, std::memcmp(y.data(), y_serial.data(),
-                                     y.size() * sizeof(double)))
-                << "seed=" << seed << " engine="
-                << decode_engine_name(engine) << " threads=" << threads
-                << " hint=" << hint << " budget=" << budget
-                << " pass=" << pass << " fused=" << exec.last_stats().fused;
-          }
-          if (exec.bands().size() > 1) {
-            EXPECT_EQ(exec.last_stats().fused, hint >= 0.5)
-                << "decode_fraction_hint did not force the mode";
-          }
-          if (budget == SIZE_MAX) {
-            // Fully warm: the last pass decoded nothing.
-            EXPECT_EQ(exec.last_stats().blocks_decoded, 0u);
-            EXPECT_EQ(exec.last_stats().cache_hit_bands,
-                      exec.bands().size());
-          }
+      for (const std::size_t budget : budgets) {
+        StreamingConfig cfg;
+        cfg.engine = engine;
+        cfg.decode_threads = threads;
+        cfg.compute_threads = 1 + threads % 2;
+        cfg.blocks_per_band = 1 + seed % 3;
+        cfg.fused_inline_blocks = 0;  // force the scheduler path
+        cfg.cache_budget_bytes = budget;
+        StreamingExecutor exec(cm, cfg);
+        for (int pass = 0; pass < 3; ++pass) {
+          std::vector<double> y(y_serial.size(), -1.0);
+          exec.multiply(x, y);
+          ASSERT_EQ(0, std::memcmp(y.data(), y_serial.data(),
+                                   y.size() * sizeof(double)))
+              << "seed=" << seed << " engine=" << decode_engine_name(engine)
+              << " threads=" << threads << " budget=" << budget
+              << " pass=" << pass;
+        }
+        if (exec.bands().size() > 1) {
+          EXPECT_FALSE(exec.last_stats().inline_run);
+        }
+        if (budget == SIZE_MAX) {
+          // Fully warm: the last pass decoded nothing.
+          EXPECT_EQ(exec.last_stats().blocks_decoded, 0u);
+          EXPECT_EQ(exec.last_stats().cache_hit_bands, exec.bands().size());
         }
       }
     }
@@ -243,7 +233,7 @@ TEST(StreamingDifferential, FusedAndSplitModesBitwiseAcrossCacheBudgets) {
 
 // Dynamic band splitting: oversized bands are re-cut at interior
 // row-aligned boundaries and the split partition must still produce
-// bitwise-serial output in both modes at any thread count.
+// bitwise-serial output at any thread count.
 TEST(StreamingDifferential, DynamicallySplitBandsBitwise) {
   std::size_t total_splits = 0;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
@@ -261,24 +251,21 @@ TEST(StreamingDifferential, DynamicallySplitBandsBitwise) {
         split_row_bands(cm.blocking, unsplit, 2, &want_splits);
     total_splits += want_splits;
     for (const std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
-      for (const double hint : {0.96, 0.2}) {
-        StreamingConfig cfg;
-        cfg.decode_threads = threads;
-        cfg.blocks_per_band = 64;        // force huge bands...
-        cfg.split_blocks_threshold = 2;  // ...then split them hard
-        cfg.decode_fraction_hint = hint;
-        cfg.fused_inline_blocks = 0;
-        StreamingExecutor exec(cm, cfg);
-        EXPECT_EQ(exec.bands().size(), want.size());
-        std::vector<double> y(y_serial.size(), -1.0);
-        exec.multiply(x, y);
-        ASSERT_EQ(0, std::memcmp(y.data(), y_serial.data(),
-                                 y.size() * sizeof(double)))
-            << "seed=" << seed << " threads=" << threads
-            << " hint=" << hint << " tasks=" << exec.bands().size()
-            << " split_bands=" << exec.last_stats().split_bands;
-        EXPECT_EQ(exec.last_stats().split_bands, want_splits);
-      }
+      StreamingConfig cfg;
+      cfg.decode_threads = threads;
+      cfg.blocks_per_band = 64;        // force huge bands...
+      cfg.split_blocks_threshold = 2;  // ...then split them hard
+      cfg.fused_inline_blocks = 0;
+      StreamingExecutor exec(cm, cfg);
+      EXPECT_EQ(exec.bands().size(), want.size());
+      std::vector<double> y(y_serial.size(), -1.0);
+      exec.multiply(x, y);
+      ASSERT_EQ(0, std::memcmp(y.data(), y_serial.data(),
+                               y.size() * sizeof(double)))
+          << "seed=" << seed << " threads=" << threads
+          << " tasks=" << exec.bands().size()
+          << " split_bands=" << exec.last_stats().split_bands;
+      EXPECT_EQ(exec.last_stats().split_bands, want_splits);
     }
   }
   // The seed set must actually exercise splitting, not just tolerate it.

@@ -1,12 +1,12 @@
 // Concurrency stress for the streaming executor's error and shutdown
-// paths: randomized band sizes, capacity-1 queues (maximum backpressure),
-// and mid-stream corruption injected with the PR 1 CorruptionEngine. The
-// contract under test: the pipeline always drains — every worker exits,
-// every deque and the injector end empty (scheduler_queued() == 0),
-// nothing deadlocks or leaks — and the first recode::Error is rethrown on
-// the caller's thread. The warmed fused path additionally runs under a
-// global operator-new counting hook asserting the zero-steady-state-
-// allocation guarantee (the PR 4 pattern). Runs under the sanitize preset
+// paths: randomized worker counts and band sizes, and mid-stream
+// corruption injected with the CorruptionEngine. The contract under
+// test: a run always drains — every worker exits, every deque and the
+// injector end empty (scheduler_queued() == 0), nothing deadlocks or
+// leaks — and the first recode::Error is rethrown on the caller's
+// thread. Warmed multiplies additionally run under a global operator-new
+// counting hook asserting the zero-steady-state-allocation guarantee,
+// cold-decode and cache-served alike. Runs under the sanitize preset
 // (and the tsan preset) via the `concurrency` ctest label.
 #include "spmv/streaming_executor.h"
 
@@ -63,17 +63,16 @@ Csr stress_matrix(std::uint64_t seed) {
                               seed);
 }
 
-StreamingConfig tiny_queue_config(Prng& prng, DecodeEngine engine) {
+StreamingConfig random_config(Prng& prng, DecodeEngine engine) {
   StreamingConfig cfg;
   cfg.engine = engine;
   cfg.decode_threads = 1 + prng.next_below(7);
   cfg.compute_threads = 1 + prng.next_below(3);
-  cfg.queue_capacity = 1;  // every handoff is a rendezvous
   cfg.blocks_per_band = 1 + prng.next_below(5);
   return cfg;
 }
 
-TEST(StreamingStress, CleanRunsUnderMaxBackpressure) {
+TEST(StreamingStress, CleanRunsAcrossRandomConfigs) {
   const std::uint64_t seed = test_seed(41);
   Prng prng(seed);
   const Csr a = stress_matrix(seed);
@@ -85,7 +84,7 @@ TEST(StreamingStress, CleanRunsUnderMaxBackpressure) {
 
   for (int iter = 0; iter < 12; ++iter) {
     StreamingExecutor exec(cm,
-                           tiny_queue_config(prng, DecodeEngine::kSoftware));
+                           random_config(prng, DecodeEngine::kSoftware));
     std::vector<double> y(y_serial.size());
     exec.multiply(x, y);
     ASSERT_EQ(0, std::memcmp(y.data(), y_serial.data(),
@@ -113,10 +112,10 @@ TEST(StreamingStress, MidStreamErrorRethrowsOnCallerAndDrains) {
     const std::size_t bad =
         1 + prng.next_below(static_cast<std::uint64_t>(cm.blocks.size() - 1));
     cm.blocks[bad].index_data.clear();
-    StreamingExecutor exec(cm, tiny_queue_config(prng, DecodeEngine::kSoftware));
+    StreamingExecutor exec(cm, random_config(prng, DecodeEngine::kSoftware));
     EXPECT_THROW(exec.multiply(x, y), recode::Error) << "iter " << iter;
-    // The pipeline must have drained: a second call on the same executor
-    // throws again instead of deadlocking on a stuck queue or worker.
+    // The run must have drained: a second call on the same executor
+    // throws again instead of deadlocking on a stuck deque or worker.
     EXPECT_THROW(exec.multiply(x, y), recode::Error) << "iter " << iter;
   }
 }
@@ -146,7 +145,7 @@ TEST(StreamingStress, CorruptionEngineInjectionNeverHangsOrCrashes) {
             corrupter.apply(kind, block.value_data, block.index_data);
       }
       StreamingExecutor exec(cm,
-                             tiny_queue_config(prng, DecodeEngine::kSoftware));
+                             random_config(prng, DecodeEngine::kSoftware));
       // Any outcome but a hang, crash, or sanitizer report is acceptable:
       // either the corruption is detected (recode::Error on the caller
       // thread) or the stream still decodes to a well-formed block.
@@ -178,17 +177,17 @@ TEST(StreamingStress, UdpEngineMidStreamErrorRethrows) {
   cm.blocks[cm.blocks.size() - 1].value_data.clear();
   const auto x = random_vector(static_cast<std::size_t>(a.cols), seed + 4);
   std::vector<double> y(static_cast<std::size_t>(a.rows));
-  StreamingConfig cfg = tiny_queue_config(prng, DecodeEngine::kUdpSimulated);
+  StreamingConfig cfg = random_config(prng, DecodeEngine::kUdpSimulated);
   StreamingExecutor exec(cm, cfg);
   EXPECT_THROW(exec.multiply(x, y), recode::Error);
 }
 
-// ISSUE 6: mid-stream faults against the work-stealing scheduler in BOTH
-// execution modes. The faulting worker cancels the scheduler and drains
-// its own deque; cancel clears the injector; every other worker drains on
-// its next acquire — so after the rethrow scheduler_queued() must be 0,
-// and the executor must stay usable (throwing again, not deadlocking).
-TEST(StreamingStress, SchedulerDrainsAfterMidStreamFaultBothModes) {
+// Mid-stream faults against the work-stealing scheduler. The faulting
+// worker cancels the scheduler and drains its own deque; cancel clears
+// the injector; every other worker drains on its next acquire — so after
+// the rethrow scheduler_queued() must be 0, and the executor must stay
+// usable (throwing again, not deadlocking).
+TEST(StreamingStress, SchedulerDrainsAfterMidStreamFault) {
   const std::uint64_t seed = test_seed(46);
   Prng prng(seed);
   const Csr a = stress_matrix(seed + 17);
@@ -197,37 +196,29 @@ TEST(StreamingStress, SchedulerDrainsAfterMidStreamFaultBothModes) {
   const auto x = random_vector(static_cast<std::size_t>(a.cols), seed + 5);
   std::vector<double> y(static_cast<std::size_t>(a.rows));
 
-  for (const double hint : {0.96, 0.2}) {  // fused / split
-    for (int iter = 0; iter < 6; ++iter) {
-      auto cm = clean;
-      // One to three faulted blocks scattered mid-stream: whichever
-      // worker hits one first wins the gate's first-error slot; the rest
-      // must not deadlock the drain.
-      const int faults = 1 + static_cast<int>(prng.next_below(3));
-      for (int f = 0; f < faults; ++f) {
-        const std::size_t bad = 1 + prng.next_below(static_cast<std::uint64_t>(
-                                        cm.blocks.size() - 1));
-        cm.blocks[bad].index_data.clear();
-      }
-      StreamingConfig cfg =
-          tiny_queue_config(prng, DecodeEngine::kSoftware);
-      cfg.decode_fraction_hint = hint;
-      cfg.fused_inline_blocks = 0;  // keep the scheduler engaged
-      StreamingExecutor exec(cm, cfg);
-      EXPECT_THROW(exec.multiply(x, y), recode::Error)
-          << "hint=" << hint << " iter=" << iter;
-      EXPECT_EQ(exec.scheduler_queued(), 0u)
-          << "hint=" << hint << " iter=" << iter;
-      EXPECT_THROW(exec.multiply(x, y), recode::Error)
-          << "hint=" << hint << " iter=" << iter;
-      EXPECT_EQ(exec.scheduler_queued(), 0u)
-          << "hint=" << hint << " iter=" << iter;
+  for (int iter = 0; iter < 12; ++iter) {
+    auto cm = clean;
+    // One to three faulted blocks scattered mid-stream: whichever worker
+    // hits one first wins the gate's first-error slot; the rest must not
+    // deadlock the drain.
+    const int faults = 1 + static_cast<int>(prng.next_below(3));
+    for (int f = 0; f < faults; ++f) {
+      const std::size_t bad = 1 + prng.next_below(static_cast<std::uint64_t>(
+                                      cm.blocks.size() - 1));
+      cm.blocks[bad].index_data.clear();
     }
+    StreamingConfig cfg = random_config(prng, DecodeEngine::kSoftware);
+    cfg.fused_inline_blocks = 0;  // keep the scheduler engaged
+    StreamingExecutor exec(cm, cfg);
+    EXPECT_THROW(exec.multiply(x, y), recode::Error) << "iter=" << iter;
+    EXPECT_EQ(exec.scheduler_queued(), 0u) << "iter=" << iter;
+    EXPECT_THROW(exec.multiply(x, y), recode::Error) << "iter=" << iter;
+    EXPECT_EQ(exec.scheduler_queued(), 0u) << "iter=" << iter;
   }
 }
 
-// ISSUE 6: the warmed fused/software/no-cache steady state performs ZERO
-// heap allocations per multiply. Everything persistent — worker team,
+// The warmed software/no-cache steady state performs ZERO heap
+// allocations per multiply. Everything persistent — worker team,
 // scheduler deques, gate, decode arenas, task id vectors, telemetry
 // series — is built during construction or the warm runs; after that the
 // only per-run work is seeding preallocated deques, decoding into grown
@@ -246,7 +237,6 @@ TEST(StreamingStress, WarmFusedMultiplyIsAllocationFree) {
   cfg.decode_threads = 3;
   cfg.compute_threads = 1;
   cfg.blocks_per_band = 2;
-  cfg.decode_fraction_hint = 0.96;  // pin fused: the plan never flips
   cfg.fused_inline_blocks = 0;      // scheduler + team engaged
   cfg.cache_budget_bytes = 0;       // no cache copies
   StreamingExecutor exec(cm, cfg);
@@ -268,7 +258,48 @@ TEST(StreamingStress, WarmFusedMultiplyIsAllocationFree) {
       << (after - before) << " heap allocations across 4 warmed multiplies";
   ASSERT_EQ(0, std::memcmp(y.data(), y_serial.data(),
                            y.size() * sizeof(double)));
-  EXPECT_TRUE(exec.last_stats().fused);
+  EXPECT_FALSE(exec.last_stats().inline_run);
+}
+
+// The cache-served steady state (the graph SpMM shape: a power-law
+// matrix, k = 16, unlimited budget, no inline shortcut) is
+// allocation-free too: once every band is
+// pinned, a warm multiply only looks bands up and accumulates from the
+// pinned copies, on the same persistent runner as a cold one.
+TEST(StreamingStress, WarmCachedBatchIsAllocationFree) {
+  const std::uint64_t seed = test_seed(48);
+  const Csr a =
+      sparse::gen_powerlaw(4000, 6.0, 0.9, sparse::ValueModel::kRandom, seed);
+  const auto cm = codec::compress(a, PipelineConfig::udp_dsh());
+  constexpr int k = 16;
+  const auto x = random_vector(static_cast<std::size_t>(a.cols) * k, seed + 8);
+  std::vector<double> y_serial(static_cast<std::size_t>(a.rows) * k);
+  RecodedSpmv serial(cm);
+  serial.multiply_batch(x, y_serial, k);
+
+  StreamingConfig cfg;
+  cfg.decode_threads = 3;
+  cfg.compute_threads = 1;
+  cfg.blocks_per_band = 2;  // several tasks, so the team really runs
+  cfg.fused_inline_blocks = 0;
+  cfg.cache_budget_bytes = SIZE_MAX;
+  StreamingExecutor exec(cm, cfg);
+  std::vector<double> y(y_serial.size());
+  // Warm runs: pin every band and cover both serpentine directions.
+  for (int rep = 0; rep < 3; ++rep) exec.multiply_batch(x, y, k);
+
+  const std::uint64_t before =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  for (int rep = 0; rep < 4; ++rep) exec.multiply_batch(x, y, k);
+  const std::uint64_t after =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << (after - before)
+                                << " heap allocations across 4 warmed "
+                                   "cache-served batch multiplies";
+  ASSERT_EQ(0, std::memcmp(y.data(), y_serial.data(),
+                           y.size() * sizeof(double)));
+  EXPECT_EQ(exec.last_stats().blocks_decoded, 0u);
+  EXPECT_EQ(exec.last_stats().cache_hit_bands, exec.bands().size());
   EXPECT_FALSE(exec.last_stats().inline_run);
 }
 

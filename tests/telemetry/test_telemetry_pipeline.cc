@@ -131,18 +131,22 @@ TEST(TelemetryPipeline, SnapshotSchemaExportsStealSeriesNotBandQueues) {
 
   const telemetry::MetricsSnapshot snap = reg.snapshot();
 
-  // The retired per-band queue series died with the bounded-queue
-  // design; nothing may register under its prefix again — in the
-  // telemetry-off build either (instruments still register by name
-  // there, they just never record).
+  // The retired queue series died with the bounded-queue designs (the
+  // per-band queues, then the ready/free slab queues); nothing may
+  // register under their prefixes again — in the telemetry-off build
+  // either (instruments still register by name there, they just never
+  // record).
   const std::string json = snap.to_json();
-  EXPECT_EQ(json.find("spmv.band_queue."), std::string::npos)
-      << "retired band-queue series resurfaced in the JSON export";
-  for (const auto& [n, v] : snap.counters) {
-    EXPECT_NE(n.rfind("spmv.band_queue.", 0), 0u) << n;
-  }
-  for (const auto& h : snap.histograms) {
-    EXPECT_NE(h.name.rfind("spmv.band_queue.", 0), 0u) << h.name;
+  for (const std::string prefix :
+       {"spmv.band_queue.", "spmv.ready_queue.", "spmv.free_queue."}) {
+    EXPECT_EQ(json.find(prefix), std::string::npos)
+        << "retired series " << prefix << " resurfaced in the JSON export";
+    for (const auto& [n, v] : snap.counters) {
+      EXPECT_NE(n.rfind(prefix, 0), 0u) << n;
+    }
+    for (const auto& h : snap.histograms) {
+      EXPECT_NE(h.name.rfind(prefix, 0), 0u) << h.name;
+    }
   }
   if (!telemetry::kEnabled) return;
 
@@ -163,8 +167,8 @@ TEST(TelemetryPipeline, SnapshotSchemaExportsStealSeriesNotBandQueues) {
   for (const char* name :
        {"spmv.steal.count", "spmv.steal.attempts", "spmv.steal.local_pops",
         "spmv.steal.injector_pops", "spmv.stream.runs",
-        "spmv.exec.fused_runs", "spmv.exec.split_runs",
-        "spmv.exec.inline_runs", "spmv.tasks.scheduled",
+        "spmv.exec.fused_runs", "spmv.exec.inline_runs",
+        "spmv.tasks.scheduled",
         "spmv.tasks.split_bands"}) {
     EXPECT_TRUE(has_counter(name)) << "missing counter " << name;
   }
