@@ -1,10 +1,13 @@
 #include "codec/container_writer.h"
 
+#include <algorithm>
 #include <array>
-#include <cstring>
 #include <fstream>
+#include <numeric>
+#include <thread>
 #include <vector>
 
+#include "codec/band_runner.h"
 #include "codec/container.h"
 #include "codec/registry.h"
 #include "common/error.h"
@@ -44,18 +47,51 @@ std::uint64_t tell_out(std::ostream& out) {
   return static_cast<std::uint64_t>(p);
 }
 
-Bytes to_bytes(const void* data, std::size_t size) {
-  Bytes out(size);
-  std::memcpy(out.data(), data, size);
-  return out;
-}
+// Per-worker scratch: the raw streams of the block in hand, plus the
+// worker's own pass-1 histograms (summed after the run; integer sums do
+// not depend on which worker saw which block). Cache-line aligned so
+// workers never share a line.
+struct alignas(64) WorkerScratch {
+  std::vector<sparse::index_t> indices;
+  std::vector<double> values;
+  std::array<std::uint64_t, 256> index_hist{};
+  std::array<std::uint64_t, 256> value_hist{};
+};
+
+// One write's shared state, handed to the BandRunner bodies as ctx.
+// Pass-1 tasks are block ids; pass-2 task t is block first_block + t and
+// owns slots[t].
+struct WriteJob {
+  const CompressedMatrix* cm = nullptr;
+  const BlockFiller* fill = nullptr;
+  BlockCodec codec;
+  std::vector<WorkerScratch> scratch;  // one per worker
+  std::vector<CompressedBlock> slots;  // pass 2: the window's records
+  std::size_t first_block = 0;
+
+  // Fills block b into the worker's scratch and encodes it under codec.
+  CompressedBlock encode(std::size_t b, WorkerScratch& ws) const {
+    const auto& range = cm->blocking.blocks[b];
+    ws.indices.resize(range.count);
+    ws.values.resize(range.count);
+    (*fill)(b, static_cast<std::uint64_t>(range.first_nnz),
+            std::span<sparse::index_t>(ws.indices),
+            std::span<double>(ws.values));
+    return encode_block(ws.indices, ws.values, codec, cm->index_table.get(),
+                        cm->value_table.get());
+  }
+};
+
+// Blocks per pass-2 window, per worker: enough tasks that stealing evens
+// out per-block cost, few enough that the window's records stay small.
+constexpr std::size_t kWindowBlocksPerWorker = 16;
 
 }  // namespace
 
 StreamWriteResult write_compressed_stream(
     const std::string& path, sparse::index_t rows, sparse::index_t cols,
     std::span<const sparse::offset_t> row_ptr, const PipelineConfig& cfg,
-    const BlockFiller& fill) {
+    const BlockFiller& fill, std::size_t threads) {
   if (cfg.selection != CodecSelection::kSingle) {
     fail("rcm: streamed write supports single-codec selection only");
   }
@@ -75,37 +111,46 @@ StreamWriteResult write_compressed_stream(
   cm.blocking = sparse::make_blocking(row_ptr, cfg.nnz_per_block);
   const std::size_t nblocks = cm.blocking.block_count();
 
-  std::vector<sparse::index_t> idx_buf;
-  std::vector<double> val_buf;
-  const auto fill_block = [&](std::size_t b) {
-    const auto& range = cm.blocking.blocks[b];
-    idx_buf.resize(range.count);
-    val_buf.resize(range.count);
-    fill(b, static_cast<std::uint64_t>(range.first_nnz),
-         std::span<sparse::index_t>(idx_buf),
-         std::span<double>(val_buf));
-  };
+  WriteJob job;
+  job.cm = &cm;
+  job.fill = &fill;
+  // 0 = hardware_concurrency; never more workers than blocks.
+  std::size_t workers =
+      threads != 0 ? threads : std::thread::hardware_concurrency();
+  workers = std::clamp<std::size_t>(workers, 1,
+                                    std::max<std::size_t>(1, nblocks));
+  BandRunner runner(workers, nblocks);
+  job.scratch.resize(workers);
 
   // Pass 1 (only when training Huffman tables): the same block-sampling
   // Prng walk compress() performs, histogramming the post-Snappy mid
-  // streams of the sampled blocks. Unsampled blocks are skipped
-  // entirely — the sampler is still advanced once per block so the
-  // sampled set matches compress() bit-for-bit.
+  // streams of the sampled blocks. The walk is serial and advances once
+  // per block, so the sampled set matches compress() bit-for-bit;
+  // unsampled blocks are skipped entirely.
   if (cfg.huffman) {
-    std::array<std::uint64_t, 256> index_hist{};
-    std::array<std::uint64_t, 256> value_hist{};
+    std::vector<std::uint32_t> sampled;
     Prng sampler(cfg.sample_seed);
     for (std::size_t b = 0; b < nblocks; ++b) {
-      if (sampler.next_double() >= cfg.huffman_sample_fraction) continue;
-      fill_block(b);
-      const EncodedStages idx_st = encode_stages(
-          to_bytes(idx_buf.data(), idx_buf.size() * sizeof(sparse::index_t)),
-          cfg.index_transform, cfg.snappy, nullptr);
-      const EncodedStages val_st = encode_stages(
-          to_bytes(val_buf.data(), val_buf.size() * sizeof(double)),
-          cfg.value_transform, cfg.snappy, nullptr);
-      for (const std::uint8_t byte : idx_st.after_snappy) ++index_hist[byte];
-      for (const std::uint8_t byte : val_st.after_snappy) ++value_hist[byte];
+      if (sampler.next_double() < cfg.huffman_sample_fraction) {
+        sampled.push_back(static_cast<std::uint32_t>(b));
+      }
+    }
+    job.codec = BlockCodec{cfg.index_transform, cfg.value_transform,
+                           cfg.snappy, false};
+    runner.run(sampled, [](void* ctx, std::uint32_t b, std::size_t worker) {
+      auto& j = *static_cast<WriteJob*>(ctx);
+      WorkerScratch& ws = j.scratch[worker];
+      const CompressedBlock mid = j.encode(b, ws);
+      for (const std::uint8_t byte : mid.index_data) ++ws.index_hist[byte];
+      for (const std::uint8_t byte : mid.value_data) ++ws.value_hist[byte];
+    }, &job);
+    std::array<std::uint64_t, 256> index_hist{};
+    std::array<std::uint64_t, 256> value_hist{};
+    for (const WorkerScratch& ws : job.scratch) {
+      for (std::size_t s = 0; s < 256; ++s) {
+        index_hist[s] += ws.index_hist[s];
+        value_hist[s] += ws.value_hist[s];
+      }
     }
     cm.index_table =
         std::make_shared<const HuffmanTable>(HuffmanTable::build(index_hist));
@@ -118,29 +163,35 @@ StreamWriteResult write_compressed_stream(
   write_container_header(out, cm);
   put_varint(out, nblocks);
 
-  // Pass 2: regenerate, encode, and append each block record, tracking
-  // its offset for the index.
+  // Pass 2: encode a window of blocks on the team into per-slot records,
+  // then append them in block order on this thread, tracking each
+  // record's offset for the index. Memory stays O(row_ptr + window).
   const CodecId id = codec_id_for(cfg);
-  const HuffmanTable* itab = cm.index_table.get();
-  const HuffmanTable* vtab = cm.value_table.get();
+  job.codec = codec_from_id(id);
+  const std::size_t window = kWindowBlocksPerWorker * workers;
+  job.slots.resize(std::min(window, nblocks));
+  std::vector<std::uint32_t> order;
   StreamWriteResult result;
   result.block_count = nblocks;
   std::vector<std::uint64_t> offsets;
   offsets.reserve(nblocks + 1);
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    fill_block(b);
-    const EncodedStages idx_st = encode_stages(
-        to_bytes(idx_buf.data(), idx_buf.size() * sizeof(sparse::index_t)),
-        cfg.index_transform, cfg.snappy, itab);
-    const EncodedStages val_st = encode_stages(
-        to_bytes(val_buf.data(), val_buf.size() * sizeof(double)),
-        cfg.value_transform, cfg.snappy, vtab);
-    offsets.push_back(tell_out(out));
-    put_pod<std::uint8_t>(out, id);
-    put_blob(out, idx_st.after_huffman);
-    put_blob(out, val_st.after_huffman);
-    result.payload_bytes +=
-        idx_st.after_huffman.size() + val_st.after_huffman.size();
+  for (std::size_t first = 0; first < nblocks; first += window) {
+    const std::size_t count = std::min(window, nblocks - first);
+    order.resize(count);
+    std::iota(order.begin(), order.end(), 0u);
+    job.first_block = first;
+    runner.run(order, [](void* ctx, std::uint32_t t, std::size_t worker) {
+      auto& j = *static_cast<WriteJob*>(ctx);
+      j.slots[t] = j.encode(j.first_block + t, j.scratch[worker]);
+    }, &job);
+    for (std::size_t t = 0; t < count; ++t) {
+      const CompressedBlock& rec = job.slots[t];
+      offsets.push_back(tell_out(out));
+      put_pod<std::uint8_t>(out, id);
+      put_blob(out, rec.index_data);
+      put_blob(out, rec.value_data);
+      result.payload_bytes += rec.bytes();
+    }
     if (!out) fail("rcm: write failed: " + path);
   }
 

@@ -1,7 +1,7 @@
 // Streaming container writer: compresses a matrix of arbitrary size to
-// an .rcm file with O(row_ptr + one block) resident memory — the
-// producer that makes ≥1e8-nnz out-of-core runs possible without ever
-// materializing the CSR (let alone the compressed matrix) in RAM.
+// an .rcm file with O(row_ptr + one window of blocks) resident memory —
+// the producer that makes ≥1e8-nnz out-of-core runs possible without
+// ever materializing the CSR (let alone the compressed matrix) in RAM.
 //
 // The caller describes the matrix by its row_ptr and a block-filler
 // callback that writes the raw col_idx/value streams of one block on
@@ -10,6 +10,14 @@
 // tables, pass 2 encodes and appends each record — so for identical
 // input the file is byte-identical to compress() + write_compressed()
 // with the index appended. The block-offset index is always written.
+//
+// Parallel encode: both passes fan their blocks out over a BandRunner
+// (band_runner.h) through the one per-block encoder, encode_block
+// (registry.h). Pass 1 gives each worker its own histograms and sums
+// them afterwards (integer sums, so the tables do not depend on the
+// schedule); pass 2 encodes a bounded window of blocks into per-slot
+// records that the calling thread appends in block order. The file is
+// byte-identical for every thread count.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +31,11 @@ namespace recode::codec {
 
 // Fills the raw (pre-transform) streams of block `b`, which covers the
 // nnz range [first_nnz, first_nnz + indices.size()). Called once per
-// block per pass (twice total when the config trains Huffman tables).
-// Must be deterministic: both passes must produce the same bytes.
+// pass for each block the pass encodes (pass 1 visits only the sampled
+// blocks, and only when the config trains Huffman tables). Must be
+// deterministic: both passes must produce the same bytes. With
+// threads > 1 it is called concurrently for distinct blocks, from the
+// writer's worker threads, so it must be thread-safe.
 using BlockFiller =
     std::function<void(std::size_t b, std::uint64_t first_nnz,
                        std::span<sparse::index_t> indices,
@@ -36,14 +47,17 @@ struct StreamWriteResult {
   std::uint64_t payload_bytes = 0;  // compressed block payloads only
 };
 
-// Writes the container for a matrix with the given shape. Only
+// Writes the container for a matrix with the given shape, encoding on
+// `threads` workers (0 = hardware_concurrency, 1 = inline on the calling
+// thread; never more than there are blocks). Only
 // CodecSelection::kSingle configs are supported (per-block trial
 // encoding needs all candidates in memory; the out-of-core producer
-// path doesn't). Throws recode::Error on I/O failure or a non-kSingle
-// config.
+// path doesn't); any other config is rejected before a thread starts.
+// Throws recode::Error on I/O failure or a non-kSingle config, and
+// rethrows on the calling thread the first error the filler throws.
 StreamWriteResult write_compressed_stream(
     const std::string& path, sparse::index_t rows, sparse::index_t cols,
     std::span<const sparse::offset_t> row_ptr, const PipelineConfig& cfg,
-    const BlockFiller& fill);
+    const BlockFiller& fill, std::size_t threads = 1);
 
 }  // namespace recode::codec

@@ -69,16 +69,34 @@ struct CodecTelemetry {
   }
 };
 
-Bytes to_bytes(std::span<const sparse::index_t> v) {
-  Bytes out(v.size() * sizeof(sparse::index_t));
-  std::memcpy(out.data(), v.data(), out.size());
+template <typename T>
+ByteSpan byte_view(std::span<const T> v) {
+  return {reinterpret_cast<const std::uint8_t*>(v.data()),
+          v.size() * sizeof(T)};
+}
+
+// Runs one encode stage and feeds its StageMetrics — the one place the
+// encode side attributes bytes and time, for compress(), the selection
+// trials and the streamed writer alike.
+template <typename Stage>
+Bytes run_encode_stage(StageMetrics& m, std::size_t bytes_in, Stage&& stage) {
+  Bytes out;
+  {
+    telemetry::StageTimer t(m.ns);
+    out = stage();
+  }
+  m.bytes_in.add(bytes_in);
+  m.bytes_out.add(out.size());
   return out;
 }
 
-Bytes to_bytes(std::span<const double> v) {
-  Bytes out(v.size() * sizeof(double));
-  std::memcpy(out.data(), v.data(), out.size());
-  return out;
+Bytes huffman_encode(const HuffmanTable& table, ByteSpan mid,
+                     CodecTelemetry& telem) {
+  return run_encode_stage(telem.encode_huffman, mid.size(), [&] {
+    const HuffmanCodec hc(std::shared_ptr<const HuffmanTable>(
+        std::shared_ptr<void>(), &table));  // non-owning aliasing ptr
+    return hc.encode(mid);
+  });
 }
 
 }  // namespace
@@ -166,21 +184,36 @@ std::size_t CompressedMatrix::stream_bytes() const {
   return total;
 }
 
-EncodedStages encode_stages(ByteSpan raw, Transform transform, bool snappy,
-                            const HuffmanTable* huffman) {
-  EncodedStages st;
-  st.after_transform = apply_transform(transform, raw);
-  const SnappyCodec snappy_codec;
-  st.after_snappy =
-      snappy ? snappy_codec.encode(st.after_transform) : st.after_transform;
-  if (huffman != nullptr) {
-    const HuffmanCodec hc(std::shared_ptr<const HuffmanTable>(
-        std::shared_ptr<void>(), huffman));  // non-owning aliasing ptr
-    st.after_huffman = hc.encode(st.after_snappy);
-  } else {
-    st.after_huffman = st.after_snappy;
-  }
-  return st;
+CompressedBlock encode_block(std::span<const sparse::index_t> indices,
+                             std::span<const double> values,
+                             const BlockCodec& c,
+                             const HuffmanTable* index_table,
+                             const HuffmanTable* value_table,
+                             std::size_t* after_snappy) {
+  RECODE_CHECK(!c.huffman ||
+               (index_table != nullptr && value_table != nullptr));
+  CodecTelemetry& telem = CodecTelemetry::get();
+  auto encode_stream = [&](ByteSpan raw, Transform transform,
+                           const HuffmanTable* table, std::size_t* mid_size) {
+    Bytes buf = run_encode_stage(telem.encode_transform, raw.size(), [&] {
+      return apply_transform(transform, raw);
+    });
+    if (c.snappy) {
+      buf = run_encode_stage(telem.encode_snappy, buf.size(),
+                             [&] { return SnappyCodec().encode(buf); });
+    }
+    if (mid_size != nullptr) *mid_size = buf.size();
+    if (c.huffman) buf = huffman_encode(*table, buf, telem);
+    return buf;
+  };
+  CompressedBlock block;
+  block.index_data =
+      encode_stream(byte_view(indices), c.index_transform, index_table,
+                    after_snappy != nullptr ? &after_snappy[0] : nullptr);
+  block.value_data =
+      encode_stream(byte_view(values), c.value_transform, value_table,
+                    after_snappy != nullptr ? &after_snappy[1] : nullptr);
+  return block;
 }
 
 CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg) {
@@ -197,12 +230,13 @@ CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg) {
 
   CodecTelemetry& telem = CodecTelemetry::get();
   RECODE_TRACE_SPAN("codec", "compress");
-  const SnappyCodec snappy_codec;
   const std::size_t nblocks = cm.blocking.block_count();
   telem.encode_blocks.add(nblocks);
 
-  // Pass 1: transform + snappy per block; histogram sampled blocks for
-  // the per-matrix Huffman tables.
+  // Pass 1: transform + snappy per block (the config's chain short of
+  // Huffman); histogram sampled blocks for the per-matrix Huffman tables.
+  const BlockCodec mid_codec{cfg.index_transform, cfg.value_transform,
+                             cfg.snappy, false};
   std::vector<Bytes> index_mid(nblocks);
   std::vector<Bytes> value_mid(nblocks);
   std::array<std::uint64_t, 256> index_hist{};
@@ -211,31 +245,14 @@ CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg) {
 
   for (std::size_t b = 0; b < nblocks; ++b) {
     const auto& range = cm.blocking.blocks[b];
-    const std::size_t raw_bytes =
-        range.count * (sizeof(sparse::index_t) + sizeof(double));
-    Bytes idx_raw, val_raw;
-    {
-      telemetry::StageTimer t(telem.encode_transform.ns);
-      idx_raw = apply_transform(
-          cfg.index_transform, to_bytes(sparse::block_indices(csr, range)));
-      val_raw = apply_transform(
-          cfg.value_transform, to_bytes(sparse::block_values(csr, range)));
-    }
-    telem.encode_transform.bytes_in.add(raw_bytes);
-    telem.encode_transform.bytes_out.add(idx_raw.size() + val_raw.size());
+    CompressedBlock mid =
+        encode_block(sparse::block_indices(csr, range),
+                     sparse::block_values(csr, range), mid_codec, nullptr,
+                     nullptr);
+    index_mid[b] = std::move(mid.index_data);
+    value_mid[b] = std::move(mid.value_data);
     cm.index_stages.raw += range.count * sizeof(sparse::index_t);
     cm.value_stages.raw += range.count * sizeof(double);
-
-    telem.encode_snappy.bytes_in.add(idx_raw.size() + val_raw.size());
-    {
-      telemetry::StageTimer t(telem.encode_snappy.ns);
-      index_mid[b] =
-          cfg.snappy ? snappy_codec.encode(idx_raw) : std::move(idx_raw);
-      value_mid[b] =
-          cfg.snappy ? snappy_codec.encode(val_raw) : std::move(val_raw);
-    }
-    telem.encode_snappy.bytes_out.add(index_mid[b].size() +
-                                      value_mid[b].size());
     cm.index_stages.after_snappy += index_mid[b].size();
     cm.value_stages.after_snappy += value_mid[b].size();
 
@@ -260,11 +277,11 @@ CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg) {
 
   if (cfg.selection == CodecSelection::kSingle) {
     if (cfg.huffman) {
-      const HuffmanCodec index_hc(cm.index_table);
-      const HuffmanCodec value_hc(cm.value_table);
       for (std::size_t b = 0; b < nblocks; ++b) {
-        cm.blocks[b].index_data = index_hc.encode(index_mid[b]);
-        cm.blocks[b].value_data = value_hc.encode(value_mid[b]);
+        cm.blocks[b].index_data =
+            huffman_encode(*cm.index_table, index_mid[b], telem);
+        cm.blocks[b].value_data =
+            huffman_encode(*cm.value_table, value_mid[b], telem);
         index_mid[b].clear();
         value_mid[b].clear();
       }
@@ -295,10 +312,8 @@ CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg) {
       std::size_t chosen_mid[2] = {index_mid[b].size(), value_mid[b].size()};
       CompressedBlock chosen_block;
       if (cfg.huffman) {
-        const HuffmanCodec index_hc(cm.index_table);
-        const HuffmanCodec value_hc(cm.value_table);
-        chosen_block.index_data = index_hc.encode(index_mid[b]);
-        chosen_block.value_data = value_hc.encode(value_mid[b]);
+        chosen_block.index_data = huffman_encode(*itab, index_mid[b], telem);
+        chosen_block.value_data = huffman_encode(*vtab, value_mid[b], telem);
       } else {
         chosen_block.index_data = std::move(index_mid[b]);
         chosen_block.value_data = std::move(value_mid[b]);

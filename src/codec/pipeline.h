@@ -179,16 +179,6 @@ DecodedBlock decompress_block_fast(const CompressedMatrix& cm, std::size_t b,
 // Full round-trip back to CSR (tests / CPU-side decompression baseline).
 sparse::Csr decompress(const CompressedMatrix& cm);
 
-// Stage-by-stage forward transform of one raw byte block, exposed so the
-// UDP programs and ablations can tap intermediate representations.
-struct EncodedStages {
-  Bytes after_transform;  // == input when transform is kNone
-  Bytes after_snappy;     // == after_transform when snappy disabled
-  Bytes after_huffman;    // == after_snappy when huffman disabled
-};
-EncodedStages encode_stages(ByteSpan raw, Transform transform, bool snappy,
-                            const HuffmanTable* huffman);
-
 // Applies / inverts one Transform on a raw byte buffer.
 Bytes apply_transform(Transform t, ByteSpan raw);
 Bytes invert_transform(Transform t, ByteSpan encoded);

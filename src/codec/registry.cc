@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "codec/huffman.h"
-#include "codec/snappy.h"
 #include "common/error.h"
 
 namespace recode::codec {
@@ -22,18 +20,6 @@ constexpr CodecId kReservedMask = 0xC0;
 // varint-delta.
 constexpr std::uint8_t kMaxIndexTransform = 2;
 constexpr std::uint8_t kMaxValueTransform = 3;
-
-Bytes to_bytes(std::span<const sparse::index_t> v) {
-  Bytes out(v.size() * sizeof(sparse::index_t));
-  std::memcpy(out.data(), v.data(), out.size());
-  return out;
-}
-
-Bytes to_bytes(std::span<const double> v) {
-  Bytes out(v.size() * sizeof(double));
-  std::memcpy(out.data(), v.data(), out.size());
-  return out;
-}
 
 }  // namespace
 
@@ -156,37 +142,6 @@ Bytes byte_untranspose(ByteSpan encoded) {
     std::memcpy(out.data() + n * 8, encoded.data() + n * 8, tail);
   }
   return out;
-}
-
-CompressedBlock encode_block(std::span<const sparse::index_t> indices,
-                             std::span<const double> values,
-                             const BlockCodec& c,
-                             const HuffmanTable* index_table,
-                             const HuffmanTable* value_table,
-                             std::size_t* after_snappy) {
-  RECODE_CHECK(!c.huffman ||
-               (index_table != nullptr && value_table != nullptr));
-  const SnappyCodec snappy_codec;
-  auto encode_stream = [&](Bytes raw, Transform transform,
-                           const HuffmanTable* table, std::size_t* mid_size) {
-    Bytes buf = apply_transform(transform, raw);
-    if (c.snappy) buf = snappy_codec.encode(buf);
-    if (mid_size != nullptr) *mid_size = buf.size();
-    if (c.huffman) {
-      const HuffmanCodec hc(std::shared_ptr<const HuffmanTable>(
-          std::shared_ptr<void>(), table));  // non-owning aliasing ptr
-      buf = hc.encode(buf);
-    }
-    return buf;
-  };
-  CompressedBlock block;
-  block.index_data =
-      encode_stream(to_bytes(indices), c.index_transform, index_table,
-                    after_snappy != nullptr ? &after_snappy[0] : nullptr);
-  block.value_data =
-      encode_stream(to_bytes(values), c.value_transform, value_table,
-                    after_snappy != nullptr ? &after_snappy[1] : nullptr);
-  return block;
 }
 
 }  // namespace recode::codec

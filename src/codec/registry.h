@@ -91,10 +91,14 @@ BlockCodec block_codec_checked(const CompressedMatrix& cm, std::size_t b);
 Bytes byte_transpose(ByteSpan raw);
 Bytes byte_untranspose(ByteSpan encoded);
 
-// Encodes one block's streams under codec `c`. The tables may be null
-// when !c.huffman. `after_snappy` (nullable, 2 elements: index, value)
-// receives the per-stream sizes before the Huffman stage, for the
-// StageSizes accounting.
+// Encodes one block's streams under codec `c` — the one per-block
+// encoder behind compress(), its selection trials and the streamed
+// writer — and feeds the codec.encode.{transform,snappy,huffman} stage
+// metrics. The tables may be null when !c.huffman.
+// `after_snappy` (nullable, 2 elements: index, value) receives the
+// per-stream sizes before the Huffman stage, for the StageSizes
+// accounting. Thread-safe: it touches no shared state but the (atomic)
+// telemetry counters.
 CompressedBlock encode_block(std::span<const sparse::index_t> indices,
                              std::span<const double> values,
                              const BlockCodec& c,

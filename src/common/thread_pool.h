@@ -1,5 +1,5 @@
 // Minimal work-stealing-free thread pool with a parallel_for helper, plus
-// the allocation-free team/gate primitives spmv::BandRunner fans its band
+// the allocation-free team/gate primitives codec::BandRunner fans its band
 // tasks out on (WorkerTeam runs a body on every thread, WorkerGate
 // collects their completion and first error).
 //

@@ -1,4 +1,4 @@
-// Work-stealing scheduling primitives behind spmv::BandRunner (the fan-out
+// Work-stealing scheduling primitives behind codec::BandRunner (the fan-out
 // of the streaming executor, SpGEMM and SpMSpV): a Chase–Lev-style
 // per-worker deque plus a scheduler that combines one deque per worker
 // with a small mutex-guarded injector queue.

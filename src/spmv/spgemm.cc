@@ -10,7 +10,7 @@
 
 #include "common/error.h"
 #include "sparse/stats.h"
-#include "spmv/band_runner.h"
+#include "codec/band_runner.h"
 #include "spmv/block_decoder.h"
 #include "spmv/streaming_executor.h"
 #include "telemetry/telemetry.h"
@@ -297,7 +297,7 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a,
                                           band.first_block, band.block_count));
   }
   if (max_extent > 0) job.source->reserve(2 * workers, max_extent);
-  BandRunner::Lookahead prefetch = nullptr;
+  codec::BandRunner::Lookahead prefetch = nullptr;
   if (job.source->out_of_core()) {
     prefetch = [](void* ctx, std::uint32_t t) {
       const auto& j = *static_cast<SpgemmJob*>(ctx);
@@ -307,7 +307,7 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a,
 
   std::vector<std::uint32_t> order(job.bands.size());
   std::iota(order.begin(), order.end(), 0u);
-  BandRunner runner(workers, order.size());
+  codec::BandRunner runner(workers, order.size());
   try {
     runner.run(
         order,
@@ -321,7 +321,7 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a,
     throw;
   }
   job.source->end_run();
-  const BandRunStats& run_stats = runner.last_stats();
+  const codec::BandRunStats& run_stats = runner.last_stats();
 
   // Stitch: bands are row-ordered and own disjoint row ranges, so C is
   // the in-order concatenation of the band outputs.
@@ -379,7 +379,8 @@ codec::StreamWriteResult spgemm_to_container(
                     indices.size() * sizeof(sparse::index_t));
         std::memcpy(values.data(), c.val.data() + first_nnz,
                     values.size() * sizeof(double));
-      });
+      },
+      cfg.threads);
 }
 
 }  // namespace recode::spmv

@@ -84,9 +84,13 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a, const sparse::Csr& b,
 
 // Computes C = A * B and writes it straight to an .rcm container through
 // the two-pass streaming writer, so the compressed result never exists as
-// a CompressedMatrix in RAM. The file is byte-identical to
-// compress(C, out_cfg) + write_compressed_file with the index appended
-// (the write_compressed_stream contract; kSingle configs only).
+// a CompressedMatrix in RAM. The writer encodes C's blocks on
+// cfg.threads workers — the same count as the SpGEMM team, which is idle
+// by then — so the call never runs more threads than cfg.threads (plus
+// an out-of-core source's IO thread). The file is byte-identical to
+// compress(C, out_cfg) + write_compressed_file with the index appended,
+// for every thread count (the write_compressed_stream contract; kSingle
+// configs only).
 codec::StreamWriteResult spgemm_to_container(
     const std::string& path, const codec::CompressedMatrix& a,
     std::shared_ptr<codec::ContainerSource> a_source, const sparse::Csr& b,

@@ -6,7 +6,7 @@
 #include <thread>
 
 #include "common/error.h"
-#include "spmv/band_runner.h"
+#include "codec/band_runner.h"
 #include "telemetry/telemetry.h"
 
 namespace recode::spmv {
@@ -242,7 +242,7 @@ void SpmspvEngine::multiply(const SparseVector& x, std::span<double> y) {
                                                         band.block_count));
     }
     if (max_extent > 0) source_->reserve(2 * scratch_.size(), max_extent);
-    BandRunner::Lookahead prefetch = nullptr;
+    codec::BandRunner::Lookahead prefetch = nullptr;
     if (source_->out_of_core()) {
       prefetch = [](void* ctx, std::uint32_t t) {
         // Hint exactly the runs process_band will lease.
@@ -256,7 +256,7 @@ void SpmspvEngine::multiply(const SparseVector& x, std::span<double> y) {
     std::vector<std::uint32_t> order(bands_.size());
     std::iota(order.begin(), order.end(), 0u);
     y_ = y;
-    BandRunner runner(scratch_.size(), order.size());
+    codec::BandRunner runner(scratch_.size(), order.size());
     try {
       runner.run(
           order,

@@ -252,7 +252,7 @@ StreamingExecutor::StreamingExecutor(
     states_.push_back(
         std::make_unique<WorkerState>(*cm_, *source_, config_.engine));
   }
-  runner_ = std::make_unique<BandRunner>(workers_, bands_.size());
+  runner_ = std::make_unique<codec::BandRunner>(workers_, bands_.size());
   if (config_.cache_budget_bytes > 0) {
     cache_ = std::make_unique<BandCache>(config_.cache_budget_bytes);
   }
@@ -445,7 +445,7 @@ void StreamingExecutor::finish_run(double wall_seconds) {
     stats_.cache_miss_bands += ws->miss_bands;
     stats_.cache_hit_blocks += ws->hit_blocks;
   }
-  const BandRunStats& rs = runner_->last_stats();
+  const codec::BandRunStats& rs = runner_->last_stats();
   stats_.decode_blocked_seconds = rs.acquire_wait_seconds;
   stats_.steals = rs.steals;
   stats_.steal_attempts = rs.steal_attempts;

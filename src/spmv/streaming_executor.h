@@ -1,6 +1,6 @@
 // Work-stealing parallel decode->SpMV execution engine (the paper's §V-B
 // co-scheduling, host-side). The matrix is cut into row-aligned *tasks*
-// (sub-bands) and fanned out over a BandRunner (spmv/band_runner.h): a
+// (sub-bands) and fanned out over a BandRunner (codec/band_runner.h): a
 // Chase-Lev-style scheduler hands tasks to workers, and an idle worker
 // steals from a loaded one instead of blocking on a fixed queue.
 //
@@ -51,7 +51,7 @@
 
 #include "codec/pipeline.h"
 #include "spmv/band_cache.h"
-#include "spmv/band_runner.h"
+#include "codec/band_runner.h"
 #include "spmv/recoded.h"
 
 namespace recode::spmv {
@@ -241,7 +241,7 @@ class StreamingExecutor {
   std::uint64_t cache_evictions_seen_ = 0;
   // One worker == the inline path. Declared last: its threads reach the
   // members above through the hooks, so it is destroyed first.
-  std::unique_ptr<BandRunner> runner_;
+  std::unique_ptr<codec::BandRunner> runner_;
 };
 
 }  // namespace recode::spmv

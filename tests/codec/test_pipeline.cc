@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "codec/snappy.h"
 #include "sparse/generators.h"
 #include "sparse/suite.h"
 
@@ -148,17 +151,19 @@ TEST(Pipeline, SampleFractionOneTrainsOnEverything) {
   EXPECT_TRUE(equal(decompress(a), decompress(b)));
 }
 
-TEST(Pipeline, EncodeStagesTapsIntermediates) {
+TEST(Pipeline, StageChainTapsIntermediates) {
   Bytes raw(4096);
   for (std::size_t i = 0; i < raw.size(); ++i) {
     raw[i] = static_cast<std::uint8_t>((i / 4) & 0xFF);
   }
-  const HuffmanTable table = HuffmanTable::train(raw);
-  const EncodedStages st =
-      encode_stages(raw, Transform::kDelta32, true, &table);
-  EXPECT_EQ(st.after_transform.size(), raw.size());
-  EXPECT_LT(st.after_snappy.size(), raw.size());
-  EXPECT_FALSE(st.after_huffman.empty());
+  const HuffmanCodec huffman(
+      std::make_shared<const HuffmanTable>(HuffmanTable::train(raw)));
+  const Bytes after_transform = apply_transform(Transform::kDelta32, raw);
+  const Bytes after_snappy = SnappyCodec().encode(after_transform);
+  const Bytes after_huffman = huffman.encode(after_snappy);
+  EXPECT_EQ(after_transform.size(), raw.size());
+  EXPECT_LT(after_snappy.size(), raw.size());
+  EXPECT_FALSE(after_huffman.empty());
 }
 
 TEST(Pipeline, EmptyMatrix) {
