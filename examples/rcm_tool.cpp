@@ -193,7 +193,7 @@ int mode_spgemm(const std::string& rcm, const std::string& rcm_b,
   const double ms = timer.seconds() * 1e3;
   std::printf("%s x %s -> %s\n", rcm.c_str(),
               rcm_b.empty() ? rcm.c_str() : rcm_b.c_str(), out.c_str());
-  std::printf("%llu products, %llu dense rows, %llu merge rows, "
+  std::printf("%llu products, %llu bitmap-walk rows, %llu sorted-list rows, "
               "%zu tasks on %zu workers, %.1f ms\n",
               static_cast<unsigned long long>(stats.products),
               static_cast<unsigned long long>(stats.rows_dense),

@@ -1,15 +1,16 @@
 #include "spmv/spgemm.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
-#include "sparse/stats.h"
 #include "codec/band_runner.h"
 #include "spmv/block_decoder.h"
 #include "spmv/streaming_executor.h"
@@ -40,66 +41,89 @@ inline void ledger_kernel_band(std::uint64_t a_nnz, std::uint64_t c_nnz,
   }
 }
 
+// A row emits from its sorted touched list instead of walking the bitmap
+// when it touched fewer than one column per kSortSpanWords words of its
+// bitmap span: sorting k columns then costs less than loading the span.
+constexpr std::size_t kSortSpanWords = 16;
+
 // Per-worker scratch reused across every band the worker executes.
 struct WorkerScratch {
   WorkerScratch(const codec::CompressedMatrix& a,
-                codec::ContainerSource& source)
-      : decoder(a, source) {}
+                codec::ContainerSource& source, std::size_t cols)
+      : decoder(a, source), acc(cols), stamp(cols), bits((cols + 63) / 64) {}
 
   BlockDecoder decoder;
   // Band-local contiguous copies of A's decoded streams (rows span block
   // boundaries, so the Gustavson row loop needs the whole band flat).
   std::vector<sparse::index_t> a_idx;
   std::vector<double> a_val;
-  // Dense accumulator: value + row-stamp per column of B, plus the
-  // touched-column list the emit phase sorts.
+  // The accumulator, per column of B: value, row stamp (set = touched by
+  // the current row), and one bit in a cols/64-word bitmap; plus the
+  // row's touched columns in first-touch order. Emit clears every bit it
+  // set, so the bitmap is all-zero between rows.
   std::vector<double> acc;
   std::vector<std::uint32_t> stamp;
   std::uint32_t stamp_cur = 0;
+  std::vector<std::uint64_t> bits;
   std::vector<sparse::index_t> touched;
-  // Sort-based merge: expanded (col, val) products of one row.
-  std::vector<std::pair<sparse::index_t, double>> pairs;
 
-  void ensure_cols(std::size_t cols) {
-    if (acc.size() < cols) {
-      acc.resize(cols, 0.0);
-      stamp.resize(cols, 0);
+  std::uint32_t next_stamp() {
+    if (stamp_cur == std::numeric_limits<std::uint32_t>::max()) {
+      std::fill(stamp.begin(), stamp.end(), 0);
+      stamp_cur = 0;
     }
+    return ++stamp_cur;
   }
 };
 
-// Per-band output and accounting, stitched after the fan-out. One task
+// One band's slice of C — its rows' columns and values, concatenated —
+// allocated once at the exact size the count pass found, and left
+// uninitialized because the fill pass writes every element. One task
 // owns each band, so no synchronization is needed.
 struct BandOut {
-  std::vector<sparse::index_t> cols;
-  std::vector<double> vals;
-  std::uint64_t rows_dense = 0;
-  std::uint64_t rows_merge = 0;
+  std::size_t nnz = 0;
+  std::unique_ptr<sparse::index_t[]> cols;
+  std::unique_ptr<double[]> vals;
+  std::uint64_t rows_bitmap = 0;
+  std::uint64_t rows_sorted = 0;
   std::uint64_t products = 0;
   std::uint64_t blocks_decoded = 0;
   std::uint64_t compressed_bytes = 0;
 };
 
-// The per-block merge-vs-dense cut: dense-run blocks expand to heavily
-// colliding products (consecutive A columns select consecutive B rows),
-// so the dense accumulator wins earlier; scattered blocks rarely collide,
-// so sorting a small product list stays cheaper for longer.
-std::size_t block_merge_threshold(const sparse::BlockStats& bs,
-                                  std::size_t base) {
-  if (bs.fraction_unit_gaps > 0.5) return std::max<std::size_t>(1, base / 2);
-  if (bs.mean_abs_gap > 64.0) return base * 2;
-  return base;
-}
+// C as the kernel leaves it: the final row_ptr plus the row-ordered band
+// slices, outs[i] holding C's nnz range [first_nnz[i], first_nnz[i + 1]).
+struct BandedC {
+  std::vector<sparse::offset_t> row_ptr;
+  std::vector<BandOut> outs;
+  std::vector<std::size_t> first_nnz;
+
+  // Copies C's nnz range [first, first + idx.size()) out of the slices it
+  // spans, starting at the last band that begins at or before `first`.
+  void copy(std::size_t first, std::span<sparse::index_t> idx,
+            std::span<double> val) const {
+    auto i = static_cast<std::size_t>(
+        std::upper_bound(first_nnz.begin(), first_nnz.end(), first) -
+        first_nnz.begin() - 1);
+    for (std::size_t done = 0; done < idx.size(); ++i) {
+      const std::size_t off = first + done - first_nnz[i];
+      const std::size_t n = std::min(idx.size() - done, outs[i].nnz - off);
+      std::copy_n(outs[i].cols.get() + off, n, idx.data() + done);
+      std::copy_n(outs[i].vals.get() + off, n, val.data() + done);
+      done += n;
+    }
+  }
+};
 
 struct SpgemmJob {
   const codec::CompressedMatrix* a = nullptr;
   codec::ContainerSource* source = nullptr;
   const sparse::Csr* b = nullptr;
-  const SpgemmConfig* cfg = nullptr;
   std::vector<RowBand> bands;
-  std::vector<BandOut> outs;
-  // Per-row C lengths; disjoint row ranges per band, so plain writes.
-  std::vector<sparse::offset_t> c_row_len;
+  // Band i fills c.outs[i] and writes its rows' lengths into
+  // c.row_ptr[r + 1] (disjoint rows, so plain writes); the caller
+  // prefix-sums row_ptr after the run.
+  BandedC c;
   std::vector<std::unique_ptr<WorkerScratch>> scratch;  // one per worker
 };
 
@@ -107,7 +131,7 @@ void process_band(SpgemmJob& job, std::size_t band_id, WorkerScratch& ws) {
   const RowBand& band = job.bands[band_id];
   const codec::CompressedMatrix& a = *job.a;
   const sparse::Csr& b = *job.b;
-  BandOut& out = job.outs[band_id];
+  BandOut& out = job.c.outs[band_id];
   const auto& blocks = a.blocking.blocks;
 
   const std::size_t band_first_nnz = blocks[band.first_block].first_nnz;
@@ -117,11 +141,8 @@ void process_band(SpgemmJob& job, std::size_t band_id, WorkerScratch& ws) {
 
   ws.a_idx.resize(band_nnz);
   ws.a_val.resize(band_nnz);
-  ws.ensure_cols(static_cast<std::size_t>(b.cols));
 
-  // Decode the band's blocks into the flat band-local streams, recording
-  // each block's merge threshold for the row strategy choice below.
-  std::vector<std::size_t> block_threshold(band.block_count);
+  // Decode the band's blocks into the flat band-local streams.
   job.source->acquire(band.first_block, band.block_count);
   try {
     for (std::size_t i = 0; i < band.block_count; ++i) {
@@ -134,9 +155,6 @@ void process_band(SpgemmJob& job, std::size_t band_id, WorkerScratch& ws) {
                   decoded.indices.size() * sizeof(sparse::index_t));
       std::memcpy(ws.a_val.data() + off, decoded.values.data(),
                   decoded.values.size() * sizeof(double));
-      block_threshold[i] = block_merge_threshold(
-          sparse::compute_block_stats(decoded.indices, decoded.values),
-          job.cfg->merge_max_products);
     }
   } catch (...) {
     job.source->release(band.first_block, band.block_count);
@@ -147,106 +165,93 @@ void process_band(SpgemmJob& job, std::size_t band_id, WorkerScratch& ws) {
   // Gustavson row loop over the band's rows. Timed as the kernel hop.
   telemetry::StageTimer ledger_timer(
       telemetry::MovementLedger::global().hop(telemetry::Hop::kKernel).ns);
-  std::size_t block_cursor = 0;  // band-relative block holding the row start
+  // Row r's entries in the band-local streams: [row_lo(r), row_lo(r + 1)).
+  const auto row_lo = [&](sparse::index_t r) {
+    return static_cast<std::size_t>(a.row_ptr[r]) - band_first_nnz;
+  };
+
+  // Count: a stamp-only sweep gives each row's C length and the band's.
   for (sparse::index_t r = band.first_row; r < band.end_row; ++r) {
-    const auto row_begin = static_cast<std::size_t>(a.row_ptr[r]);
-    const auto row_end = static_cast<std::size_t>(a.row_ptr[r + 1]);
-    if (row_begin == row_end) continue;  // empty row: c_row_len stays 0
-    while (block_cursor + 1 < band.block_count &&
-           row_begin >= blocks[band.first_block + block_cursor + 1].first_nnz) {
-      ++block_cursor;
-    }
-
-    // Upper bound on this row's expanded products (the Gustavson flop
-    // count), which is also the exact product count.
-    std::uint64_t row_products = 0;
-    for (std::size_t k = row_begin; k < row_end; ++k) {
-      const auto col =
-          static_cast<std::size_t>(ws.a_idx[k - band_first_nnz]);
-      row_products += static_cast<std::uint64_t>(b.row_ptr[col + 1] -
-                                                 b.row_ptr[col]);
-    }
-    if (row_products == 0) continue;
-    out.products += row_products;
-
-    const std::size_t first_out = out.cols.size();
-    if (row_products <= block_threshold[block_cursor]) {
-      // Sort-based merge: expand products in A-entry order, stable-sort
-      // by column, sum runs. The stable sort keeps each column's products
-      // in A-entry order, and the run sum seeds by assignment — the same
-      // operation sequence per column as the dense accumulator below.
-      ++out.rows_merge;
-      ws.pairs.clear();
-      for (std::size_t k = row_begin; k < row_end; ++k) {
-        const auto col =
-            static_cast<std::size_t>(ws.a_idx[k - band_first_nnz]);
-        const double av = ws.a_val[k - band_first_nnz];
-        for (sparse::offset_t j = b.row_ptr[col]; j < b.row_ptr[col + 1];
-             ++j) {
-          ws.pairs.emplace_back(b.col_idx[static_cast<std::size_t>(j)],
-                                av * b.val[static_cast<std::size_t>(j)]);
-        }
-      }
-      std::stable_sort(ws.pairs.begin(), ws.pairs.end(),
-                       [](const auto& x, const auto& y) {
-                         return x.first < y.first;
-                       });
-      std::size_t p = 0;
-      while (p < ws.pairs.size()) {
-        const sparse::index_t col = ws.pairs[p].first;
-        double sum = ws.pairs[p].second;
-        ++p;
-        while (p < ws.pairs.size() && ws.pairs[p].first == col) {
-          sum += ws.pairs[p].second;
-          ++p;
-        }
-        out.cols.push_back(col);
-        out.vals.push_back(sum);
-      }
-    } else {
-      // Dense accumulator: stamped scatter-add in A-entry order, then
-      // emit the touched columns sorted.
-      ++out.rows_dense;
-      if (ws.stamp_cur == std::numeric_limits<std::uint32_t>::max()) {
-        std::fill(ws.stamp.begin(), ws.stamp.end(), 0);
-        ws.stamp_cur = 0;
-      }
-      const std::uint32_t tag = ++ws.stamp_cur;
-      ws.touched.clear();
-      for (std::size_t k = row_begin; k < row_end; ++k) {
-        const auto col =
-            static_cast<std::size_t>(ws.a_idx[k - band_first_nnz]);
-        const double av = ws.a_val[k - band_first_nnz];
-        for (sparse::offset_t j = b.row_ptr[col]; j < b.row_ptr[col + 1];
-             ++j) {
-          const auto c = static_cast<std::size_t>(
-              b.col_idx[static_cast<std::size_t>(j)]);
-          const double prod = av * b.val[static_cast<std::size_t>(j)];
-          if (ws.stamp[c] == tag) {
-            ws.acc[c] += prod;
-          } else {
-            ws.stamp[c] = tag;
-            ws.acc[c] = prod;
-            ws.touched.push_back(static_cast<sparse::index_t>(c));
-          }
-        }
-      }
-      std::sort(ws.touched.begin(), ws.touched.end());
-      for (const sparse::index_t col : ws.touched) {
-        out.cols.push_back(col);
-        out.vals.push_back(ws.acc[static_cast<std::size_t>(col)]);
+    const std::uint32_t tag = ws.next_stamp();
+    std::size_t len = 0;
+    for (std::size_t k = row_lo(r), k1 = row_lo(r + 1); k < k1; ++k) {
+      const auto col = static_cast<std::size_t>(ws.a_idx[k]);
+      const auto j0 = static_cast<std::size_t>(b.row_ptr[col]);
+      const auto j1 = static_cast<std::size_t>(b.row_ptr[col + 1]);
+      out.products += j1 - j0;
+      for (std::size_t j = j0; j < j1; ++j) {
+        const auto c = static_cast<std::size_t>(b.col_idx[j]);
+        len += ws.stamp[c] != tag;
+        ws.stamp[c] = tag;
       }
     }
-    job.c_row_len[static_cast<std::size_t>(r)] =
-        static_cast<sparse::offset_t>(out.cols.size() - first_out);
+    job.c.row_ptr[static_cast<std::size_t>(r) + 1] =
+        static_cast<sparse::offset_t>(len);
+    out.nnz += len;
   }
 
-  ledger_kernel_band(band_nnz, out.cols.size(), out.products);
+  // Size: the band's slice of C, once, exactly.
+  out.cols = std::make_unique_for_overwrite<sparse::index_t[]>(out.nnz);
+  out.vals = std::make_unique_for_overwrite<double[]>(out.nnz);
+
+  // Fill: scatter-add in A-entry order, seeding each column's sum by
+  // assignment (the reference's operation order, so the bits match), then
+  // emit the row's columns in ascending order.
+  std::size_t pos = 0;
+  for (sparse::index_t r = band.first_row; r < band.end_row; ++r) {
+    if (job.c.row_ptr[static_cast<std::size_t>(r) + 1] == 0) continue;
+    const std::uint32_t tag = ws.next_stamp();
+    ws.touched.clear();
+    for (std::size_t k = row_lo(r), k1 = row_lo(r + 1); k < k1; ++k) {
+      const auto col = static_cast<std::size_t>(ws.a_idx[k]);
+      const double av = ws.a_val[k];
+      const auto j1 = static_cast<std::size_t>(b.row_ptr[col + 1]);
+      for (auto j = static_cast<std::size_t>(b.row_ptr[col]); j < j1; ++j) {
+        const auto c = static_cast<std::size_t>(b.col_idx[j]);
+        const double prod = av * b.val[j];
+        if (ws.stamp[c] == tag) {
+          ws.acc[c] += prod;
+        } else {
+          ws.stamp[c] = tag;
+          ws.acc[c] = prod;
+          ws.bits[c >> 6] |= std::uint64_t{1} << (c & 63);
+          ws.touched.push_back(static_cast<sparse::index_t>(c));
+        }
+      }
+    }
+    const auto emit = [&](std::size_t c) {
+      out.cols[pos] = static_cast<sparse::index_t>(c);
+      out.vals[pos++] = ws.acc[c];
+    };
+    const auto [lo, hi] =
+        std::minmax_element(ws.touched.begin(), ws.touched.end());
+    const auto word_lo = static_cast<std::size_t>(*lo) >> 6;
+    const auto word_hi = static_cast<std::size_t>(*hi) >> 6;
+    if (ws.touched.size() * kSortSpanWords < word_hi - word_lo + 1) {
+      ++out.rows_sorted;
+      std::sort(ws.touched.begin(), ws.touched.end());
+      for (const sparse::index_t col : ws.touched) {
+        ws.bits[static_cast<std::size_t>(col) >> 6] = 0;
+        emit(static_cast<std::size_t>(col));
+      }
+    } else {
+      ++out.rows_bitmap;
+      for (std::size_t w = word_lo; w <= word_hi; ++w) {
+        std::uint64_t word = ws.bits[w];
+        if (word == 0) continue;
+        ws.bits[w] = 0;
+        do {
+          emit(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+          word &= word - 1;
+        } while (word != 0);
+      }
+    }
+  }
+
+  ledger_kernel_band(band_nnz, out.nnz, out.products);
 }
 
-}  // namespace
-
-sparse::Csr spgemm(const codec::CompressedMatrix& a,
+BandedC run_spgemm(const codec::CompressedMatrix& a,
                    std::shared_ptr<codec::ContainerSource> a_source,
                    const sparse::Csr& b, const SpgemmConfig& cfg,
                    SpgemmStats* stats) {
@@ -255,22 +260,17 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a,
   RECODE_PARSE_CHECK(b.row_ptr.size() == static_cast<std::size_t>(b.rows) + 1,
                      "spgemm: malformed b.row_ptr");
 
-  sparse::Csr c;
-  c.rows = a.rows;
-  c.cols = b.cols;
-  c.row_ptr.assign(static_cast<std::size_t>(a.rows) + 1, 0);
-  if (stats) *stats = SpgemmStats{};
-
   if (!a_source) a_source = codec::make_resident_source(a);
   SpgemmJob job;
   job.a = &a;
   job.source = a_source.get();
   job.b = &b;
-  job.cfg = &cfg;
+  job.c.row_ptr.assign(static_cast<std::size_t>(a.rows) + 1, 0);
   job.bands = make_row_bands(a.blocking, cfg.blocks_per_band);
   if (job.bands.empty()) {
-    if (stats) stats->workers = 1;
-    return c;  // nnz == 0: C is all-empty rows
+    if (stats) *stats = SpgemmStats{.workers = 1};
+    job.c.first_nnz = {0};
+    return std::move(job.c);  // nnz == 0: all-empty rows
   }
   std::size_t workers = cfg.threads;
   if (workers == 0) {
@@ -283,10 +283,10 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a,
     job.bands = split_row_bands(a.blocking, job.bands, max_blocks);
   }
   workers = std::min(workers, job.bands.size());
-  job.outs.resize(job.bands.size());
-  job.c_row_len.assign(static_cast<std::size_t>(a.rows), 0);
+  job.c.outs.resize(job.bands.size());
   for (std::size_t w = 0; w < workers; ++w) {
-    job.scratch.push_back(std::make_unique<WorkerScratch>(a, *job.source));
+    job.scratch.push_back(std::make_unique<WorkerScratch>(
+        a, *job.source, static_cast<std::size_t>(b.cols)));
   }
 
   // An out-of-core source stages at most two bands per worker: the one in
@@ -323,39 +323,41 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a,
   job.source->end_run();
   const codec::BandRunStats& run_stats = runner.last_stats();
 
-  // Stitch: bands are row-ordered and own disjoint row ranges, so C is
-  // the in-order concatenation of the band outputs.
-  for (sparse::index_t r = 0; r < a.rows; ++r) {
-    c.row_ptr[static_cast<std::size_t>(r) + 1] =
-        c.row_ptr[static_cast<std::size_t>(r)] +
-        job.c_row_len[static_cast<std::size_t>(r)];
+  std::partial_sum(job.c.row_ptr.begin(), job.c.row_ptr.end(),
+                   job.c.row_ptr.begin());
+  job.c.first_nnz.assign(1, 0);
+  SpgemmStats st;
+  for (const BandOut& out : job.c.outs) {
+    job.c.first_nnz.push_back(job.c.first_nnz.back() + out.nnz);
+    st.rows_dense += out.rows_bitmap;
+    st.rows_merge += out.rows_sorted;
+    st.products += out.products;
+    st.a_blocks_decoded += out.blocks_decoded;
+    st.a_compressed_bytes += out.compressed_bytes;
   }
-  std::size_t total = 0;
-  for (const BandOut& out : job.outs) total += out.cols.size();
-  c.col_idx.resize(total);
-  c.val.resize(total);
-  std::size_t off = 0;
-  for (const BandOut& out : job.outs) {
-    if (out.cols.empty()) continue;
-    std::memcpy(c.col_idx.data() + off, out.cols.data(),
-                out.cols.size() * sizeof(sparse::index_t));
-    std::memcpy(c.val.data() + off, out.vals.data(),
-                out.vals.size() * sizeof(double));
-    off += out.cols.size();
-  }
+  st.tasks = job.bands.size();
+  st.workers = run_stats.workers;
+  st.steals = run_stats.steals;
+  if (stats) *stats = st;
+  return std::move(job.c);
+}
 
-  if (stats) {
-    for (const BandOut& out : job.outs) {
-      stats->rows_dense += out.rows_dense;
-      stats->rows_merge += out.rows_merge;
-      stats->products += out.products;
-      stats->a_blocks_decoded += out.blocks_decoded;
-      stats->a_compressed_bytes += out.compressed_bytes;
-    }
-    stats->tasks = job.bands.size();
-    stats->workers = run_stats.workers;
-    stats->steals = run_stats.steals;
-  }
+}  // namespace
+
+sparse::Csr spgemm(const codec::CompressedMatrix& a,
+                   std::shared_ptr<codec::ContainerSource> a_source,
+                   const sparse::Csr& b, const SpgemmConfig& cfg,
+                   SpgemmStats* stats) {
+  BandedC bc = run_spgemm(a, std::move(a_source), b, cfg, stats);
+  sparse::Csr c;
+  c.rows = a.rows;
+  c.cols = b.cols;
+  c.row_ptr = std::move(bc.row_ptr);
+  // Stitch: bands are row-ordered and own disjoint row ranges, so C is
+  // the in-order concatenation of the band slices.
+  c.col_idx.resize(bc.first_nnz.back());
+  c.val.resize(bc.first_nnz.back());
+  bc.copy(0, c.col_idx, c.val);
   return c;
 }
 
@@ -369,16 +371,12 @@ codec::StreamWriteResult spgemm_to_container(
     std::shared_ptr<codec::ContainerSource> a_source, const sparse::Csr& b,
     const codec::PipelineConfig& out_cfg, const SpgemmConfig& cfg,
     SpgemmStats* stats) {
-  const sparse::Csr c = spgemm(a, std::move(a_source), b, cfg, stats);
+  const BandedC c = run_spgemm(a, std::move(a_source), b, cfg, stats);
   return codec::write_compressed_stream(
-      path, c.rows, c.cols, c.row_ptr, out_cfg,
+      path, a.rows, b.cols, c.row_ptr, out_cfg,
       [&c](std::size_t, std::uint64_t first_nnz,
            std::span<sparse::index_t> indices, std::span<double> values) {
-        if (indices.empty()) return;
-        std::memcpy(indices.data(), c.col_idx.data() + first_nnz,
-                    indices.size() * sizeof(sparse::index_t));
-        std::memcpy(values.data(), c.val.data() + first_nnz,
-                    values.size() * sizeof(double));
+        c.copy(static_cast<std::size_t>(first_nnz), indices, values);
       },
       cfg.threads);
 }

@@ -1,34 +1,40 @@
 // Compressed-domain SpGEMM: C = A * B with A streamed block-by-block
 // from its compressed container (resident or out-of-core) — the
-// sparse×sparse consumer of the decoded-block stream (ROADMAP item 3,
-// merge strategy grounded in SparseZipper, arXiv 2502.11353).
+// sparse×sparse consumer of the decoded-block stream.
 //
 // The kernel is row-by-row Gustavson: for each row i of A, the rows of B
-// selected by A's column indices are scaled and combined. Two accumulator
-// strategies produce each output row, chosen per row from the A-block's
-// structural statistics (sparse::BlockStats):
+// selected by A's column indices are scaled and combined in one
+// accumulator, a cols(B)-sized stamped dense array per worker. Each band
+// task decodes its blocks of A once, then makes two sweeps over its rows:
 //
-//   dense    a cols(B)-sized stamped accumulator: scatter-add every
-//            product, then emit the touched columns in sorted order.
-//            Wins when a row expands to many colliding products.
-//   merge    gather every product into a (col, val) list, stable-sort by
-//            column, and sum runs — the sort-based merge. Wins when the
-//            expansion is small enough that sorting a tiny list beats
-//            touching a cols-sized array.
+//   count    a stamp-only sweep gives every row's C length, so the band's
+//            slice of C is allocated once at its exact size;
+//   fill     scatter-add every product in A-row entry order (a column's
+//            sum is seeded by assignment), set one bit per newly touched
+//            column in a cols/64-word bitmap, then emit the row's columns
+//            in ascending order straight into the band's slice.
 //
-// Both strategies combine the products of one output column in the same
-// order (A-row entry order; the stable sort preserves it), and both seed
-// a column's sum by assignment before adding, so their outputs are
-// bitwise-identical — the per-row choice is a pure performance decision,
-// and the whole kernel matches a reference dense-accumulator multiply
-// bit for bit (asserted by tests/spmv/test_spgemm.cc).
+// Two emit orders, chosen per row by a fixed rule (no config field):
+//
+//   bitmap   walk the touched word range with count-trailing-zeros,
+//            clearing each word as it is read. The usual case.
+//   sorted   sort the row's touched-column list instead, when it holds
+//            fewer than one column per 16 words of the range it spans
+//            (a few columns far apart, e.g. rows hitting power-law hubs).
+//
+// Neither order changes a column's operation sequence, so C is bitwise
+// identical to a reference dense-accumulator multiply (asserted by
+// tests/spmv/test_spgemm.cc); the emit order is a pure performance choice.
 //
 // Parallelism: A's blocking plan is cut into row-aligned bands
 // (make_row_bands) and fanned out over the work-stealing band runner.
 // Tasks own disjoint C row ranges and each row is produced by exactly one
 // task, so output is bitwise-identical serial vs parallel for any worker
-// count and steal order. B is a decoded operand (Gustavson needs random
-// row access); decode it once up front — the caller owns that pass, so a
+// count and steal order. spgemm() stitches the row-ordered band slices
+// into one Csr; spgemm_to_container() never builds C at all — the
+// container writer copies each of C's blocks straight out of the band
+// slices it overlaps. B is a decoded operand (Gustavson needs random row
+// access); decode it once up front — the caller owns that pass, so a
 // ledger run window around spgemm() sees only A's decode chain and stays
 // conservation-checkable (kernel.in == A bytes decoded in-window).
 #pragma once
@@ -50,17 +56,14 @@ struct SpgemmConfig {
   std::size_t threads = 1;
   // Band granularity over A's blocking plan (make_row_bands target).
   std::size_t blocks_per_band = 8;
-  // Rows whose expanded product count is at most this use the sort-based
-  // merge accumulator; larger rows use the dense accumulator. The
-  // per-block BlockStats shift the cut: dense-run blocks (fraction of
-  // unit column gaps > 1/2) halve it, scattered blocks (mean |gap| > 64)
-  // double it.
-  std::size_t merge_max_products = 48;
 };
 
 struct SpgemmStats {
-  std::uint64_t rows_dense = 0;      // rows through the dense accumulator
-  std::uint64_t rows_merge = 0;      // rows through the sort-based merge
+  // Non-empty C rows by emit order. The names predate the single
+  // accumulator (benchmarks read them): rows_dense counts rows emitted by
+  // the bitmap walk, rows_merge rows emitted from the sorted touched list.
+  std::uint64_t rows_dense = 0;
+  std::uint64_t rows_merge = 0;
   std::uint64_t products = 0;        // expanded a_ik * b_kj multiplies
   std::uint64_t a_blocks_decoded = 0;
   std::uint64_t a_compressed_bytes = 0;  // A payload + codec-id bytes
@@ -83,10 +86,13 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a, const sparse::Csr& b,
                    const SpgemmConfig& cfg = {}, SpgemmStats* stats = nullptr);
 
 // Computes C = A * B and writes it straight to an .rcm container through
-// the two-pass streaming writer, so the compressed result never exists as
-// a CompressedMatrix in RAM. The writer encodes C's blocks on
-// cfg.threads workers — the same count as the SpGEMM team, which is idle
-// by then — so the call never runs more threads than cfg.threads (plus
+// the two-pass streaming writer. C is never stitched into one Csr and
+// its compressed form never exists whole in RAM: the writer's block
+// filler copies each of C's blocks out of the band slices the kernel
+// produced (a block may span several bands). The writer encodes C's
+// blocks on cfg.threads workers — the same count as the SpGEMM team,
+// which is idle by then — so the call never runs more threads than
+// cfg.threads (plus
 // an out-of-core source's IO thread). The file is byte-identical to
 // compress(C, out_cfg) + write_compressed_file with the index appended,
 // for every thread count (the write_compressed_stream contract; kSingle

@@ -2,8 +2,11 @@
 // the same bytes as compress() + write_compressed(..., with_index=true)
 // at every thread count, across the kSingle presets and the shapes that
 // stress its windows (0 nnz, one block, a block count that no window
-// divides, rows spanning block boundaries); spgemm_to_container must
-// match the serial spgemm + compress() file; a filler error on a middle
+// divides, rows spanning block boundaries); spgemm_to_container, whose
+// filler copies C's blocks straight out of the SpGEMM band slices, must
+// match the serial spgemm + compress() file at every thread count, with
+// one-block bands, C blocks spanning many bands, and leading bands that
+// produce no output; a filler error on a middle
 // block is rethrown on the caller and leaves the writer reusable; and
 // the Huffman encode stage reports its time and bytes. Carries the
 // concurrency label (tsan/sanitize repeat 3x).
@@ -25,6 +28,7 @@
 #include "common/prng.h"
 #include "sparse/generators.h"
 #include "spmv/spgemm.h"
+#include "spmv/streaming_executor.h"
 #include "telemetry/telemetry.h"
 
 namespace recode::codec {
@@ -155,27 +159,70 @@ TEST(ContainerWriter, RowsSpanBlockBoundaries) {
   EXPECT_GE(spanning, 5u);
 }
 
-TEST(ContainerWriter, SpgemmToContainerMatchesSerialSpgemmAndCompress) {
-  const Csr a = sparse::gen_fem_like(600, 12, 120, sparse::ValueModel::kRandom,
-                                     test_seed(154));
-  const PipelineConfig cfg = PipelineConfig::udp_dsh();
-  const CompressedMatrix cm = compress(a, cfg);
-  const Csr c = spmv::spgemm(cm, a);
-  const std::string ref = reference_bytes(c, cfg);
+// An A (n x n, exactly 8 nnz per row) and B for the band-fed writer. At
+// 16 nnz per block every block boundary of A is a row boundary, so with
+// blocks_per_band = 1 each band is two rows and C's 1024-nnz blocks
+// straddle many bands. A's first 64 rows select only B's first 64 rows,
+// which are empty, so the leading bands produce no output.
+std::pair<Csr, Csr> many_band_pair(sparse::index_t n, std::uint64_t seed) {
+  Prng prng(seed);
+  sparse::Coo a, b;
+  a.rows = a.cols = b.rows = b.cols = n;
+  for (sparse::index_t r = 0; r < n; ++r) {
+    for (sparse::index_t k = 0; k < 8; ++k) {
+      const double v = prng.next_double() * 2.0 - 1.0;
+      a.add(r, r < 64 ? (r + k) % 64 : (r + 37 * k) % n, v);
+      if (r >= 64) b.add(r, (r * 3 + 101 * k) % n, -v);
+    }
+  }
+  return {sparse::coo_to_csr(a), sparse::coo_to_csr(b)};
+}
 
+TEST(ContainerWriter, SpgemmToContainerMatchesSerialSpgemmAndCompress) {
+  const Csr fem = sparse::gen_fem_like(600, 12, 120,
+                                       sparse::ValueModel::kRandom,
+                                       test_seed(154));
+  const auto [a2, b2] = many_band_pair(3000, test_seed(155));
+  PipelineConfig a2_cfg = PipelineConfig::udp_dsh();
+  a2_cfg.nnz_per_block = 16;
+  struct Case {
+    const char* name;
+    const Csr& a;
+    const Csr& b;
+    PipelineConfig a_cfg;
+  };
+  const Case cases[] = {{"fem", fem, fem, PipelineConfig::udp_dsh()},
+                        {"many_bands", a2, b2, a2_cfg}};
+  const PipelineConfig cfg = PipelineConfig::udp_dsh();
   const std::string a_path = temp_path("spgemm_a");
   const std::string c_path = temp_path("spgemm_c");
-  write_compressed_file(a_path, cm, /*with_index=*/true);
-  for (const SourceKind kind : {SourceKind::kResident, SourceKind::kStreamed}) {
-    OpenedContainer oc = open_container(a_path, kind);
-    for (const std::size_t threads : {1u, 3u}) {
-      spmv::SpgemmConfig sc;
-      sc.threads = threads;
-      const StreamWriteResult res = spmv::spgemm_to_container(
-          c_path, *oc.matrix, oc.source, a, cfg, sc);
-      EXPECT_EQ(res.file_bytes, ref.size());
-      EXPECT_EQ(read_file(c_path), ref)
-          << source_kind_name(kind) << " threads=" << threads;
+  for (const Case& tc : cases) {
+    const CompressedMatrix cm = compress(tc.a, tc.a_cfg);
+    const Csr c = spmv::spgemm(cm, tc.b);
+    const std::string ref = reference_bytes(c, cfg);
+    if (std::string(tc.name) == "many_bands") {
+      const auto bands = spmv::make_row_bands(cm.blocking, 1);
+      const std::size_t c_blocks =
+          sparse::make_blocking(c, cfg.nnz_per_block).block_count();
+      ASSERT_EQ(c.row_ptr[static_cast<std::size_t>(bands[0].end_row)], 0)
+          << "the first band must produce no output";
+      ASSERT_GT(bands.size(), 8 * c_blocks) << "C blocks must span many bands";
+    }
+    write_compressed_file(a_path, cm, /*with_index=*/true);
+    for (const SourceKind kind :
+         {SourceKind::kResident, SourceKind::kStreamed}) {
+      OpenedContainer oc = open_container(a_path, kind);
+      for (const std::size_t threads : kThreadCounts) {
+        spmv::SpgemmConfig sc;
+        sc.threads = threads;
+        sc.blocks_per_band = 1;
+        const StreamWriteResult res = spmv::spgemm_to_container(
+            c_path, *oc.matrix, oc.source, tc.b, cfg, sc);
+        EXPECT_EQ(res.file_bytes, ref.size());
+        EXPECT_EQ(read_file(c_path), ref)
+            << tc.name << " " << source_kind_name(kind)
+            << " threads=" << threads;
+      }
     }
   }
   std::remove(a_path.c_str());

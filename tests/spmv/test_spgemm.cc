@@ -1,10 +1,9 @@
-// Compressed-domain SpGEMM battery (ISSUE 10): the Gustavson kernel over
-// decoded A-block streams must (a) match a reference dense-accumulator
-// multiply bit for bit on a 20+ matrix generator sweep, (b) stay bitwise
-// identical serial vs parallel across {1, 2, 7} threads × all three
-// container backends × merge-threshold settings (forcing all-merge,
-// all-dense, and the BlockStats hybrid through the same rows), and
-// (c) round-trip through spgemm_to_container byte-identically to the
+// Compressed-domain SpGEMM battery: the Gustavson kernel over decoded
+// A-block streams must (a) match a reference dense-accumulator multiply
+// bit for bit on a 20+ matrix generator sweep and on an input that sends
+// rows through both emit orders (bitmap walk and sorted touched list),
+// (b) stay bitwise identical serial vs parallel across {1, 2, 7} threads
+// × all three container backends, and (c) round-trip through spgemm_to_container byte-identically to the
 // in-memory compress path. Runs under the tsan preset via the
 // `concurrency` label.
 #include <gtest/gtest.h>
@@ -39,7 +38,7 @@ constexpr SourceKind kAllKinds[] = {SourceKind::kResident, SourceKind::kMmap,
 
 // Reference C = A * B: plain Gustavson with a dense accumulator, products
 // scatter-added in A-row entry order, touched columns emitted sorted.
-// This is the FP sequence both kernel strategies must reproduce exactly.
+// This is the FP sequence both emit orders must reproduce exactly.
 Csr spgemm_reference(const Csr& a, const Csr& b) {
   RECODE_CHECK(a.cols == b.rows);
   Csr c;
@@ -141,30 +140,93 @@ TEST(Spgemm, MatchesDenseAccumulatorReferenceAcrossGeneratorSweep) {
   }
 }
 
-TEST(Spgemm, HybridStrategyChoiceNeverChangesBits) {
-  const std::uint64_t seed = test_seed(102);
-  const Csr a = sparse::gen_powerlaw(3000, 8.0, 0.9, ValueModel::kRandom, seed);
-  const Csr b = sparse::gen_powerlaw(3000, 8.0, 0.9, ValueModel::kRandom,
-                                     seed + 1);
-  const auto cm = codec::compress(a, PipelineConfig::udp_dsh());
-  const Csr want = spgemm_reference(a, b);
+// A and B (n x n) for the emit-order test. B: 7-wide mesh band rows in
+// the top half; power-law (Chung-Lu) rows in the bottom half, every 5th
+// of them empty, and row n/2 + 1 exactly {0, n - 1}. A: 5-wide mesh band
+// rows in the top half (bitmap emits); power-law rows in the bottom half
+// (a few columns far apart: sorted emits, hubs: bitmap emits), with
+// every 7th row empty, every 7th + 1 selecting only empty B rows, and
+// row n - 1 selecting B row n/2 + 1 alone.
+std::pair<Csr, Csr> emit_order_pair(sparse::index_t n, std::uint64_t seed) {
+  const Csr hubs = sparse::gen_powerlaw(n, 3.0, 0.9, ValueModel::kRandom,
+                                        seed);
+  Prng prng(seed + 1);
+  sparse::Coo a, b;
+  a.rows = a.cols = b.rows = b.cols = n;
+  const auto band = [&prng, n](sparse::Coo& m, sparse::index_t r, int half) {
+    for (sparse::index_t c = std::max(0, r - half);
+         c <= std::min(n - 1, r + half); ++c) {
+      m.add(r, c, prng.next_double() * 2.0 - 1.0);
+    }
+  };
+  const auto copy_hub_row = [&hubs](sparse::Coo& m, sparse::index_t r) {
+    for (auto k = hubs.row_ptr[r]; k < hubs.row_ptr[r + 1]; ++k) {
+      m.add(r, hubs.col_idx[k], hubs.val[k]);
+    }
+  };
+  const sparse::index_t mid = n / 2;
+  const sparse::index_t empty0 = (mid + 4) / 5 * 5;  // B rows empty0 + 5k
+  for (sparse::index_t r = 0; r < n; ++r) {
+    if (r < mid) {
+      band(b, r, 3);
+      band(a, r, 2);
+      continue;
+    }
+    if (r == mid + 1) {
+      b.add(r, 0, 0.5);
+      b.add(r, n - 1, -1.25);
+    } else if (r % 5 != 0) {
+      copy_hub_row(b, r);
+    }
+    if (r == n - 1) {
+      a.add(r, mid + 1, 3.0);
+    } else if (r % 7 == 1) {
+      a.add(r, empty0 + 5 * (r % 100), 1.5);
+      a.add(r, empty0 + 5 * (r % 100 + 1), -2.0);
+    } else if (r % 7 != 0) {
+      copy_hub_row(a, r);
+    }
+  }
+  return {sparse::coo_to_csr(a), sparse::coo_to_csr(b)};
+}
 
-  // All-merge (threshold huge), all-dense (threshold 0), and the default
-  // BlockStats hybrid must all reproduce the reference bits.
-  for (const std::size_t threshold : {std::size_t{0}, std::size_t{48},
-                                      std::size_t{1} << 30}) {
+TEST(Spgemm, EmitOrderNeverChangesBits) {
+  // n % 64 != 0, so the last bitmap word is partial.
+  constexpr sparse::index_t n = 20037;
+  const auto [a, b] = emit_order_pair(n, test_seed(102));
+  ASSERT_NE(b.cols % 64, 0);
+  const Csr want = spgemm_reference(a, b);
+  // The construction holds: columns 0 and n - 1 are emitted, and some
+  // non-empty A rows produce empty C rows.
+  ASSERT_NE(std::find(want.col_idx.begin(), want.col_idx.end(), 0),
+            want.col_idx.end());
+  ASSERT_NE(std::find(want.col_idx.begin(), want.col_idx.end(), n - 1),
+            want.col_idx.end());
+  std::size_t empty_a_rows = 0, empty_products_rows = 0;
+  for (sparse::index_t r = 0; r < n; ++r) {
+    if (a.row_ptr[r] == a.row_ptr[r + 1]) {
+      ++empty_a_rows;
+    } else if (want.row_ptr[r] == want.row_ptr[r + 1]) {
+      ++empty_products_rows;
+    }
+  }
+  EXPECT_GT(empty_a_rows, 0u);
+  EXPECT_GT(empty_products_rows, 0u);
+
+  const auto cm = codec::compress(a, PipelineConfig::udp_dsh());
+  for (const std::size_t threads : {1u, 3u}) {
     SpgemmConfig cfg;
-    cfg.merge_max_products = threshold;
+    cfg.threads = threads;
     SpgemmStats stats;
     const Csr got = spgemm(cm, b, cfg, &stats);
-    expect_bitwise_equal(got, want,
-                         ("threshold " + std::to_string(threshold)).c_str());
-    if (threshold == 0) {
-      EXPECT_EQ(stats.rows_merge, 0u);
-    }
-    if (threshold == (std::size_t{1} << 30)) {
-      EXPECT_EQ(stats.rows_dense, 0u);
-    }
+    const std::string tag = "threads=" + std::to_string(threads);
+    expect_bitwise_equal(got, want, tag.c_str());
+    EXPECT_GT(stats.rows_dense, 0u) << tag << ": no bitmap-walk rows";
+    EXPECT_GT(stats.rows_merge, 0u) << tag << ": no sorted-list rows";
+    EXPECT_EQ(stats.rows_dense + stats.rows_merge,
+              static_cast<std::uint64_t>(n) - empty_a_rows -
+                  empty_products_rows)
+        << tag;
   }
 }
 
