@@ -173,6 +173,18 @@ int run(int argc, char** argv) {
                       gb / best_seconds(reps, min_s, [&] {
                         g_sink += sc.encode(raw).size();
                       }));
+    // Random doubles, the class of an SpGEMM product's value stream:
+    // Snappy cannot shrink them, so this rate is the encoder's miss path.
+    Prng prng(seed + 7);
+    Bytes noise(size);
+    for (std::size_t i = 0; i + sizeof(double) <= size; i += sizeof(double)) {
+      const double v = prng.next_double();
+      std::memcpy(noise.data() + i, &v, sizeof(v));
+    }
+    report.add_result("encode_snappy_incompressible_gbps",
+                      gb / best_seconds(reps, min_s, [&] {
+                        g_sink += sc.encode(noise).size();
+                      }));
   }
 
   // Fixed-width delta inverse transform.

@@ -5,9 +5,10 @@
 // the largest block of a matrix, every further decode through it performs
 // zero heap allocations (the property the StreamingExecutor's steady
 // state and the zero-alloc test assert). Every slab carries kArenaSlop
-// trailing bytes so the word-wise decoders (8/16-byte copies, 4-symbol
-// Huffman emits) may overshoot their logical end without ever writing
-// outside owned memory.
+// trailing bytes so the word-wise Snappy decoder (8/16-byte copies) may
+// overshoot its logical end without ever writing outside owned memory.
+// The Huffman lane decoder emits 2 bytes per probe and never writes past
+// the declared count.
 //
 // Ownership rule: arena slabs never escape the worker that owns the
 // arena. Anything that must outlive the next decode into the same arena

@@ -26,10 +26,10 @@ void put_pod(std::ostream& out, T v) {
   put_bytes(out, &v, sizeof(v));
 }
 
+// Through a stack buffer: no heap traffic per varint.
 void put_varint(std::ostream& out, std::uint64_t v) {
-  Bytes buf;
-  varint_append(buf, v);
-  put_bytes(out, buf.data(), buf.size());
+  std::uint8_t buf[kMaxVarintBytes];
+  put_bytes(out, buf, varint_store(buf, v));
 }
 
 void put_blob(std::ostream& out, const Bytes& data) {

@@ -17,6 +17,14 @@ constexpr int kTagCopy4 = 3;
 constexpr std::size_t kHashBits = 14;
 constexpr std::size_t kHashSize = 1u << kHashBits;
 constexpr std::size_t kMaxOffset = 65535;  // stay within 2-byte copies
+// The format's largest uncompressed length (its preamble is a 32-bit
+// varint in the reference implementation).
+constexpr std::size_t kMaxInput = 0xFFFFFFFFu;
+
+// Miss acceleration (snappy.h): the scan step is skip++ / kMissesPerStep
+// with skip starting at kMissesPerStep, so the step grows by one byte per
+// kMissesPerStep probes since the last match.
+constexpr std::uint32_t kMissesPerStep = 128;
 
 std::uint32_t load32(const std::uint8_t* p) {
   std::uint32_t v;
@@ -80,30 +88,34 @@ void emit_copy(Bytes& out, std::size_t offset, std::size_t len) {
 }  // namespace
 
 Bytes SnappyCodec::encode(ByteSpan input) const {
+  const std::size_t n = input.size();
+  if (n > kMaxInput) fail("snappy: input exceeds the format's 2^32 - 1 bytes");
   Bytes out;
-  out.reserve(input.size() / 2 + 16);
-  varint_append(out, input.size());
-  if (input.empty()) return out;
+  out.reserve(n / 2 + 16);
+  varint_append(out, n);
+  if (n == 0) return out;
 
   const std::uint8_t* base = input.data();
-  const std::size_t n = input.size();
-  std::vector<std::int64_t> table(kHashSize, -1);
+  // Entries hold position + 1 (0 = empty); below kMaxInput every position
+  // fits in 4 bytes, which halves the table fill that dominates the
+  // encode of an incompressible block.
+  std::vector<std::uint32_t> table(kHashSize, 0);
 
   std::size_t pos = 0;
   std::size_t literal_start = 0;
+  std::uint32_t skip = kMissesPerStep;
   // Leave a 4-byte tail so load32 never overruns.
   while (pos + 4 <= n) {
     const std::uint32_t cur = load32(base + pos);
     const std::uint32_t h = hash4(cur);
-    const std::int64_t cand = table[h];
-    table[h] = static_cast<std::int64_t>(pos);
-    if (cand >= 0 && pos - static_cast<std::size_t>(cand) <= kMaxOffset &&
-        load32(base + cand) == cur) {
+    const std::uint32_t entry = table[h];
+    table[h] = static_cast<std::uint32_t>(pos + 1);
+    const std::size_t off = pos + 1 - entry;
+    if (entry != 0 && off <= kMaxOffset && load32(base + pos - off) == cur) {
       // Extend the match forward.
       std::size_t match_len = 4;
-      const std::size_t off = pos - static_cast<std::size_t>(cand);
       while (pos + match_len < n &&
-             base[cand + match_len] == base[pos + match_len]) {
+             base[pos - off + match_len] == base[pos + match_len]) {
         ++match_len;
       }
       if (literal_start < pos) {
@@ -113,12 +125,13 @@ Bytes SnappyCodec::encode(ByteSpan input) const {
       // Re-seed the hash table sparsely inside the match (cheap, standard).
       const std::size_t end = pos + match_len;
       for (std::size_t p = pos + 1; p + 4 <= end && p + 4 <= n; p += 13) {
-        table[hash4(load32(base + p))] = static_cast<std::int64_t>(p);
+        table[hash4(load32(base + p))] = static_cast<std::uint32_t>(p + 1);
       }
       pos = end;
       literal_start = pos;
+      skip = kMissesPerStep;
     } else {
-      ++pos;
+      pos += skip++ / kMissesPerStep;
     }
   }
   if (literal_start < n) {

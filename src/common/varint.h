@@ -30,6 +30,21 @@ inline void varint_append(std::vector<std::uint8_t>& out, std::uint64_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
+// Longest LEB128 encoding of a 64-bit value.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+// Writes v as LEB128 to dst, which has room for kMaxVarintBytes, and
+// returns the byte count (the same bytes varint_append emits).
+inline std::size_t varint_store(std::uint8_t* dst, std::uint64_t v) {
+  std::size_t n = 0;
+  while (v >= 0x80) {
+    dst[n++] = static_cast<std::uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  dst[n++] = static_cast<std::uint8_t>(v);
+  return n;
+}
+
 // Decodes a LEB128 varint from data[pos...], advancing pos.
 // Throws recode::Error on truncation or overlong (>10 byte) encodings.
 inline std::uint64_t varint_read(const std::uint8_t* data, std::size_t size,

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <string>
+#include <vector>
 
+#include "codec/arena.h"
+#include "codec/fast_decode.h"
 #include "common/error.h"
 #include "common/prng.h"
+#include "udp/lane.h"
+#include "udpprog/snappy_prog.h"
 
 namespace recode::codec {
 namespace {
@@ -158,6 +165,138 @@ TEST_P(SnappyFuzzRoundTrip, StructuredRandomBuffers) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnappyFuzzRoundTrip,
                          ::testing::Range<std::uint64_t>(0, 25));
+
+// ---------------------------------------------------------------------------
+// Miss acceleration: long runs of hash misses widen the scan step, every
+// emitted match narrows it back to one byte.
+
+Bytes random_bytes(std::size_t n, std::uint64_t seed) {
+  recode::Prng prng(seed);
+  Bytes raw(n);
+  for (auto& b : raw) b = static_cast<std::uint8_t>(prng.next());
+  return raw;
+}
+
+// Delta-coded-index-like content: little-endian words in 1..8, the
+// shape of a transformed index stream (and of micro_codecs' block).
+Bytes structured_block(std::size_t n, std::uint64_t seed) {
+  recode::Prng prng(seed);
+  Bytes raw(n);
+  for (std::size_t i = 0; i < n; i += 4) {
+    const std::uint32_t v = 1 + static_cast<std::uint32_t>(prng.next_below(8));
+    std::memcpy(raw.data() + i, &v, std::min<std::size_t>(4, n - i));
+  }
+  return raw;
+}
+
+// A 256-byte random motif repeated, with one byte in every 32 overwritten,
+// so the matcher must find a fresh match after every short miss run.
+Bytes repetitive_block(std::size_t n, std::uint64_t seed) {
+  const Bytes motif = random_bytes(256, seed);
+  recode::Prng prng(seed + 1);
+  Bytes raw(n);
+  for (std::size_t i = 0; i < n; ++i) raw[i] = motif[i % 256];
+  for (std::size_t i = 0; i < n; i += 32) {
+    raw[i] = static_cast<std::uint8_t>(prng.next());
+  }
+  return raw;
+}
+
+Bytes concat(Bytes a, const Bytes& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+std::uint64_t fnv1a(const Bytes& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h = (h ^ b) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+Bytes fast_decode(const Bytes& encoded) {
+  std::vector<std::uint8_t> dst(SnappyCodec::decoded_length(encoded) +
+                                kArenaSlop);
+  const std::size_t got = fast::snappy_decode(encoded, dst.data());
+  return Bytes(dst.begin(), dst.begin() + static_cast<std::ptrdiff_t>(got));
+}
+
+Bytes udp_decode(const Bytes& encoded) {
+  const udp::Program program = udpprog::build_snappy_decode_program();
+  const udp::Layout layout(program);
+  udp::LaneConfig config;
+  config.scratchpad_bytes = 128 * 1024;  // room for the 64 KB+ inputs
+  udp::Lane lane(layout, config);
+  const std::pair<int, std::uint64_t> init[] = {
+      {udpprog::kSnappyOutReg, 0}, {udpprog::kSnappyBaseReg, 0}};
+  lane.run(encoded, init);
+  const auto scratch = lane.scratch();
+  return Bytes(scratch.begin(),
+               scratch.begin() + static_cast<std::ptrdiff_t>(
+                                     lane.reg(udpprog::kSnappyOutReg)));
+}
+
+TEST(SnappyMissAcceleration, ThreeDecodersRoundTripEveryShape) {
+  const SnappyCodec codec;
+  const std::size_t sizes[] = {0,    1,    3,    4,    5,    127,  128,
+                               129,  8191, 8192, 8193, 65536 + 300};
+  for (const std::size_t n : sizes) {
+    const std::size_t half = n / 2;
+    const std::pair<const char*, Bytes> inputs[] = {
+        {"random", random_bytes(n, 11 + n)},
+        {"zeros", Bytes(n, 0)},
+        {"structured", structured_block(n, 12 + n)},
+        {"random-then-repetitive",
+         concat(random_bytes(half, 13 + n), repetitive_block(n - half, 14))},
+        {"repetitive-then-random",
+         concat(repetitive_block(half, 15), random_bytes(n - half, 16 + n))},
+    };
+    for (const auto& [shape, raw] : inputs) {
+      SCOPED_TRACE(std::string(shape) + " n=" + std::to_string(n));
+      ASSERT_EQ(raw.size(), n);
+      const Bytes enc = codec.encode(raw);
+      EXPECT_EQ(codec.decode(enc), raw);
+      EXPECT_EQ(fast_decode(enc), raw);
+      EXPECT_EQ(udp_decode(enc), raw);
+    }
+  }
+}
+
+TEST(SnappyMissAcceleration, RandomBlockIsOneLiteral) {
+  // 8 KB of random bytes: varint(8192) is 2 bytes, then a single literal
+  // element (tag 61: two length bytes) carrying the input verbatim.
+  const SnappyCodec codec;
+  const Bytes raw = random_bytes(8192, 21);
+  const Bytes enc = codec.encode(raw);
+  ASSERT_EQ(enc.size(), 2u + 3u + raw.size());
+  EXPECT_EQ(enc[2], 61u << 2);
+  EXPECT_TRUE(std::equal(raw.begin(), raw.end(), enc.begin() + 5));
+}
+
+TEST(SnappyMissAcceleration, StepResetsAfterRandomPrefix) {
+  // A 4 KB random prefix drives the step up; the repetitive suffix must
+  // still compress as if it stood alone, because its first match resets
+  // the step to one byte.
+  const SnappyCodec codec;
+  const Bytes prefix = random_bytes(4096, 31);
+  const Bytes suffix = repetitive_block(16384, 32);
+  const Bytes enc = codec.encode(concat(prefix, suffix));
+  const std::size_t prefix_cost = codec.encode(prefix).size();
+  ASSERT_GT(enc.size(), prefix_cost);
+  EXPECT_LT(enc.size() - prefix_cost, suffix.size() / 4);
+}
+
+TEST(SnappyMissAcceleration, CompressibleStreamsAreUnchanged) {
+  // Digests of the encoder's output taken before miss acceleration
+  // existed: a stream that never runs 128 probes without a match must
+  // encode byte for byte as it always did.
+  const SnappyCodec codec;
+  EXPECT_EQ(fnv1a(codec.encode(structured_block(8192, 2021))),
+            0xe8389586cad1933eull);
+  EXPECT_EQ(fnv1a(codec.encode(structured_block(65536 + 300, 7))),
+            0x3e7db8e5e59548d2ull);
+}
 
 }  // namespace
 }  // namespace recode::codec

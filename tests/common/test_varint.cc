@@ -35,6 +35,9 @@ TEST_P(VarintRoundTrip, EncodesAndDecodes) {
   std::size_t pos = 0;
   EXPECT_EQ(varint_read(buf.data(), buf.size(), pos), v);
   EXPECT_EQ(pos, buf.size());
+  std::uint8_t stored[kMaxVarintBytes];
+  const std::size_t len = varint_store(stored, v);
+  EXPECT_EQ(std::vector<std::uint8_t>(stored, stored + len), buf);
 }
 
 INSTANTIATE_TEST_SUITE_P(
