@@ -6,6 +6,7 @@
 // result so the shape comparison is one glance.
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <string>
@@ -90,6 +91,26 @@ inline double scale_from_cli(Cli& cli, double default_scale = 0.25) {
   return cli.get_double(
       "scale", default_scale,
       "representative-matrix size scale in (0,1]; 1.0 = published dims");
+}
+
+// Microbench timing: calibrates an iteration count to >= min_seconds of
+// work, then reports the best-of-reps per-iteration time in seconds.
+template <typename F>
+double best_seconds(int reps, double min_seconds, F&& fn) {
+  int iters = 1;
+  for (;;) {
+    Timer t;
+    for (int i = 0; i < iters; ++i) fn();
+    if (t.seconds() >= min_seconds || iters >= (1 << 22)) break;
+    iters *= 2;
+  }
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    Timer t;
+    for (int i = 0; i < iters; ++i) fn();
+    best = std::min(best, t.seconds() / iters);
+  }
+  return best;
 }
 
 // Machine-readable bench output: registers --json=<path>, --trace=<path>

@@ -44,26 +44,6 @@ Bytes structured_block(std::size_t size, std::uint64_t seed) {
 // Keeps decoded bytes observable so the timed loops cannot be elided.
 std::uint64_t g_sink = 0;
 
-// Calibrates an iteration count to >= min_seconds of work, then reports
-// the best-of-reps per-iteration time.
-template <typename F>
-double best_seconds(int reps, double min_seconds, F&& fn) {
-  int iters = 1;
-  for (;;) {
-    Timer t;
-    for (int i = 0; i < iters; ++i) fn();
-    if (t.seconds() >= min_seconds || iters >= (1 << 22)) break;
-    iters *= 2;
-  }
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    Timer t;
-    for (int i = 0; i < iters; ++i) fn();
-    best = std::min(best, t.seconds() / iters);
-  }
-  return best;
-}
-
 int run(int argc, char** argv) {
   Cli cli(argc, argv);
   const auto size = static_cast<std::size_t>(cli.get_int(

@@ -1,87 +1,134 @@
 // Microbenchmarks for the UDP simulator itself: how fast the host can
 // simulate lane execution (simulated cycles per host second), and the
 // EffCLiP layout cost for codec-sized programs.
-#include <benchmark/benchmark.h>
+//
+// --json writes every number as a recode-bench-v1 result
+// (sim_cycles_per_s_{snappy,huffman}, {layout_snappy,build_huffman}_us).
+#include <memory>
+#include <utility>
 
+#include "bench/bench_util.h"
+#include "codec/huffman.h"
 #include "codec/snappy.h"
-#include "common/prng.h"
 #include "udp/lane.h"
 #include "udpprog/huffman_prog.h"
 #include "udpprog/snappy_prog.h"
 
-namespace recode::udpprog {
+namespace recode::bench {
 namespace {
 
-codec::Bytes snappy_input(std::size_t size) {
-  recode::Prng prng(5);
-  codec::Bytes raw(size);
+using codec::Bytes;
+
+// Keeps benchmarked results observable so the timed loops cannot be elided.
+std::uint64_t g_sink = 0;
+
+Bytes snappy_input(std::size_t size, std::uint64_t seed) {
+  Prng prng(seed);
+  Bytes raw(size);
   for (std::size_t i = 0; i < size; i += 4) {
-    const auto v = static_cast<std::uint32_t>(prng.next_below(16));
-    raw[i] = static_cast<std::uint8_t>(v);
+    raw[i] = static_cast<std::uint8_t>(prng.next_below(16));
   }
   const codec::SnappyCodec codec;
   return codec.encode(raw);
 }
 
-void BM_LaneSimSnappyDecode(benchmark::State& state) {
-  const udp::Program program = build_snappy_decode_program();
-  const udp::Layout layout(program);
-  udp::Lane lane(layout);
-  const codec::Bytes enc = snappy_input(8192);
-  const std::pair<int, std::uint64_t> init[] = {{kSnappyOutReg, 0},
-                                                {kSnappyBaseReg, 0}};
-  std::uint64_t simulated_cycles = 0;
-  for (auto _ : state) {
-    simulated_cycles += lane.run(enc, init).cycles;
-  }
-  state.counters["sim_cycles_per_s"] = benchmark::Counter(
-      static_cast<double>(simulated_cycles), benchmark::Counter::kIsRate);
+Bytes skewed_bytes(std::size_t size, std::uint64_t alphabet,
+                   std::uint64_t seed) {
+  Prng prng(seed);
+  Bytes raw(size);
+  for (auto& b : raw) b = static_cast<std::uint8_t>(prng.next_below(alphabet));
+  return raw;
 }
-BENCHMARK(BM_LaneSimSnappyDecode);
 
-void BM_LaneSimHuffmanDecode(benchmark::State& state) {
-  recode::Prng prng(6);
-  codec::Bytes raw(8192);
-  for (auto& b : raw) b = static_cast<std::uint8_t>(prng.next_below(16));
-  const auto table = std::make_shared<const codec::HuffmanTable>(
-      codec::HuffmanTable::train(raw));
-  const codec::HuffmanCodec sw(table);
-  const codec::Bytes enc = sw.encode(raw);
-  const codec::HuffmanFrame frame = codec::parse_huffman_frame(enc);
-  const udp::Program program = build_huffman_decode_program(*table);
-  const udp::Layout layout(program);
-  codec::Bytes out(frame.count);
-  std::uint64_t simulated_cycles = 0;
-  for (auto _ : state) {
-    simulated_cycles += udp_huffman_decode(layout, frame, out.data());
-  }
-  state.counters["sim_cycles_per_s"] = benchmark::Counter(
-      static_cast<double>(simulated_cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_LaneSimHuffmanDecode);
+int run(int argc, char** argv) {
+  Cli cli(argc, argv);
+  const auto size = static_cast<std::size_t>(
+      cli.get_int("size", 8192, "decoded bytes per simulated lane run"));
+  const int reps =
+      static_cast<int>(cli.get_int("reps", 5, "timed repetitions (best-of)"));
+  const double min_ms = cli.get_double(
+      "min-ms", 100.0, "minimum measured milliseconds per timing sample");
+  BenchReport report(cli, "micro_udp");
+  cli.done();
+  const double min_s = min_ms / 1e3;
 
-void BM_EffClipLayoutSnappyProgram(benchmark::State& state) {
-  const udp::Program program = build_snappy_decode_program();
-  for (auto _ : state) {
+  print_header("micro_udp",
+               "UDP lane simulation rate and EffCLiP layout cost");
+  report.add_result("size_bytes", static_cast<double>(size));
+  Table table({"benchmark", "value", "unit"});
+
+  // Lane simulation: simulated cycles per host second.
+  {
+    const udp::Program program = udpprog::build_snappy_decode_program();
     const udp::Layout layout(program);
-    benchmark::DoNotOptimize(layout.table_size());
+    udp::Lane lane(layout);
+    const Bytes enc = snappy_input(size, 5);
+    const std::pair<int, std::uint64_t> init[] = {
+        {udpprog::kSnappyOutReg, 0}, {udpprog::kSnappyBaseReg, 0}};
+    const std::uint64_t cycles = lane.run(enc, init).cycles;
+    const double s = best_seconds(
+        reps, min_s, [&] { g_sink += lane.run(enc, init).cycles; });
+    const double rate = static_cast<double>(cycles) / s;
+    table.add_row({"lane sim snappy decode", Table::num(rate / 1e6, 2),
+                   "M sim cycles/s"});
+    report.add_result("sim_cycles_per_s_snappy", rate);
   }
-}
-BENCHMARK(BM_EffClipLayoutSnappyProgram);
+  {
+    const Bytes raw = skewed_bytes(size, 16, 6);
+    const auto table_ptr = std::make_shared<const codec::HuffmanTable>(
+        codec::HuffmanTable::train(raw));
+    const codec::HuffmanCodec sw(table_ptr);
+    const Bytes enc = sw.encode(raw);
+    const codec::HuffmanFrame frame = codec::parse_huffman_frame(enc);
+    const udp::Program program =
+        udpprog::build_huffman_decode_program(*table_ptr);
+    const udp::Layout layout(program);
+    Bytes out(frame.count);
+    const std::uint64_t cycles =
+        udpprog::udp_huffman_decode(layout, frame, out.data());
+    const double s = best_seconds(reps, min_s, [&] {
+      g_sink += udpprog::udp_huffman_decode(layout, frame, out.data());
+    });
+    const double rate = static_cast<double>(cycles) / s;
+    table.add_row({"lane sim huffman decode", Table::num(rate / 1e6, 2),
+                   "M sim cycles/s"});
+    report.add_result("sim_cycles_per_s_huffman", rate);
+  }
 
-void BM_BuildHuffmanProgram(benchmark::State& state) {
-  recode::Prng prng(7);
-  codec::Bytes raw(8192);
-  for (auto& b : raw) b = static_cast<std::uint8_t>(prng.next_below(64));
-  const codec::HuffmanTable table = codec::HuffmanTable::train(raw);
-  for (auto _ : state) {
-    const udp::Program program = build_huffman_decode_program(table);
-    benchmark::DoNotOptimize(program.state_count());
+  // Program construction and layout: host microseconds per call.
+  {
+    const udp::Program program = udpprog::build_snappy_decode_program();
+    const double s = best_seconds(reps, min_s, [&] {
+      const udp::Layout layout(program);
+      g_sink += layout.table_size();
+    });
+    table.add_row({"EffCLiP layout, snappy program", Table::num(s * 1e6, 2),
+                   "us"});
+    report.add_result("layout_snappy_us", s * 1e6);
   }
+  {
+    const codec::HuffmanTable huffman =
+        codec::HuffmanTable::train(skewed_bytes(size, 64, 7));
+    const double s = best_seconds(reps, min_s, [&] {
+      const udp::Program program =
+          udpprog::build_huffman_decode_program(huffman);
+      g_sink += program.state_count();
+    });
+    table.add_row({"build huffman program", Table::num(s * 1e6, 2), "us"});
+    report.add_result("build_huffman_us", s * 1e6);
+  }
+
+  table.print();
+  std::printf("sink=%llu\n", static_cast<unsigned long long>(g_sink));
+  report.write();
+  print_expected(
+      "no paper figure: the simulator's host rate bounds how large a "
+      "--udp verification run is practical; layout and program build are "
+      "one-off per-matrix costs.");
+  return 0;
 }
-BENCHMARK(BM_BuildHuffmanProgram);
 
 }  // namespace
-}  // namespace recode::udpprog
+}  // namespace recode::bench
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) { return recode::bench::run(argc, argv); }

@@ -1,5 +1,5 @@
 // Wall-clock timer used by the host-side throughput measurements
-// (CPU decompression baseline, microbenches outside google-benchmark).
+// (CPU decompression baseline, microbenches).
 #pragma once
 
 #include <chrono>

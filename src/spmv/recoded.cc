@@ -1,6 +1,7 @@
 #include "spmv/recoded.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/error.h"
 #include "telemetry/telemetry.h"
@@ -13,7 +14,8 @@ namespace {
 // Byte model: the kernel consumes the decoded matrix stream (4 B index +
 // 8 B value per nnz) and writes the block's result rows; vector traffic
 // is the x gathers plus the y read-modify-write, both scaled by the
-// batch width k.
+// batch width k. The y term is exact: block_tile reads and writes each
+// covered row once per row segment.
 inline void ledger_kernel_block(const sparse::BlockRange& range, int k) {
   if constexpr (telemetry::kEnabled) {
     const auto count = static_cast<std::uint64_t>(range.count);
@@ -32,11 +34,13 @@ inline void ledger_kernel_block(const sparse::BlockRange& range, int k) {
   }
 }
 
-// The gather x[col_idx[i]] is the only irregular access in the Fig 7 loop
-// and dominates its stalls on large matrices. Hint the loads a fixed
-// distance ahead; 16 iterations covers typical L2 latency at one nnz per
-// cycle without thrashing the prefetch queues. A pure scheduling hint:
-// result bits are unaffected, so the parallel ≡ serial guarantee holds.
+// The gather of x's row col_idx[i] is the only irregular access in the
+// Fig 7 loop and dominates its stalls on large matrices. Hint the whole
+// tile-wide slice of that row (both cache lines of a 16-wide tile) a
+// fixed distance ahead; 16 iterations covers typical L2 latency at one
+// nnz per cycle without thrashing the prefetch queues. A pure scheduling
+// hint: result bits are unaffected, so the parallel ≡ serial guarantee
+// holds.
 constexpr std::size_t kPrefetchDistance = 16;
 
 // Out-of-core lease granularity for the serial engine: enough blocks
@@ -58,6 +62,44 @@ inline void prefetch_read(const void* p) {
 #endif
 }
 
+// One T-column tile of the batch kernel over one block: columns
+// [j0, j0 + T) of every covered row. The block's nnz run splits into row
+// segments; each segment loads its T partial sums from y into acc, adds
+// v * x[col][j0 + j] in nnz order, and stores acc once at its end. A row
+// that spans blocks resumes from the partial sum in y, and empty rows are
+// never touched, so every y element sees exactly the one-nnz-at-a-time
+// loop's operations. acc stays in registers because nothing inside a
+// segment stores through y, which may alias x.
+template <int T>
+void block_tile(const sparse::BlockRange& range,
+                const sparse::offset_t* row_ptr, const sparse::index_t* idx,
+                const double* val, const double* x, double* y, std::size_t k,
+                std::size_t j0) {
+  const std::size_t n = range.count;
+  auto row = static_cast<std::size_t>(range.first_row);
+  std::size_t i = 0;
+  while (i < n) {
+    const auto pos = static_cast<sparse::offset_t>(range.first_nnz + i);
+    while (pos >= row_ptr[row + 1]) ++row;
+    const std::size_t end = std::min(
+        static_cast<std::size_t>(row_ptr[row + 1]) - range.first_nnz, n);
+    double* yr = y + row * k + j0;
+    double acc[T];
+    for (int j = 0; j < T; ++j) acc[j] = yr[j];
+    for (; i < end; ++i) {
+      if (i + kPrefetchDistance < n) {
+        const double* xp =
+            x + static_cast<std::size_t>(idx[i + kPrefetchDistance]) * k + j0;
+        for (int j = 0; j < T; j += 8) prefetch_read(xp + j);
+      }
+      const double v = val[i];
+      const double* xr = x + static_cast<std::size_t>(idx[i]) * k + j0;
+      for (int j = 0; j < T; ++j) acc[j] += v * xr[j];
+    }
+    for (int j = 0; j < T; ++j) yr[j] = acc[j];
+  }
+}
+
 }  // namespace
 
 void accumulate_block(const sparse::BlockRange& range,
@@ -65,21 +107,7 @@ void accumulate_block(const sparse::BlockRange& range,
                       std::span<const sparse::index_t> indices,
                       std::span<const double> values,
                       std::span<const double> x, std::span<double> y) {
-  telemetry::StageTimer ledger_timer(
-      telemetry::MovementLedger::global().hop(telemetry::Hop::kKernel).ns);
-  // Walk the decoded streams, advancing the row as nnz positions cross
-  // row_ptr boundaries (the Fig 7 inner loop, block-tiled).
-  sparse::index_t row = range.first_row;
-  for (std::size_t i = 0; i < range.count; ++i) {
-    if (i + kPrefetchDistance < range.count) {
-      prefetch_read(&x[static_cast<std::size_t>(indices[i + kPrefetchDistance])]);
-    }
-    const auto k = static_cast<sparse::offset_t>(range.first_nnz + i);
-    while (k >= row_ptr[static_cast<std::size_t>(row) + 1]) ++row;
-    y[static_cast<std::size_t>(row)] +=
-        values[i] * x[static_cast<std::size_t>(indices[i])];
-  }
-  ledger_kernel_block(range, 1);
+  accumulate_block_batch(range, row_ptr, indices, values, x, y, 1);
 }
 
 void accumulate_block_batch(const sparse::BlockRange& range,
@@ -88,27 +116,23 @@ void accumulate_block_batch(const sparse::BlockRange& range,
                             std::span<const double> values,
                             std::span<const double> x, std::span<double> y,
                             int k) {
-  if (k == 1) {
-    accumulate_block(range, row_ptr, indices, values, x, y);
-    return;
-  }
   telemetry::StageTimer ledger_timer(
       telemetry::MovementLedger::global().hop(telemetry::Hop::kKernel).ns);
-  sparse::index_t row = range.first_row;
-  for (std::size_t i = 0; i < range.count; ++i) {
-    if (i + kPrefetchDistance < range.count) {
-      prefetch_read(&x[static_cast<std::size_t>(indices[i + kPrefetchDistance]) *
-                       static_cast<std::size_t>(k)]);
-    }
-    const auto pos = static_cast<sparse::offset_t>(range.first_nnz + i);
-    while (pos >= row_ptr[static_cast<std::size_t>(row) + 1]) ++row;
-    const double v = values[i];
-    const double* xr =
-        &x[static_cast<std::size_t>(indices[i]) * static_cast<std::size_t>(k)];
-    double* yr =
-        &y[static_cast<std::size_t>(row) * static_cast<std::size_t>(k)];
-    for (int j = 0; j < k; ++j) yr[j] += v * xr[j];
-  }
+  // The tile ladder, chosen once per block: 16-wide tiles while 16
+  // columns remain, then at most one tile each of 8, 4, 2 and 1.
+  const auto kk = static_cast<std::size_t>(k);
+  std::size_t j0 = 0;
+  const auto tile = [&](auto width) {
+    block_tile<decltype(width)::value>(range, row_ptr.data(), indices.data(),
+                                       values.data(), x.data(), y.data(), kk,
+                                       j0);
+    j0 += decltype(width)::value;
+  };
+  while (kk - j0 >= 16) tile(std::integral_constant<int, 16>{});
+  if (kk - j0 >= 8) tile(std::integral_constant<int, 8>{});
+  if (kk - j0 >= 4) tile(std::integral_constant<int, 4>{});
+  if (kk - j0 >= 2) tile(std::integral_constant<int, 2>{});
+  if (kk - j0 >= 1) tile(std::integral_constant<int, 1>{});
   ledger_kernel_block(range, k);
 }
 

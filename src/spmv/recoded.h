@@ -18,22 +18,35 @@
 
 namespace recode::spmv {
 
-// The Fig 7 inner loop over one decoded block: walks the decoded streams,
-// advancing the row as nnz positions cross row_ptr boundaries, and
-// accumulates into y. Defined once (recoded.cc) and shared by the serial
-// engine and spmv::StreamingExecutor so both run the same emitted code —
-// the basis of the streaming engine's bitwise parallel ≡ serial guarantee
-// (identical addition order is not enough if the two loops contract
-// floating-point operations differently).
+// The Fig 7 inner loop over one decoded block, for one right-hand side:
+// the k = 1 case of accumulate_block_batch, which it forwards to.
 void accumulate_block(const sparse::BlockRange& range,
                       std::span<const sparse::offset_t> row_ptr,
                       std::span<const sparse::index_t> indices,
                       std::span<const double> values,
                       std::span<const double> x, std::span<double> y);
 
-// Multi-RHS variant: X is cols x k row-major, Y is rows x k row-major
-// (the spmm_csr layout). k == 1 runs accumulate_block itself, so every
-// engine reaches the single-vector kernel through this one entry point.
+// The one accumulate kernel: y += A_block * x for k right-hand sides, X
+// cols x k and Y rows x k row-major (the spmm_csr layout). Defined once
+// (recoded.cc) and shared by every engine (serial, streaming executor,
+// band cache, SpMSpV) so all of them run the same emitted code — the
+// basis of the bitwise parallel ≡ serial guarantee (identical addition
+// order is not enough if two loops contract floating-point operations
+// differently).
+//
+// Row segments: the block's nnz run splits where it crosses row_ptr
+// boundaries. Each segment loads its row's partial sums from y into
+// registers, adds v * x[col] in nnz order and stores them once at the
+// segment's end; a row that spans blocks resumes from the partial sum
+// in y. Every y element therefore sees exactly the additions, in the
+// same order, of a loop that does `y[row] += v * x[col]` one nnz at a
+// time, so the result is bitwise that loop's at every k, thread count
+// and block split.
+//
+// Tile ladder: the k columns are covered by column tiles of fixed width
+// — 16 while 16 columns remain, then at most one each of 8, 4, 2 and 1 —
+// chosen once per block, so k = 3 walks the block twice (2 + 1) and
+// k = 16 once. Tiles own disjoint columns, so the split changes no bits.
 void accumulate_block_batch(const sparse::BlockRange& range,
                             std::span<const sparse::offset_t> row_ptr,
                             std::span<const sparse::index_t> indices,

@@ -1,52 +1,14 @@
 #include "spmv/spmspv.h"
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
 #include <thread>
 
 #include "common/error.h"
 #include "codec/band_runner.h"
-#include "telemetry/telemetry.h"
+#include "spmv/recoded.h"
 
 namespace recode::spmv {
-
-namespace {
-
-// Kernel-hop feed, one call per processed block (skipped blocks feed
-// nothing — they were never decoded, so conservation holds). Same byte
-// model as the SpMV kernel: the full decoded stream is consumed (phase 1
-// multiplies every nnz against the dense frontier scatter), the block's
-// rows are written, and x/y vector traffic rides the vector counter.
-inline void ledger_kernel_block(const sparse::BlockRange& range) {
-  if constexpr (telemetry::kEnabled) {
-    const auto count = static_cast<std::uint64_t>(range.count);
-    const std::uint64_t rows = static_cast<std::uint64_t>(range.last_row) -
-                               static_cast<std::uint64_t>(range.first_row) + 1;
-    telemetry::MovementLedger& ledger = telemetry::MovementLedger::global();
-    telemetry::MovementLedger::HopFlow& f =
-        ledger.hop(telemetry::Hop::kKernel);
-    f.bytes_in.add(count * 12);
-    f.bytes_out.add(rows * 8);
-    f.ops.add(1);
-    ledger.kernel_vector_bytes().add(count * 8 + rows * 16);
-    ledger.kernel_flops().add(2 * count);
-    ledger.kernel_nnz().add(count);
-  }
-}
-
-}  // namespace
-
-struct SpmspvEngine::WorkerScratch {
-  WorkerScratch(const codec::CompressedMatrix& cm,
-                codec::ContainerSource& source)
-      : decoder(cm, source) {}
-
-  BlockDecoder decoder;
-  std::vector<double> products;  // phase-1 output, one slot per block nnz
-};
-
-SpmspvEngine::~SpmspvEngine() = default;
 
 SpmspvEngine::SpmspvEngine(const codec::CompressedMatrix& cm, SpmspvConfig cfg)
     : SpmspvEngine(cm, nullptr, cfg) {}
@@ -67,7 +29,7 @@ SpmspvEngine::SpmspvEngine(const codec::CompressedMatrix& cm,
   }
   workers = std::min(workers, std::max<std::size_t>(1, bands_.size()));
   for (std::size_t i = 0; i < workers; ++i) {
-    scratch_.push_back(std::make_unique<WorkerScratch>(*cm_, *source_));
+    decoders_.push_back(std::make_unique<BlockDecoder>(*cm_, *source_));
   }
   survey_blocks();
 }
@@ -79,7 +41,7 @@ void SpmspvEngine::survey_blocks() {
   const auto& blocks = cm_->blocking.blocks;
   summaries_.resize(blocks.size());
   if (blocks.empty()) return;
-  WorkerScratch& ws = *scratch_[0];
+  BlockDecoder& decoder = *decoders_[0];
   constexpr std::size_t kChunk = 16;
   std::size_t first = 0;
   std::size_t count = std::min(kChunk, blocks.size());
@@ -92,7 +54,7 @@ void SpmspvEngine::survey_blocks() {
           std::min(kChunk, blocks.size() - next_first);
       if (next_count > 0) source_->prefetch(next_first, next_count);
       for (std::size_t b = first; b < first + count; ++b) {
-        const BlockStreams decoded = ws.decoder.decode(b);
+        const BlockStreams decoded = decoder.decode(b);
         BlockSummary& s = summaries_[b];
         s.col_min = cm_->cols;
         s.col_max = -1;
@@ -144,7 +106,7 @@ void SpmspvEngine::for_each_needed_run(const RowBand& band, Fn&& fn) const {
   }
 }
 
-void SpmspvEngine::process_band(std::size_t band_id, WorkerScratch& ws) {
+void SpmspvEngine::process_band(std::size_t band_id, BlockDecoder& decoder) {
   const RowBand& band = bands_[band_id];
   SpmspvStats& bs = band_stats_[band_id];
   bs = SpmspvStats{};
@@ -157,40 +119,17 @@ void SpmspvEngine::process_band(std::size_t band_id, WorkerScratch& ws) {
     source_->acquire(first, run);
     try {
       for (std::size_t b = first; b < first + run; ++b) {
-        const BlockStreams decoded = ws.decoder.decode(b);
+        const BlockStreams decoded = decoder.decode(b);
         bs.compressed_bytes += decoded.stream_bytes;
         ++bs.blocks_decoded;
 
-        const sparse::BlockRange& range = blocks[b];
-        telemetry::StageTimer ledger_timer(
-            telemetry::MovementLedger::global()
-                .hop(telemetry::Hop::kKernel)
-                .ns);
-        // Phase 1 — row-boundary-free: products against the dense
-        // frontier scatter, no row logic (Liu & Vinter's load-balanced
-        // phase; x_dense_ is 0.0 outside the frontier, so this is the
-        // same multiply sequence as the dense kernel).
-        ws.products.resize(range.count);
-        for (std::size_t n = 0; n < range.count; ++n) {
-          const auto col = static_cast<std::size_t>(decoded.indices[n]);
-          ws.products[n] = decoded.values[n] * x_dense_[col];
-          bs.products += in_frontier_[col];
+        for (const sparse::index_t col : decoded.indices) {
+          bs.products += in_frontier_[static_cast<std::size_t>(col)];
         }
-        // Phase 2 — segmented fold: walk the covered rows once, seed each
-        // partial from y so rows spanning blocks accumulate exactly like
-        // the serial row-walk kernel, and add products in stream order.
-        const auto row_ptr = std::span<const sparse::offset_t>(cm_->row_ptr);
-        std::size_t n = 0;
-        for (sparse::index_t r = range.first_row; r <= range.last_row; ++r) {
-          const auto row_end = static_cast<std::size_t>(
-              row_ptr[static_cast<std::size_t>(r) + 1]);
-          const std::size_t seg_end =
-              std::min(row_end - range.first_nnz, range.count);
-          double partial = y_[static_cast<std::size_t>(r)];
-          for (; n < seg_end; ++n) partial += ws.products[n];
-          y_[static_cast<std::size_t>(r)] = partial;
-        }
-        ledger_kernel_block(range);
+        // The shared kernel over the dense frontier scatter (0.0 outside
+        // the frontier): the same operations as a dense multiply.
+        accumulate_block(blocks[b], cm_->row_ptr, decoded.indices,
+                         decoded.values, x_dense_, y_);
       }
     } catch (...) {
       source_->release(first, run);
@@ -241,7 +180,7 @@ void SpmspvEngine::multiply(const SparseVector& x, std::span<double> y) {
                             source_->range_extent_bytes(band.first_block,
                                                         band.block_count));
     }
-    if (max_extent > 0) source_->reserve(2 * scratch_.size(), max_extent);
+    if (max_extent > 0) source_->reserve(2 * decoders_.size(), max_extent);
     codec::BandRunner::Lookahead prefetch = nullptr;
     if (source_->out_of_core()) {
       prefetch = [](void* ctx, std::uint32_t t) {
@@ -256,13 +195,13 @@ void SpmspvEngine::multiply(const SparseVector& x, std::span<double> y) {
     std::vector<std::uint32_t> order(bands_.size());
     std::iota(order.begin(), order.end(), 0u);
     y_ = y;
-    codec::BandRunner runner(scratch_.size(), order.size());
+    codec::BandRunner runner(decoders_.size(), order.size());
     try {
       runner.run(
           order,
           [](void* ctx, std::uint32_t band_id, std::size_t worker) {
             auto& e = *static_cast<SpmspvEngine*>(ctx);
-            e.process_band(band_id, *e.scratch_[worker]);
+            e.process_band(band_id, *e.decoders_[worker]);
           },
           this, prefetch);
     } catch (...) {

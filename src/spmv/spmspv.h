@@ -14,24 +14,21 @@
 // without a kernel consuming, so a window that contains it will fail the
 // conservation check by design.
 //
-// Accumulate: processed blocks run a two-phase segmented sum in the
-// spirit of Liu & Vinter's speculative segmented sum (arXiv 1504.06474):
-// phase 1 multiplies the block's value stream against the scattered
-// frontier with no row logic at all (row-boundary-free, the
-// vectorizable/load-balanced phase); phase 2 walks the block's covered
-// rows once and folds each row's product run into y, seeding from y so
+// Accumulate: processed blocks run the shared accumulate_block kernel
+// (recoded.h) against the dense scatter of the frontier (0.0 outside
+// it). That kernel is the row-segment fold of Liu & Vinter's segmented
+// sum (arXiv 1504.06474): each row's partial sum is seeded from y, held
+// in a register across the row's run of the block, and stored once, so
 // rows spanning block boundaries accumulate exactly like the serial
-// row-walk kernel.
+// kernel.
 //
-// Bitwise contract: phase 1 computes values[i] * xd[col_i] where xd is
-// the dense scatter of the frontier (0.0 elsewhere) and phase 2 adds the
-// products in stream order — the identical floating-point sequence to
-// accumulate_block over a dense x. Skipped blocks contribute only
-// v * 0.0 = ±0.0 terms, and a partial sum seeded from +0.0 can never be
-// -0.0, so dropping them never changes a bit: multiply() is
-// bitwise-identical to RecodedSpmv::multiply with the dense expansion of
-// x, for any frontier, thread count, or backend (asserted by
-// tests/spmv/test_spmspv.cc).
+// Bitwise contract: every processed block runs the very kernel a dense
+// multiply runs, over the dense expansion of x. Skipped blocks would
+// contribute only v * 0.0 = ±0.0 terms, and a partial sum seeded from
+// +0.0 can never be -0.0, so dropping them never changes a bit:
+// multiply() is bitwise-identical to RecodedSpmv::multiply with the
+// dense expansion of x, for any frontier, thread count, or backend
+// (asserted by tests/spmv/test_spmspv.cc).
 //
 // Parallelism: row-aligned bands (make_row_bands) fanned out over the
 // work-stealing band runner; bands own disjoint y rows, so parallel ≡
@@ -96,8 +93,6 @@ class SpmspvEngine {
                std::shared_ptr<codec::ContainerSource> source,
                SpmspvConfig cfg = {});
 
-  ~SpmspvEngine();  // out of line: WorkerScratch is incomplete here
-
   // y = A*x for the sparse frontier x. Overwrites y (rows the frontier
   // cannot reach are 0.0). Requires sorted, in-range, duplicate-free
   // x.indices; throws recode::Error otherwise.
@@ -118,7 +113,6 @@ class SpmspvEngine {
     sparse::index_t col_max = -1;  // min > max encodes an impossible span
     std::uint64_t signature = 0;
   };
-  struct WorkerScratch;
 
   void survey_blocks();
   // Calls fn(first, count) for each maximal run of consecutive blocks of
@@ -127,7 +121,7 @@ class SpmspvEngine {
   // ranges and leased ranges always match exactly.
   template <typename Fn>
   void for_each_needed_run(const RowBand& band, Fn&& fn) const;
-  void process_band(std::size_t band_id, WorkerScratch& ws);
+  void process_band(std::size_t band_id, BlockDecoder& decoder);
   // True when the block can contribute a nonzero product: the 64-bit
   // signatures intersect AND some frontier column falls inside the
   // block's exact column span (binary search over the sorted frontier —
@@ -156,7 +150,7 @@ class SpmspvEngine {
   // Per-band outputs of the current multiply (worker-disjoint).
   std::vector<SpmspvStats> band_stats_;
   std::span<double> y_;  // output of the multiply in flight
-  std::vector<std::unique_ptr<WorkerScratch>> scratch_;
+  std::vector<std::unique_ptr<BlockDecoder>> decoders_;  // one per worker
   SpmspvStats last_stats_;
   std::uint64_t total_blocks_decoded_ = 0;
   std::uint64_t total_blocks_skipped_ = 0;

@@ -126,7 +126,7 @@ TEST(StreamingDifferential, MultiRhsBitwiseMatchesSerialBatch) {
   // across thread counts.
   const Csr a = random_matrix(3, 2200);
   const auto cm = codec::compress(a, PipelineConfig::udp_dsh());
-  for (const int k : {1, 4, 8}) {
+  for (const int k : {1, 4, 8, 16, 17}) {
     const auto x = random_vector(
         static_cast<std::size_t>(a.cols) * static_cast<std::size_t>(k), 55);
     std::vector<double> y_serial(static_cast<std::size_t>(a.rows) *
