@@ -1,6 +1,8 @@
 // Microbenchmarks for the software codec hot paths: reference scalar
 // decoders vs the fast word-wise/arena decoders (codec::fast), plus the
-// encode rates that feed the CPU-baseline model.
+// encode rates of the EncodeArena path (the encoders compress() and the
+// container writer run) and a block-encode row at 1 and 3 threads under
+// one malloc arena, the allocator setting perfbench runs with.
 //
 // Emits a recode-bench-v1 JSON via --json (BENCH_codecs.json in the repo
 // root is seeded from this binary). The acceptance number is
@@ -10,7 +12,13 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <ctime>
+#include <thread>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "bench/bench_util.h"
 #include "codec/arena.h"
@@ -29,6 +37,7 @@ namespace {
 
 using codec::Bytes;
 using codec::DecodeArena;
+using codec::EncodeArena;
 
 Bytes structured_block(std::size_t size, std::uint64_t seed) {
   // Delta-coded-index-like content: small repeating words.
@@ -44,7 +53,82 @@ Bytes structured_block(std::size_t size, std::uint64_t seed) {
 // Keeps decoded bytes observable so the timed loops cannot be elided.
 std::uint64_t g_sink = 0;
 
+// CPU time of the calling thread: unlike wall time, it leaves out
+// preemption, CPU-quota throttling and sleeps on a contended lock.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+// Summed busy time of one pass of encode_block over every block of `cm`
+// (the source matrix `a`) split over `threads` threads, each owning an
+// EncodeArena and a CompressedBlock as a container-writer worker does,
+// thread w taking blocks w, w + threads, ... Each thread warms its arena
+// with one pass, checked bitwise against cm's blocks (ok is cleared on a
+// mismatch), then times `passes` passes; busy time is the sum of the
+// threads' timed loops, in wall and in thread-CPU seconds, divided by
+// `passes`.
+struct Busy {
+  double wall = 0.0;
+  double cpu = 0.0;
+};
+
+Busy encode_busy(const sparse::Csr& a, const codec::CompressedMatrix& cm,
+                 std::size_t threads, int passes, bool& ok) {
+  const codec::BlockCodec bc =
+      codec::codec_from_id(codec::codec_id_for(cm.config));
+  std::vector<Busy> busy(threads);
+  std::vector<char> good(threads, 1);
+  std::vector<std::uint64_t> sinks(threads, 0);
+  const auto worker = [&](std::size_t w) {
+    EncodeArena arena;
+    codec::CompressedBlock out;
+    const auto encode = [&](std::size_t b) {
+      const auto& range = cm.blocking.blocks[b];
+      codec::encode_block(sparse::block_indices(a, range),
+                          sparse::block_values(a, range), bc,
+                          cm.index_table.get(), cm.value_table.get(), arena,
+                          out);
+    };
+    for (std::size_t b = w; b < cm.blocks.size(); b += threads) {
+      encode(b);
+      if (out.index_data != cm.blocks[b].index_data ||
+          out.value_data != cm.blocks[b].value_data) {
+        good[w] = 0;
+      }
+    }
+    Timer t;
+    const double cpu0 = thread_cpu_seconds();
+    for (int p = 0; p < passes; ++p) {
+      for (std::size_t b = w; b < cm.blocks.size(); b += threads) {
+        encode(b);
+        sinks[w] += out.bytes();
+      }
+    }
+    busy[w] = {t.seconds(), thread_cpu_seconds() - cpu0};
+  };
+  std::vector<std::thread> team;
+  for (std::size_t w = 1; w < threads; ++w) team.emplace_back(worker, w);
+  worker(0);
+  for (std::thread& t : team) t.join();
+  Busy total;
+  for (std::size_t w = 0; w < threads; ++w) {
+    total.wall += busy[w].wall / passes;
+    total.cpu += busy[w].cpu / passes;
+    ok = ok && good[w] != 0;
+    g_sink += sinks[w];
+  }
+  return total;
+}
+
 int run(int argc, char** argv) {
+#if defined(__GLIBC__)
+  // One malloc arena for every thread, as perfbench runs: per-block heap
+  // traffic from parallel encoders would contend on its lock.
+  mallopt(M_ARENA_MAX, 1);
+#endif
   Cli cli(argc, argv);
   const auto size = static_cast<std::size_t>(cli.get_int(
       "size", 8192, "input bytes per codec call (the pipeline block scale)"));
@@ -125,11 +209,49 @@ int run(int argc, char** argv) {
     report.add_result("fast_huffman_decode_gbps", huff_gb / fast_s);
     report.add_result("speedup_huffman", ref_s / fast_s);
     huffman_speedup = ref_s / fast_s;
-    report.add_result("encode_huffman_gbps",
-                      huff_gb / best_seconds(reps, min_s, [&] {
-                        for (std::size_t i = 0; i < raws.size(); i += 2) {
-                          g_sink += index_hc.encode(raws[i]).size();
-                          g_sink += value_hc.encode(raws[i + 1]).size();
+    EncodeArena enc_arena;
+    Bytes enc_out;
+    report.add_result(
+        "encode_huffman_gbps", huff_gb / best_seconds(reps, min_s, [&] {
+          for (std::size_t i = 0; i < raws.size(); i += 2) {
+            codec::huffman_encode(*fem_dsh.index_table, raws[i], enc_out,
+                                  enc_arena);
+            g_sink += enc_out.size();
+            codec::huffman_encode(*fem_dsh.value_table, raws[i + 1], enc_out,
+                                  enc_arena);
+            g_sink += enc_out.size();
+          }
+        }));
+  }
+
+  // Snappy encode on the same matrix's payloads: every block's
+  // delta-coded index stream and raw value stream, the bytes compress()
+  // hands to Snappy. GB/s counts Snappy input bytes.
+  {
+    const codec::BlockCodec transform_only{codec::Transform::kDelta32,
+                                           codec::Transform::kNone, false,
+                                           false};
+    EncodeArena enc_arena;
+    std::vector<Bytes> inputs;
+    double in_bytes = 0.0;
+    std::size_t max_len = 0;
+    for (const auto& range : fem_dsh.blocking.blocks) {
+      const codec::MidStreams mid =
+          codec::encode_mid(sparse::block_indices(fem, range),
+                            sparse::block_values(fem, range), transform_only,
+                            enc_arena);
+      for (const codec::ByteSpan stream : {mid.index, mid.value}) {
+        inputs.emplace_back(stream.begin(), stream.end());
+        in_bytes += static_cast<double>(stream.size());
+        max_len = std::max(max_len, stream.size());
+      }
+    }
+    Bytes dst(codec::snappy_max_encoded_length(max_len));
+    report.add_result("encode_snappy_fem_gbps",
+                      in_bytes / 1e9 / best_seconds(reps, min_s, [&] {
+                        for (const Bytes& in : inputs) {
+                          g_sink +=
+                              codec::snappy_encode(in, dst.data(), enc_arena);
                         }
                       }));
   }
@@ -149,9 +271,12 @@ int run(int argc, char** argv) {
       g_sink += codec::fast::snappy_decode(enc, dst);
     });
     snappy_speedup = record("snappy", ref_s, fast_s);
+    EncodeArena enc_arena;
+    Bytes enc_dst(codec::snappy_max_encoded_length(size));
     report.add_result("encode_snappy_gbps",
                       gb / best_seconds(reps, min_s, [&] {
-                        g_sink += sc.encode(raw).size();
+                        g_sink += codec::snappy_encode(raw, enc_dst.data(),
+                                                       enc_arena);
                       }));
     // Random doubles, the class of an SpGEMM product's value stream:
     // Snappy cannot shrink them, so this rate is the encoder's miss path.
@@ -163,7 +288,8 @@ int run(int argc, char** argv) {
     }
     report.add_result("encode_snappy_incompressible_gbps",
                       gb / best_seconds(reps, min_s, [&] {
-                        g_sink += sc.encode(noise).size();
+                        g_sink += codec::snappy_encode(noise, enc_dst.data(),
+                                                       enc_arena);
                       }));
   }
 
@@ -249,6 +375,48 @@ int run(int argc, char** argv) {
     report.add_result("fast_block_dsh_decode_gbps", block_gb / fast_s);
     report.add_result("speedup_block_dsh", ref_s / fast_s);
   }
+  // Block encode at 1 and 3 threads: the container writer's per-worker
+  // path over the same matrix. busy_ratio_t3 is 3-thread busy wall time
+  // over 1-thread busy wall time for the same blocks: 1.0 when the
+  // threads share nothing, above it by whatever they wait on — a
+  // contended lock (the malloc arena's, were encode to allocate), or
+  // fewer than 3 CPUs. cpu_ratio_t3 is the same ratio in thread-CPU
+  // time, which leaves the waiting out.
+  {
+    const auto host_cores =
+        static_cast<std::size_t>(std::thread::hardware_concurrency());
+    bool ok = true;
+    int passes = 1;
+    while (encode_busy(fem, fem_dsh, 1, passes, ok).wall * passes < min_s &&
+           passes < (1 << 16)) {
+      passes *= 2;
+    }
+    Busy t1{1e300, 1e300};
+    Busy t3{1e300, 1e300};
+    for (int r = 0; r < reps; ++r) {
+      const Busy one = encode_busy(fem, fem_dsh, 1, passes, ok);
+      const Busy three = encode_busy(fem, fem_dsh, 3, passes, ok);
+      t1 = {std::min(t1.wall, one.wall), std::min(t1.cpu, one.cpu)};
+      t3 = {std::min(t3.wall, three.wall), std::min(t3.cpu, three.cpu)};
+    }
+    if (!ok) {
+      std::fprintf(stderr, "micro_codecs: encode_block bytes differ from "
+                           "compress()\n");
+      return 1;
+    }
+    std::printf("encode_block(dsh): busy %.2f ms at 1 thread, %.2f ms at 3 "
+                "(ratio %.2f); CPU %.2f ms, %.2f ms (ratio %.2f)\n",
+                t1.wall * 1e3, t3.wall * 1e3, t3.wall / t1.wall, t1.cpu * 1e3,
+                t3.cpu * 1e3, t3.cpu / t1.cpu);
+    report.add_result("encode_block_busy_ms_t1", t1.wall * 1e3);
+    report.add_result("encode_block_busy_ms_t3", t3.wall * 1e3);
+    report.add_result("encode_block_busy_ratio_t3", t3.wall / t1.wall);
+    report.add_result("encode_block_cpu_ms_t1", t1.cpu * 1e3);
+    report.add_result("encode_block_cpu_ratio_t3", t3.cpu / t1.cpu);
+    report.add_result("degraded_t3",
+                      host_cores > 0 && host_cores < 3 ? 1.0 : 0.0);
+  }
+
   // Per-block adaptive selection (registry exhaustive trial-encode):
   // stream size vs the fixed DSH pipeline on the same matrix, plus the
   // fast-path decode rate over the resulting mixed-id block stream.

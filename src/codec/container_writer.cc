@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "codec/arena.h"
 #include "codec/band_runner.h"
 #include "codec/container.h"
 #include "codec/registry.h"
@@ -47,20 +48,21 @@ std::uint64_t tell_out(std::ostream& out) {
   return static_cast<std::uint64_t>(p);
 }
 
-// Per-worker scratch: the raw streams of the block in hand, plus the
-// worker's own pass-1 histograms (summed after the run; integer sums do
-// not depend on which worker saw which block). Cache-line aligned so
-// workers never share a line.
+// Per-worker scratch: the raw streams of the block in hand, the
+// worker's EncodeArena, and its own pass-1 histograms (summed after the
+// run; integer sums do not depend on which worker saw which block).
+// Cache-line aligned so workers never share a line.
 struct alignas(64) WorkerScratch {
   std::vector<sparse::index_t> indices;
   std::vector<double> values;
+  EncodeArena arena;
   std::array<std::uint64_t, 256> index_hist{};
   std::array<std::uint64_t, 256> value_hist{};
 };
 
 // One write's shared state, handed to the BandRunner bodies as ctx.
 // Pass-1 tasks are block ids; pass-2 task t is block first_block + t and
-// owns slots[t].
+// owns slots[t], whose buffers keep their capacity from window to window.
 struct WriteJob {
   const CompressedMatrix* cm = nullptr;
   const BlockFiller* fill = nullptr;
@@ -69,16 +71,14 @@ struct WriteJob {
   std::vector<CompressedBlock> slots;  // pass 2: the window's records
   std::size_t first_block = 0;
 
-  // Fills block b into the worker's scratch and encodes it under codec.
-  CompressedBlock encode(std::size_t b, WorkerScratch& ws) const {
+  // Fills block b into the worker's scratch.
+  void fill_block(std::size_t b, WorkerScratch& ws) const {
     const auto& range = cm->blocking.blocks[b];
     ws.indices.resize(range.count);
     ws.values.resize(range.count);
     (*fill)(b, static_cast<std::uint64_t>(range.first_nnz),
             std::span<sparse::index_t>(ws.indices),
             std::span<double>(ws.values));
-    return encode_block(ws.indices, ws.values, codec, cm->index_table.get(),
-                        cm->value_table.get());
   }
 };
 
@@ -140,9 +140,11 @@ StreamWriteResult write_compressed_stream(
     runner.run(sampled, [](void* ctx, std::uint32_t b, std::size_t worker) {
       auto& j = *static_cast<WriteJob*>(ctx);
       WorkerScratch& ws = j.scratch[worker];
-      const CompressedBlock mid = j.encode(b, ws);
-      for (const std::uint8_t byte : mid.index_data) ++ws.index_hist[byte];
-      for (const std::uint8_t byte : mid.value_data) ++ws.value_hist[byte];
+      j.fill_block(b, ws);
+      const MidStreams mid = encode_mid(ws.indices, ws.values, j.codec,
+                                        ws.arena);
+      for (const std::uint8_t byte : mid.index) ++ws.index_hist[byte];
+      for (const std::uint8_t byte : mid.value) ++ws.value_hist[byte];
     }, &job);
     std::array<std::uint64_t, 256> index_hist{};
     std::array<std::uint64_t, 256> value_hist{};
@@ -182,7 +184,10 @@ StreamWriteResult write_compressed_stream(
     job.first_block = first;
     runner.run(order, [](void* ctx, std::uint32_t t, std::size_t worker) {
       auto& j = *static_cast<WriteJob*>(ctx);
-      j.slots[t] = j.encode(j.first_block + t, j.scratch[worker]);
+      WorkerScratch& ws = j.scratch[worker];
+      j.fill_block(j.first_block + t, ws);
+      encode_block(ws.indices, ws.values, j.codec, j.cm->index_table.get(),
+                   j.cm->value_table.get(), ws.arena, j.slots[t]);
     }, &job);
     for (std::size_t t = 0; t < count; ++t) {
       const CompressedBlock& rec = job.slots[t];

@@ -13,11 +13,16 @@
 //
 // Parallel encode: both passes fan their blocks out over a BandRunner
 // (band_runner.h) through the one per-block encoder, encode_block
-// (registry.h). Pass 1 gives each worker its own histograms and sums
-// them afterwards (integer sums, so the tables do not depend on the
+// (registry.h). Each worker owns an EncodeArena (arena.h) for the whole
+// write, so once warm a block encode allocates nothing: under a single
+// malloc arena, per-block heap traffic would serialize the workers on
+// the allocator lock. Pass 1 histograms each sampled block's pre-Huffman
+// streams straight from the arena, into the worker's own histograms,
+// summed afterwards (integer sums, so the tables do not depend on the
 // schedule); pass 2 encodes a bounded window of blocks into per-slot
-// records that the calling thread appends in block order. The file is
-// byte-identical for every thread count.
+// records, reused from window to window, that the calling thread
+// appends in block order. The file is byte-identical for every thread
+// count.
 #pragma once
 
 #include <cstdint>

@@ -38,16 +38,21 @@ std::uint32_t unzigzag32(std::uint32_t z) {
 
 }  // namespace
 
-Bytes DeltaCodec::encode(ByteSpan input) const {
+std::size_t delta_encode(ByteSpan input, std::uint8_t* dst) {
   if (input.size() % 4 != 0) fail("delta32: input not a multiple of 4 bytes");
-  Bytes out;
-  out.reserve(input.size());
   std::uint32_t prev = 0;
   for (std::size_t i = 0; i < input.size(); i += 4) {
     const std::uint32_t v = load_le32(input.data() + i);
-    store_le32(out, zigzag32(v - prev));
+    const std::uint32_t z = zigzag32(v - prev);
+    std::memcpy(dst + i, &z, 4);
     prev = v;
   }
+  return input.size();
+}
+
+Bytes DeltaCodec::encode(ByteSpan input) const {
+  Bytes out(input.size());
+  delta_encode(input, out.data());
   return out;
 }
 

@@ -12,12 +12,17 @@
 
 namespace recode::codec {
 
+// The encoder: writes input.size() bytes to dst and returns that count.
+// Throws recode::Error unless input.size() is a multiple of 4.
+std::size_t delta_encode(ByteSpan input, std::uint8_t* dst);
+
 class DeltaCodec final : public Codec {
  public:
   std::string name() const override { return "delta32"; }
 
   // input.size() must be a multiple of 4. Output is the same size: the
-  // first word verbatim, then zigzag(value[i] - value[i-1]) as LE32.
+  // first word verbatim, then zigzag(value[i] - value[i-1]) as LE32
+  // (delta_encode into a fresh buffer).
   Bytes encode(ByteSpan input) const override;
   Bytes decode(ByteSpan input) const override;
 };

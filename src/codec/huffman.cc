@@ -1,9 +1,10 @@
 #include "codec/huffman.h"
 
 #include <algorithm>
+#include <cstring>
 #include <queue>
 
-#include "common/bitio.h"
+#include "codec/arena.h"
 #include "common/error.h"
 #include "common/varint.h"
 
@@ -156,7 +157,8 @@ void HuffmanTable::assign_canonical_codes() {
     const int len = lengths_[static_cast<std::size_t>(s)];
     code <<= (len - prev_len);
     RECODE_CHECK_MSG(code < (1u << len), "huffman: code space overflow");
-    codes_[static_cast<std::size_t>(s)] = static_cast<std::uint16_t>(code);
+    encode_[static_cast<std::size_t>(s)] =
+        code | (static_cast<std::uint32_t>(len) << 16);
     ++code;
     prev_len = len;
   }
@@ -165,7 +167,7 @@ void HuffmanTable::assign_canonical_codes() {
 void HuffmanTable::build_decode_table() {
   for (int s = 0; s < 256; ++s) {
     const int len = lengths_[static_cast<std::size_t>(s)];
-    const std::uint32_t code = codes_[static_cast<std::size_t>(s)];
+    const std::uint32_t code = encode_[static_cast<std::size_t>(s)] & 0xFFFF;
     const std::uint32_t first = code << (kMaxCodeLen - len);
     const std::uint32_t count = 1u << (kMaxCodeLen - len);
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -247,35 +249,119 @@ HuffmanFrame parse_huffman_frame(ByteSpan payload) {
   return frame;
 }
 
+namespace {
+
+// The frame header for n > 0 symbols: 0x00, varint(n), and the byte
+// lengths of the first three lanes. Returns its size; dst has room for
+// kMaxFrameHeader bytes.
+constexpr std::size_t kMaxFrameHeader = 1 + kHuffmanLanes * kMaxVarintBytes;
+
+std::size_t store_frame_header(std::uint8_t* dst, std::size_t n,
+                               const std::size_t* lane_bytes) {
+  std::size_t len = 0;
+  dst[len++] = 0x00;
+  len += varint_store(dst + len, n);
+  for (int k = 0; k + 1 < kHuffmanLanes; ++k) {
+    len += varint_store(dst + len, lane_bytes[k]);
+  }
+  return len;
+}
+
+void store_be32(std::uint8_t* dst, std::uint32_t v) {
+  const std::uint32_t be = __builtin_bswap32(v);
+  std::memcpy(dst, &be, 4);
+}
+
+// Packs symbols [first, end) MSB-first at dst, the last byte zero-padded,
+// and returns the bytes written (exactly ceil(bits / 8): no overshoot, so
+// lanes pack back to back). Fewer than 32 bits are pending before each
+// pair of codes and at most 30 arrive, so the accumulator never
+// overflows and one 32-bit flush per pair suffices.
+std::size_t encode_lane(const std::uint32_t* entries, const std::uint8_t* in,
+                        std::size_t first, std::size_t end,
+                        std::uint8_t* dst) {
+  std::uint8_t* op = dst;
+  std::uint64_t acc = 0;  // low `bits` bits are pending output
+  int bits = 0;
+  std::size_t i = first;
+  for (; i + 2 <= end; i += 2) {
+    const std::uint32_t a = entries[in[i]];
+    const std::uint32_t b = entries[in[i + 1]];
+    acc = (acc << (a >> 16)) | (a & 0xFFFF);
+    acc = (acc << (b >> 16)) | (b & 0xFFFF);
+    bits += static_cast<int>((a >> 16) + (b >> 16));
+    if (bits >= 32) {
+      bits -= 32;
+      store_be32(op, static_cast<std::uint32_t>(acc >> bits));
+      op += 4;
+    }
+  }
+  if (i < end) {
+    const std::uint32_t a = entries[in[i]];
+    acc = (acc << (a >> 16)) | (a & 0xFFFF);
+    bits += static_cast<int>(a >> 16);
+  }
+  for (; bits >= 8; bits -= 8) {
+    *op++ = static_cast<std::uint8_t>(acc >> (bits - 8));
+  }
+  if (bits > 0) *op++ = static_cast<std::uint8_t>(acc << (8 - bits));
+  return static_cast<std::size_t>(op - dst);
+}
+
+}  // namespace
+
 Bytes write_huffman_frame(std::size_t n,
                           const std::array<Bytes, kHuffmanLanes>& lanes) {
-  Bytes out{0x00};
-  if (n == 0) return out;
-  varint_append(out, n);
+  if (n == 0) return Bytes{0x00};
+  std::size_t lane_bytes[kHuffmanLanes];
   std::size_t body = 0;
   for (int k = 0; k < kHuffmanLanes; ++k) {
-    if (k + 1 < kHuffmanLanes) varint_append(out, lanes[k].size());
-    body += lanes[k].size();
+    lane_bytes[k] = lanes[k].size();
+    body += lane_bytes[k];
   }
-  out.reserve(out.size() + body);
+  std::uint8_t header[kMaxFrameHeader];
+  const std::size_t header_len = store_frame_header(header, n, lane_bytes);
+  Bytes out;
+  out.reserve(header_len + body);
+  out.assign(header, header + header_len);
   for (const Bytes& lane : lanes) {
     out.insert(out.end(), lane.begin(), lane.end());
   }
   return out;
 }
 
-Bytes HuffmanCodec::encode(ByteSpan input) const {
+void huffman_encode(const HuffmanTable& table, ByteSpan input, Bytes& out,
+                    EncodeArena& arena) {
   const std::size_t n = input.size();
-  std::array<Bytes, kHuffmanLanes> lanes;
-  for (int k = 0; k < kHuffmanLanes; ++k) {
-    BitWriter writer;
-    for (std::size_t i = huffman_lane_start(n, k);
-         i < huffman_lane_start(n, k + 1); ++i) {
-      writer.write(table_->code(input[i]), table_->length(input[i]));
-    }
-    lanes[k] = writer.finish();
+  out.clear();
+  if (n == 0) {
+    out.push_back(0x00);
+    return;
   }
-  return write_huffman_frame(n, lanes);
+  // Codes are at most kMaxCodeLen bits; each lane rounds up to a byte.
+  std::uint8_t* lanes = arena.slab(
+      EncodeArena::kLanes, (n * kMaxCodeLen + 7) / 8 + kHuffmanLanes);
+  std::size_t lane_bytes[kHuffmanLanes];
+  std::size_t body = 0;
+  for (int k = 0; k < kHuffmanLanes; ++k) {
+    lane_bytes[k] =
+        encode_lane(table.encode_table(), input.data(),
+                    huffman_lane_start(n, k), huffman_lane_start(n, k + 1),
+                    lanes + body);
+    body += lane_bytes[k];
+  }
+  std::uint8_t header[kMaxFrameHeader];
+  const std::size_t header_len = store_frame_header(header, n, lane_bytes);
+  out.reserve(header_len + body);
+  out.insert(out.end(), header, header + header_len);
+  out.insert(out.end(), lanes, lanes + body);
+}
+
+Bytes HuffmanCodec::encode(ByteSpan input) const {
+  EncodeArena arena;
+  Bytes out;
+  huffman_encode(*table_, input, out, arena);
+  return out;
 }
 
 std::size_t HuffmanCodec::decoded_length(ByteSpan input) {

@@ -60,8 +60,14 @@ class HuffmanTable {
   Bytes serialize() const;
   static HuffmanTable deserialize(ByteSpan data);
 
-  std::uint16_t code(std::uint8_t symbol) const { return codes_[symbol]; }
+  std::uint16_t code(std::uint8_t symbol) const {
+    return static_cast<std::uint16_t>(encode_[symbol] & 0xFFFF);
+  }
   std::uint8_t length(std::uint8_t symbol) const { return lengths_[symbol]; }
+
+  // Packed encode table: per symbol, the code in the low 16 bits and its
+  // length above them, so the encoder reads both with one load.
+  const std::uint32_t* encode_table() const { return encode_.data(); }
 
   // Average code length in bits under the given histogram (for tests and
   // the sampling ablation).
@@ -98,7 +104,7 @@ class HuffmanTable {
   void build_decode_table();
 
   std::array<std::uint8_t, 256> lengths_{};
-  std::array<std::uint16_t, 256> codes_{};
+  std::array<std::uint32_t, 256> encode_{};
   std::array<DecodeEntry, 1u << kMaxCodeLen> decode_{};
   std::array<FastEntry, 1u << kFastTableBits> fast_{};
 };
@@ -130,12 +136,25 @@ struct HuffmanFrame {
 HuffmanFrame parse_huffman_frame(ByteSpan payload);
 
 // Assembles the lane frame from n and the four lanes' bit streams (the
-// one-byte empty payload when n == 0).
+// one-byte empty payload when n == 0). The UDP encode program's lanes
+// reach the frame through it.
 Bytes write_huffman_frame(std::size_t n,
                           const std::array<Bytes, kHuffmanLanes>& lanes);
 
+class EncodeArena;  // arena.h
+
+// Encodes `input` as a lane frame into `out`, replacing its contents but
+// keeping its capacity. Each lane is packed through a 64-bit accumulator
+// straight into the arena's kLanes slab, back to back, so the frame is
+// the header plus one copy. Once the arena and `out` have seen the
+// largest payload, it allocates nothing.
+void huffman_encode(const HuffmanTable& table, ByteSpan input, Bytes& out,
+                    EncodeArena& arena);
+
 // Stateless Huffman codec bound to a shared table, writing the lane frame
 // above.
+//
+// encode() is huffman_encode through a fresh arena.
 //
 // decode() is the scalar reference implementation (one symbol per table
 // lookup, byte-wise refill, lanes in order); the production hot path is

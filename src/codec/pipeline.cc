@@ -75,27 +75,72 @@ ByteSpan byte_view(std::span<const T> v) {
           v.size() * sizeof(T)};
 }
 
-// Runs one encode stage and feeds its StageMetrics — the one place the
-// encode side attributes bytes and time, for compress(), the selection
-// trials and the streamed writer alike.
+// Runs one encode stage, which returns its output size, and feeds its
+// StageMetrics — the one place the encode side attributes bytes and
+// time, for compress(), the selection trials and the streamed writer
+// alike.
 template <typename Stage>
-Bytes run_encode_stage(StageMetrics& m, std::size_t bytes_in, Stage&& stage) {
-  Bytes out;
+std::size_t run_encode_stage(StageMetrics& m, std::size_t bytes_in,
+                             Stage&& stage) {
+  std::size_t out;
   {
     telemetry::StageTimer t(m.ns);
     out = stage();
   }
   m.bytes_in.add(bytes_in);
-  m.bytes_out.add(out.size());
+  m.bytes_out.add(out);
   return out;
 }
 
-Bytes huffman_encode(const HuffmanTable& table, ByteSpan mid,
-                     CodecTelemetry& telem) {
-  return run_encode_stage(telem.encode_huffman, mid.size(), [&] {
-    const HuffmanCodec hc(std::shared_ptr<const HuffmanTable>(
-        std::shared_ptr<void>(), &table));  // non-owning aliasing ptr
-    return hc.encode(mid);
+// The pre-Huffman stages of one stream: the transform into the arena's
+// `transform_slot`, then Snappy into its `snappy_slot`. A kNone
+// transform is counted as a stage but passes the input through uncopied.
+ByteSpan encode_stream_mid(ByteSpan raw, Transform transform, bool snappy,
+                           EncodeArena& arena, std::size_t transform_slot,
+                           std::size_t snappy_slot, CodecTelemetry& telem) {
+  ByteSpan cur = raw;
+  if (transform == Transform::kNone) {
+    telem.encode_transform.bytes_in.add(raw.size());
+    telem.encode_transform.bytes_out.add(raw.size());
+  } else {
+    // Room for every transform: varint-delta writes up to 5 bytes per
+    // 4-byte word, the others exactly raw.size() bytes.
+    std::uint8_t* dst = arena.slab(
+        transform_slot, raw.size() + raw.size() / 4);
+    const std::size_t size =
+        run_encode_stage(telem.encode_transform, raw.size(), [&] {
+          switch (transform) {
+            case Transform::kDelta32: return delta_encode(raw, dst);
+            case Transform::kVarintDelta: return varint_delta_encode(raw, dst);
+            case Transform::kByteTranspose: return byte_transpose(raw, dst);
+            case Transform::kNone: break;
+          }
+          fail("unknown transform");
+        });
+    cur = {dst, size};
+  }
+  if (snappy) {
+    std::uint8_t* dst =
+        arena.slab(snappy_slot, snappy_max_encoded_length(cur.size()));
+    const std::size_t size = run_encode_stage(
+        telem.encode_snappy, cur.size(),
+        [&] { return snappy_encode(cur, dst, arena); });
+    cur = {dst, size};
+  }
+  return cur;
+}
+
+// The Huffman stage from a mid stream into `out` (a plain copy when
+// `table` is null), keeping out's capacity.
+void finish_stream(ByteSpan mid, const HuffmanTable* table,
+                   EncodeArena& arena, Bytes& out, CodecTelemetry& telem) {
+  if (table == nullptr) {
+    out.assign(mid.begin(), mid.end());
+    return;
+  }
+  run_encode_stage(telem.encode_huffman, mid.size(), [&] {
+    huffman_encode(*table, mid, out, arena);
+    return out.size();
   });
 }
 
@@ -118,16 +163,6 @@ const char* codec_selection_name(CodecSelection s) {
     case CodecSelection::kExhaustive: return "exhaustive";
   }
   return "?";
-}
-
-Bytes apply_transform(Transform t, ByteSpan raw) {
-  switch (t) {
-    case Transform::kNone: return Bytes(raw.begin(), raw.end());
-    case Transform::kDelta32: return DeltaCodec().encode(raw);
-    case Transform::kVarintDelta: return VarintDeltaCodec().encode(raw);
-    case Transform::kByteTranspose: return byte_transpose(raw);
-  }
-  fail("unknown transform");
 }
 
 Bytes invert_transform(Transform t, ByteSpan encoded) {
@@ -184,36 +219,38 @@ std::size_t CompressedMatrix::stream_bytes() const {
   return total;
 }
 
-CompressedBlock encode_block(std::span<const sparse::index_t> indices,
-                             std::span<const double> values,
-                             const BlockCodec& c,
-                             const HuffmanTable* index_table,
-                             const HuffmanTable* value_table,
-                             std::size_t* after_snappy) {
+MidStreams encode_mid(std::span<const sparse::index_t> indices,
+                      std::span<const double> values, const BlockCodec& c,
+                      EncodeArena& arena) {
+  CodecTelemetry& telem = CodecTelemetry::get();
+  const ByteSpan index =
+      encode_stream_mid(byte_view(indices), c.index_transform, c.snappy,
+                        arena, EncodeArena::kIndexTransform,
+                        EncodeArena::kIndexSnappy, telem);
+  const ByteSpan value =
+      encode_stream_mid(byte_view(values), c.value_transform, c.snappy,
+                        arena, EncodeArena::kValueTransform,
+                        EncodeArena::kValueSnappy, telem);
+  return {index, value};
+}
+
+void encode_block(std::span<const sparse::index_t> indices,
+                  std::span<const double> values, const BlockCodec& c,
+                  const HuffmanTable* index_table,
+                  const HuffmanTable* value_table, EncodeArena& arena,
+                  CompressedBlock& out, std::size_t* after_snappy) {
   RECODE_CHECK(!c.huffman ||
                (index_table != nullptr && value_table != nullptr));
+  const MidStreams mid = encode_mid(indices, values, c, arena);
+  if (after_snappy != nullptr) {
+    after_snappy[0] = mid.index.size();
+    after_snappy[1] = mid.value.size();
+  }
   CodecTelemetry& telem = CodecTelemetry::get();
-  auto encode_stream = [&](ByteSpan raw, Transform transform,
-                           const HuffmanTable* table, std::size_t* mid_size) {
-    Bytes buf = run_encode_stage(telem.encode_transform, raw.size(), [&] {
-      return apply_transform(transform, raw);
-    });
-    if (c.snappy) {
-      buf = run_encode_stage(telem.encode_snappy, buf.size(),
-                             [&] { return SnappyCodec().encode(buf); });
-    }
-    if (mid_size != nullptr) *mid_size = buf.size();
-    if (c.huffman) buf = huffman_encode(*table, buf, telem);
-    return buf;
-  };
-  CompressedBlock block;
-  block.index_data =
-      encode_stream(byte_view(indices), c.index_transform, index_table,
-                    after_snappy != nullptr ? &after_snappy[0] : nullptr);
-  block.value_data =
-      encode_stream(byte_view(values), c.value_transform, value_table,
-                    after_snappy != nullptr ? &after_snappy[1] : nullptr);
-  return block;
+  finish_stream(mid.index, c.huffman ? index_table : nullptr, arena,
+                out.index_data, telem);
+  finish_stream(mid.value, c.huffman ? value_table : nullptr, arena,
+                out.value_data, telem);
 }
 
 CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg) {
@@ -232,6 +269,7 @@ CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg) {
   RECODE_TRACE_SPAN("codec", "compress");
   const std::size_t nblocks = cm.blocking.block_count();
   telem.encode_blocks.add(nblocks);
+  EncodeArena arena;
 
   // Pass 1: transform + snappy per block (the config's chain short of
   // Huffman); histogram sampled blocks for the per-matrix Huffman tables.
@@ -245,20 +283,19 @@ CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg) {
 
   for (std::size_t b = 0; b < nblocks; ++b) {
     const auto& range = cm.blocking.blocks[b];
-    CompressedBlock mid =
-        encode_block(sparse::block_indices(csr, range),
-                     sparse::block_values(csr, range), mid_codec, nullptr,
-                     nullptr);
-    index_mid[b] = std::move(mid.index_data);
-    value_mid[b] = std::move(mid.value_data);
+    const MidStreams mid =
+        encode_mid(sparse::block_indices(csr, range),
+                   sparse::block_values(csr, range), mid_codec, arena);
+    index_mid[b].assign(mid.index.begin(), mid.index.end());
+    value_mid[b].assign(mid.value.begin(), mid.value.end());
     cm.index_stages.raw += range.count * sizeof(sparse::index_t);
     cm.value_stages.raw += range.count * sizeof(double);
-    cm.index_stages.after_snappy += index_mid[b].size();
-    cm.value_stages.after_snappy += value_mid[b].size();
+    cm.index_stages.after_snappy += mid.index.size();
+    cm.value_stages.after_snappy += mid.value.size();
 
     if (cfg.huffman && sampler.next_double() < cfg.huffman_sample_fraction) {
-      for (std::uint8_t byte : index_mid[b]) ++index_hist[byte];
-      for (std::uint8_t byte : value_mid[b]) ++value_hist[byte];
+      for (std::uint8_t byte : mid.index) ++index_hist[byte];
+      for (std::uint8_t byte : mid.value) ++value_hist[byte];
     }
   }
 
@@ -272,27 +309,20 @@ CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg) {
     cm.value_table =
         std::make_shared<const HuffmanTable>(HuffmanTable::build(value_hist));
   }
+  const HuffmanTable* itab = cm.index_table.get();
+  const HuffmanTable* vtab = cm.value_table.get();
   const CodecId base_id = codec_id_for(cfg);
   cm.block_codecs.assign(nblocks, base_id);
 
   if (cfg.selection == CodecSelection::kSingle) {
-    if (cfg.huffman) {
-      for (std::size_t b = 0; b < nblocks; ++b) {
-        cm.blocks[b].index_data =
-            huffman_encode(*cm.index_table, index_mid[b], telem);
-        cm.blocks[b].value_data =
-            huffman_encode(*cm.value_table, value_mid[b], telem);
-        index_mid[b].clear();
-        value_mid[b].clear();
-      }
-    } else {
-      for (std::size_t b = 0; b < nblocks; ++b) {
-        cm.blocks[b].index_data = std::move(index_mid[b]);
-        cm.blocks[b].value_data = std::move(value_mid[b]);
-      }
+    for (std::size_t b = 0; b < nblocks; ++b) {
+      finish_stream(index_mid[b], itab, arena, cm.blocks[b].index_data,
+                    telem);
+      finish_stream(value_mid[b], vtab, arena, cm.blocks[b].value_data,
+                    telem);
+      Bytes().swap(index_mid[b]);
+      Bytes().swap(value_mid[b]);
     }
-    cm.selection_stats.baseline_bytes = cm.selection_stats.adaptive_bytes =
-        cm.index_stages.after_huffman + cm.value_stages.after_huffman;
   } else {
     // Per-block selection. The baseline candidate is finished from the
     // pass-1 mid streams (bitwise what kSingle stores), so exhaustive
@@ -300,24 +330,22 @@ CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg) {
     // at most the baseline's size for every block.
     auto& reg = telemetry::MetricsRegistry::global();
     const std::vector<CodecId> candidates = candidate_codecs(cfg);
-    const HuffmanTable* itab = cm.index_table.get();
-    const HuffmanTable* vtab = cm.value_table.get();
     cm.index_stages.after_snappy = 0;
     cm.value_stages.after_snappy = 0;
+    CompressedBlock trial;  // reused across candidates and blocks
     for (std::size_t b = 0; b < nblocks; ++b) {
       const auto& range = cm.blocking.blocks[b];
       const auto idx_span = sparse::block_indices(csr, range);
       const auto val_span = sparse::block_values(csr, range);
 
       std::size_t chosen_mid[2] = {index_mid[b].size(), value_mid[b].size()};
-      CompressedBlock chosen_block;
-      if (cfg.huffman) {
-        chosen_block.index_data = huffman_encode(*itab, index_mid[b], telem);
-        chosen_block.value_data = huffman_encode(*vtab, value_mid[b], telem);
-      } else {
-        chosen_block.index_data = std::move(index_mid[b]);
-        chosen_block.value_data = std::move(value_mid[b]);
-      }
+      CompressedBlock& chosen_block = cm.blocks[b];
+      finish_stream(index_mid[b], itab, arena, chosen_block.index_data,
+                    telem);
+      finish_stream(value_mid[b], vtab, arena, chosen_block.value_data,
+                    telem);
+      Bytes().swap(index_mid[b]);
+      Bytes().swap(value_mid[b]);
       const std::size_t baseline_bytes = chosen_block.bytes();
       CodecId chosen = base_id;
 
@@ -325,21 +353,18 @@ CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg) {
         const CodecId picked = select_block_codec(
             sparse::compute_block_stats(idx_span, val_span), cfg);
         if (picked != chosen) {
-          std::size_t mid[2];
-          chosen_block = encode_block(idx_span, val_span,
-                                      codec_from_id(picked), itab, vtab, mid);
+          encode_block(idx_span, val_span, codec_from_id(picked), itab, vtab,
+                       arena, chosen_block, chosen_mid);
           chosen = picked;
-          chosen_mid[0] = mid[0];
-          chosen_mid[1] = mid[1];
         }
       } else {  // kExhaustive: smallest total bytes, ties keep the baseline
         for (const CodecId cand : candidates) {
           if (cand == base_id) continue;
           std::size_t mid[2];
-          CompressedBlock trial = encode_block(
-              idx_span, val_span, codec_from_id(cand), itab, vtab, mid);
+          encode_block(idx_span, val_span, codec_from_id(cand), itab, vtab,
+                       arena, trial, mid);
           if (trial.bytes() < chosen_block.bytes()) {
-            chosen_block = std::move(trial);
+            chosen_block = trial;
             chosen = cand;
             chosen_mid[0] = mid[0];
             chosen_mid[1] = mid[1];
@@ -353,7 +378,6 @@ CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg) {
       reg.counter("codec.select.id." + codec_name(chosen) + ".blocks").add(1);
       cm.index_stages.after_snappy += chosen_mid[0];
       cm.value_stages.after_snappy += chosen_mid[1];
-      cm.blocks[b] = std::move(chosen_block);
       cm.block_codecs[b] = chosen;
     }
     reg.counter("codec.select.blocks").add(nblocks);
@@ -372,6 +396,10 @@ CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg) {
   for (const auto& b : cm.blocks) {
     cm.index_stages.after_huffman += b.index_data.size();
     cm.value_stages.after_huffman += b.value_data.size();
+  }
+  if (cfg.selection == CodecSelection::kSingle) {
+    cm.selection_stats.baseline_bytes = cm.selection_stats.adaptive_bytes =
+        cm.index_stages.after_huffman + cm.value_stages.after_huffman;
   }
   return cm;
 }

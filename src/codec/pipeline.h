@@ -179,8 +179,7 @@ DecodedBlock decompress_block_fast(const CompressedMatrix& cm, std::size_t b,
 // Full round-trip back to CSR (tests / CPU-side decompression baseline).
 sparse::Csr decompress(const CompressedMatrix& cm);
 
-// Applies / inverts one Transform on a raw byte buffer.
-Bytes apply_transform(Transform t, ByteSpan raw);
+// Inverts one Transform on a byte buffer (the reference decoders).
 Bytes invert_transform(Transform t, ByteSpan encoded);
 
 }  // namespace recode::codec

@@ -118,16 +118,21 @@ BlockCodec block_codec_checked(const CompressedMatrix& cm, std::size_t b) {
   return bc;
 }
 
-Bytes byte_transpose(ByteSpan raw) {
+std::size_t byte_transpose(ByteSpan raw, std::uint8_t* dst) {
   const std::size_t n = raw.size() / 8;
-  Bytes out(raw.size());
   for (std::size_t j = 0; j < 8; ++j) {
-    std::uint8_t* plane = out.data() + j * n;
+    std::uint8_t* plane = dst + j * n;
     for (std::size_t r = 0; r < n; ++r) plane[r] = raw[r * 8 + j];
   }
   if (const std::size_t tail = raw.size() - n * 8; tail != 0) {
-    std::memcpy(out.data() + n * 8, raw.data() + n * 8, tail);
+    std::memcpy(dst + n * 8, raw.data() + n * 8, tail);
   }
+  return raw.size();
+}
+
+Bytes byte_transpose(ByteSpan raw) {
+  Bytes out(raw.size());
+  byte_transpose(raw, out.data());
   return out;
 }
 

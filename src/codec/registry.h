@@ -88,22 +88,41 @@ BlockCodec block_codec_checked(const CompressedMatrix& cm, std::size_t b);
 // low-entropy sign/exponent planes of real-valued data form long runs
 // Snappy and Huffman exploit. Any trailing size%8 bytes are appended
 // verbatim. A pure permutation: always invertible, no error cases.
+// The encoder writes raw.size() bytes to dst and returns that count.
+std::size_t byte_transpose(ByteSpan raw, std::uint8_t* dst);
 Bytes byte_transpose(ByteSpan raw);
 Bytes byte_untranspose(ByteSpan encoded);
 
-// Encodes one block's streams under codec `c` — the one per-block
-// encoder behind compress(), its selection trials and the streamed
-// writer — and feeds the codec.encode.{transform,snappy,huffman} stage
-// metrics. The tables may be null when !c.huffman.
+class EncodeArena;  // arena.h
+
+// A block's two streams after the pre-Huffman stages (transform, then
+// Snappy when on), aliasing the arena's slabs or, when no stage runs,
+// the input itself. Valid until the next encode through the same arena.
+struct MidStreams {
+  ByteSpan index;
+  ByteSpan value;
+};
+
+// The pre-Huffman half of encode_block (c.huffman is ignored): the
+// streams the Huffman tables are trained on.
+MidStreams encode_mid(std::span<const sparse::index_t> indices,
+                      std::span<const double> values, const BlockCodec& c,
+                      EncodeArena& arena);
+
+// Encodes one block's streams under codec `c` into `out` — the one
+// per-block encoder behind compress(), its selection trials and the
+// streamed writer — and feeds the codec.encode.{transform,snappy,huffman}
+// stage metrics. `out`'s buffers are overwritten but keep their
+// capacity, so a warmed arena and a reused `out` make the encode
+// allocation-free. The tables may be null when !c.huffman.
 // `after_snappy` (nullable, 2 elements: index, value) receives the
 // per-stream sizes before the Huffman stage, for the StageSizes
-// accounting. Thread-safe: it touches no shared state but the (atomic)
-// telemetry counters.
-CompressedBlock encode_block(std::span<const sparse::index_t> indices,
-                             std::span<const double> values,
-                             const BlockCodec& c,
-                             const HuffmanTable* index_table,
-                             const HuffmanTable* value_table,
-                             std::size_t* after_snappy = nullptr);
+// accounting. Thread-safe for distinct arenas and outputs: it touches no
+// other shared state but the (atomic) telemetry counters.
+void encode_block(std::span<const sparse::index_t> indices,
+                  std::span<const double> values, const BlockCodec& c,
+                  const HuffmanTable* index_table,
+                  const HuffmanTable* value_table, EncodeArena& arena,
+                  CompressedBlock& out, std::size_t* after_snappy = nullptr);
 
 }  // namespace recode::codec

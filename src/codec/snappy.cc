@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "codec/arena.h"
 #include "common/error.h"
 #include "common/varint.h"
 
@@ -14,8 +15,6 @@ constexpr int kTagCopy1 = 1;
 constexpr int kTagCopy2 = 2;
 constexpr int kTagCopy4 = 3;
 
-constexpr std::size_t kHashBits = 14;
-constexpr std::size_t kHashSize = 1u << kHashBits;
 constexpr std::size_t kMaxOffset = 65535;  // stay within 2-byte copies
 // The format's largest uncompressed length (its preamble is a 32-bit
 // varint in the reference implementation).
@@ -33,73 +32,78 @@ std::uint32_t load32(const std::uint8_t* p) {
 }
 
 std::uint32_t hash4(std::uint32_t v) {
-  return (v * 0x1E35A7BDu) >> (32 - kHashBits);
+  return (v * 0x1E35A7BDu) >> (32 - kSnappyHashBits);
 }
 
-// Emits a literal run [lit, lit+len).
-void emit_literal(Bytes& out, const std::uint8_t* lit, std::size_t len) {
+// Emits a literal run [lit, lit+len) at op, returning the new end.
+std::uint8_t* emit_literal(std::uint8_t* op, const std::uint8_t* lit,
+                           std::size_t len) {
   while (len > 0) {
     // A single literal tag can carry up to 2^32 bytes; cap runs at 2^16 to
     // keep extra-length bytes at <=2 (blocks here are tiny anyway).
     const std::size_t run = std::min<std::size_t>(len, 65536);
     if (run < 60) {
-      out.push_back(static_cast<std::uint8_t>(((run - 1) << 2) | kTagLiteral));
+      *op++ = static_cast<std::uint8_t>(((run - 1) << 2) | kTagLiteral);
     } else if (run <= 256) {
-      out.push_back(static_cast<std::uint8_t>((60 << 2) | kTagLiteral));
-      out.push_back(static_cast<std::uint8_t>(run - 1));
+      *op++ = static_cast<std::uint8_t>((60 << 2) | kTagLiteral);
+      *op++ = static_cast<std::uint8_t>(run - 1);
     } else {
-      out.push_back(static_cast<std::uint8_t>((61 << 2) | kTagLiteral));
-      out.push_back(static_cast<std::uint8_t>((run - 1) & 0xFF));
-      out.push_back(static_cast<std::uint8_t>(((run - 1) >> 8) & 0xFF));
+      *op++ = static_cast<std::uint8_t>((61 << 2) | kTagLiteral);
+      *op++ = static_cast<std::uint8_t>((run - 1) & 0xFF);
+      *op++ = static_cast<std::uint8_t>(((run - 1) >> 8) & 0xFF);
     }
-    out.insert(out.end(), lit, lit + run);
+    std::memcpy(op, lit, run);
+    op += run;
     lit += run;
     len -= run;
   }
+  return op;
 }
 
 // Emits one copy element of length 4..64 (callers split longer matches).
-void emit_copy_chunk(Bytes& out, std::size_t offset, std::size_t len) {
+std::uint8_t* emit_copy_chunk(std::uint8_t* op, std::size_t offset,
+                              std::size_t len) {
   if (len >= 4 && len <= 11 && offset < 2048) {
-    out.push_back(static_cast<std::uint8_t>(((offset >> 8) << 5) |
-                                            ((len - 4) << 2) | kTagCopy1));
-    out.push_back(static_cast<std::uint8_t>(offset & 0xFF));
+    *op++ = static_cast<std::uint8_t>(((offset >> 8) << 5) |
+                                      ((len - 4) << 2) | kTagCopy1);
+    *op++ = static_cast<std::uint8_t>(offset & 0xFF);
   } else {
-    out.push_back(static_cast<std::uint8_t>(((len - 1) << 2) | kTagCopy2));
-    out.push_back(static_cast<std::uint8_t>(offset & 0xFF));
-    out.push_back(static_cast<std::uint8_t>((offset >> 8) & 0xFF));
+    *op++ = static_cast<std::uint8_t>(((len - 1) << 2) | kTagCopy2);
+    *op++ = static_cast<std::uint8_t>(offset & 0xFF);
+    *op++ = static_cast<std::uint8_t>((offset >> 8) & 0xFF);
   }
+  return op;
 }
 
-void emit_copy(Bytes& out, std::size_t offset, std::size_t len) {
+std::uint8_t* emit_copy(std::uint8_t* op, std::size_t offset,
+                        std::size_t len) {
   // Long matches are split; keep >=4-byte chunks so 1-byte-offset form
   // stays legal for the remainder.
   while (len >= 68) {
-    emit_copy_chunk(out, offset, 64);
+    op = emit_copy_chunk(op, offset, 64);
     len -= 64;
   }
   if (len > 64) {
-    emit_copy_chunk(out, offset, 60);
+    op = emit_copy_chunk(op, offset, 60);
     len -= 60;
   }
-  emit_copy_chunk(out, offset, len);
+  return emit_copy_chunk(op, offset, len);
 }
 
 }  // namespace
 
-Bytes SnappyCodec::encode(ByteSpan input) const {
+std::size_t snappy_encode(ByteSpan input, std::uint8_t* dst,
+                          EncodeArena& arena) {
   const std::size_t n = input.size();
   if (n > kMaxInput) fail("snappy: input exceeds the format's 2^32 - 1 bytes");
-  Bytes out;
-  out.reserve(n / 2 + 16);
-  varint_append(out, n);
-  if (n == 0) return out;
+  std::uint8_t* op = dst + varint_store(dst, n);
+  if (n == 0) return static_cast<std::size_t>(op - dst);
 
   const std::uint8_t* base = input.data();
-  // Entries hold position + 1 (0 = empty); below kMaxInput every position
-  // fits in 4 bytes, which halves the table fill that dominates the
-  // encode of an incompressible block.
-  std::vector<std::uint32_t> table(kHashSize, 0);
+  // Entries hold epoch + pos + 1, and entries <= epoch are empty
+  // (arena.h): the table is reused without re-zeroing, and below
+  // kMaxInput every stamp fits in 4 bytes.
+  const auto [table, epoch] = arena.snappy_table(n);
 
   std::size_t pos = 0;
   std::size_t literal_start = 0;
@@ -109,9 +113,10 @@ Bytes SnappyCodec::encode(ByteSpan input) const {
     const std::uint32_t cur = load32(base + pos);
     const std::uint32_t h = hash4(cur);
     const std::uint32_t entry = table[h];
-    table[h] = static_cast<std::uint32_t>(pos + 1);
-    const std::size_t off = pos + 1 - entry;
-    if (entry != 0 && off <= kMaxOffset && load32(base + pos - off) == cur) {
+    table[h] = epoch + static_cast<std::uint32_t>(pos + 1);
+    const std::size_t off = pos + 1 - (entry - epoch);
+    if (entry > epoch && off <= kMaxOffset &&
+        load32(base + pos - off) == cur) {
       // Extend the match forward.
       std::size_t match_len = 4;
       while (pos + match_len < n &&
@@ -119,13 +124,14 @@ Bytes SnappyCodec::encode(ByteSpan input) const {
         ++match_len;
       }
       if (literal_start < pos) {
-        emit_literal(out, base + literal_start, pos - literal_start);
+        op = emit_literal(op, base + literal_start, pos - literal_start);
       }
-      emit_copy(out, off, match_len);
+      op = emit_copy(op, off, match_len);
       // Re-seed the hash table sparsely inside the match (cheap, standard).
       const std::size_t end = pos + match_len;
       for (std::size_t p = pos + 1; p + 4 <= end && p + 4 <= n; p += 13) {
-        table[hash4(load32(base + p))] = static_cast<std::uint32_t>(p + 1);
+        table[hash4(load32(base + p))] =
+            epoch + static_cast<std::uint32_t>(p + 1);
       }
       pos = end;
       literal_start = pos;
@@ -135,8 +141,15 @@ Bytes SnappyCodec::encode(ByteSpan input) const {
     }
   }
   if (literal_start < n) {
-    emit_literal(out, base + literal_start, n - literal_start);
+    op = emit_literal(op, base + literal_start, n - literal_start);
   }
+  return static_cast<std::size_t>(op - dst);
+}
+
+Bytes SnappyCodec::encode(ByteSpan input) const {
+  EncodeArena arena;
+  Bytes out(snappy_max_encoded_length(input.size()));
+  out.resize(snappy_encode(input, out.data(), arena));
   return out;
 }
 

@@ -25,17 +25,38 @@
 // between the probes of a long miss run are lost: on the repository's
 // workloads the output moves by under 0.1% either way (the reference's
 // start value of 32 moves one FEM matrix by +0.7%).
+//
+// snappy_encode is the one encoder: it writes into a caller buffer sized
+// by snappy_max_encoded_length and takes its match table from an
+// EncodeArena (arena.h), so a warmed arena encodes without allocating or
+// re-zeroing. SnappyCodec::encode is a one-shot wrapper over it.
 #pragma once
 
 #include "codec/codec.h"
 
 namespace recode::codec {
 
+class EncodeArena;  // arena.h
+
+// Bound on snappy_encode's output for an n-byte input: every literal run
+// costs at most 3 tag bytes per 64 KB, and each one but the last is
+// followed by a copy that saves at least one byte (the reference
+// implementation's MaxCompressedLength).
+inline std::size_t snappy_max_encoded_length(std::size_t n) {
+  return 32 + n + n / 6;
+}
+
+// Encodes `input` into dst (room for snappy_max_encoded_length bytes)
+// and returns the encoded size. Throws recode::Error if the input
+// exceeds the format's 2^32 - 1 bytes.
+std::size_t snappy_encode(ByteSpan input, std::uint8_t* dst,
+                          EncodeArena& arena);
+
 class SnappyCodec final : public Codec {
  public:
   std::string name() const override { return "snappy"; }
 
-  // Throws recode::Error if the input exceeds the format's 2^32 - 1 bytes.
+  // snappy_encode through a fresh arena.
   Bytes encode(ByteSpan input) const override;
 
   // Throws recode::Error on any malformed stream (bad varint, copy before

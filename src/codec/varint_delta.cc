@@ -20,19 +20,24 @@ std::uint32_t unzigzag32(std::uint32_t z) {
 
 }  // namespace
 
-Bytes VarintDeltaCodec::encode(ByteSpan input) const {
+std::size_t varint_delta_encode(ByteSpan input, std::uint8_t* dst) {
   if (input.size() % 4 != 0) {
     fail("varint-delta32: input not a multiple of 4 bytes");
   }
-  Bytes out;
-  out.reserve(input.size() / 2);
+  std::uint8_t* op = dst;
   std::uint32_t prev = 0;
   for (std::size_t i = 0; i < input.size(); i += 4) {
     std::uint32_t v;
     std::memcpy(&v, input.data() + i, 4);
-    varint_append(out, zigzag32(v - prev));
+    op += varint_store(op, zigzag32(v - prev));
     prev = v;
   }
+  return static_cast<std::size_t>(op - dst);
+}
+
+Bytes VarintDeltaCodec::encode(ByteSpan input) const {
+  Bytes out(varint_delta_max_encoded_length(input.size()));
+  out.resize(varint_delta_encode(input, out.data()));
   return out;
 }
 

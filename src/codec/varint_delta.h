@@ -14,12 +14,23 @@
 
 namespace recode::codec {
 
+// Bound on varint_delta_encode's output: 5 bytes per 32-bit word.
+inline std::size_t varint_delta_max_encoded_length(std::size_t n) {
+  return n / 4 * 5;
+}
+
+// The encoder: writes at most varint_delta_max_encoded_length bytes to
+// dst and returns the count. Throws recode::Error unless input.size() is
+// a multiple of 4.
+std::size_t varint_delta_encode(ByteSpan input, std::uint8_t* dst);
+
 class VarintDeltaCodec final : public Codec {
  public:
   std::string name() const override { return "varint-delta32"; }
 
   // input.size() must be a multiple of 4 (LE32 words). Output: one LEB128
-  // varint per word holding zigzag(word[i] - word[i-1]) (mod 2^32).
+  // varint per word holding zigzag(word[i] - word[i-1]) (mod 2^32)
+  // (varint_delta_encode into a fresh buffer).
   Bytes encode(ByteSpan input) const override;
 
   // Decodes until the input is exhausted; output is LE32 words. Throws on

@@ -1,4 +1,7 @@
-// MSB-first bit stream reader/writer used by the canonical Huffman codec.
+// MSB-first bit stream reader/writer: the plain reference form of the
+// Huffman bit order. The production encoder packs lanes itself
+// (codec/huffman.cc); tests use BitWriter to build legacy single-stream
+// payloads.
 #pragma once
 
 #include <cstdint>

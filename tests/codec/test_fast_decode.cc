@@ -1,8 +1,9 @@
 // Unit suite for the zero-allocation fast decode path: DecodeArena slab
 // reuse, the 11-bit Huffman fast table checked exhaustively against the
 // canonical codes, fast-vs-reference equivalence per codec, and the
-// steady-state zero-allocation guarantee asserted through a global
-// operator-new counting hook.
+// steady-state zero-allocation guarantee — of block decode, and of block
+// encode through an EncodeArena — asserted through a global operator-new
+// counting hook.
 #include "codec/fast_decode.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "codec/delta.h"
 #include "codec/huffman.h"
 #include "codec/pipeline.h"
+#include "codec/registry.h"
 #include "codec/snappy.h"
 #include "codec/varint_delta.h"
 #include "common/error.h"
@@ -317,6 +319,52 @@ TEST(FastDecodeAlloc, BlockDecodeIsZeroAllocationOnceWarm) {
       << "steady-state block decode allocated";
   EXPECT_EQ(scratch.allocations() + out.allocations(), arena_allocs);
   EXPECT_NE(checksum, 0.0);  // keep the decode loop observable
+}
+
+TEST(EncodeArena, BlockEncodeIsZeroAllocationOnceWarm) {
+  // The encode side of the contract: once an EncodeArena and a reused
+  // CompressedBlock have seen the largest block, encode_block allocates
+  // nothing, under every kSingle preset (the writer's per-worker path).
+  const Csr csr =
+      sparse::gen_fem_like(4000, 10, 80, ValueModel::kRandom, 79);
+  for (const PipelineConfig& cfg :
+       {PipelineConfig::udp_dsh(), PipelineConfig::udp_ds(),
+        PipelineConfig::cpu_snappy(), PipelineConfig::udp_vsh()}) {
+    SCOPED_TRACE("config snappy=" + std::to_string(cfg.snappy) +
+                 " huffman=" + std::to_string(cfg.huffman));
+    const CompressedMatrix cm = compress(csr, cfg);
+    ASSERT_GT(cm.blocks.size(), 2u);
+    const BlockCodec codec = codec_from_id(codec_id_for(cfg));
+    const auto encode = [&](std::size_t b, EncodeArena& arena,
+                            CompressedBlock& out) {
+      const auto& range = cm.blocking.blocks[b];
+      encode_block(sparse::block_indices(csr, range),
+                   sparse::block_values(csr, range), codec,
+                   cm.index_table.get(), cm.value_table.get(), arena, out);
+    };
+    // Warm pass: the arena's slabs and the block's buffers grow to the
+    // largest block and payload; telemetry registers.
+    EncodeArena arena;
+    CompressedBlock out;
+    for (std::size_t b = 0; b < cm.blocks.size(); ++b) encode(b, arena, out);
+    const std::uint64_t arena_allocs = arena.allocations();
+
+    const std::uint64_t heap_before =
+        g_heap_allocations.load(std::memory_order_relaxed);
+    for (int rep = 0; rep < 2; ++rep) {
+      for (std::size_t b = 0; b < cm.blocks.size(); ++b) {
+        encode(b, arena, out);
+        // Bytes identical to compress() (whose pass 1 stored the mids).
+        ASSERT_EQ(out.index_data, cm.blocks[b].index_data) << "block " << b;
+        ASSERT_EQ(out.value_data, cm.blocks[b].value_data) << "block " << b;
+      }
+    }
+    EXPECT_EQ(g_heap_allocations.load(std::memory_order_relaxed) -
+                  heap_before,
+              0u)
+        << "steady-state block encode allocated";
+    EXPECT_EQ(arena.allocations(), arena_allocs);
+  }
 }
 
 TEST(FastDecodeAlloc, AllConfigsZeroAllocationOnceWarm) {

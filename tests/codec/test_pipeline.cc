@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 
+#include "codec/container.h"
+#include "codec/delta.h"
 #include "codec/snappy.h"
 #include "sparse/generators.h"
 #include "sparse/suite.h"
@@ -158,12 +162,44 @@ TEST(Pipeline, StageChainTapsIntermediates) {
   }
   const HuffmanCodec huffman(
       std::make_shared<const HuffmanTable>(HuffmanTable::train(raw)));
-  const Bytes after_transform = apply_transform(Transform::kDelta32, raw);
+  const Bytes after_transform = DeltaCodec().encode(raw);
   const Bytes after_snappy = SnappyCodec().encode(after_transform);
   const Bytes after_huffman = huffman.encode(after_snappy);
   EXPECT_EQ(after_transform.size(), raw.size());
   EXPECT_LT(after_snappy.size(), raw.size());
   EXPECT_FALSE(after_huffman.empty());
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Digest of the whole serialized container compress() produces.
+std::uint64_t compress_digest(const Csr& csr, const PipelineConfig& cfg) {
+  std::ostringstream os;
+  write_compressed(os, compress(csr, cfg));
+  return fnv1a(os.str());
+}
+
+TEST(Pipeline, CompressOutputMatchesPinnedDigests) {
+  // Pinned before the encoder moved to EncodeArena: the arena path must
+  // write exactly the bytes the allocating encoders wrote.
+  const Csr random_mesh =
+      sparse::gen_fem_like(3000, 10, 80, ValueModel::kRandom, 2019);
+  const Csr smooth_mesh =
+      sparse::gen_fem_like(3000, 10, 80, ValueModel::kSmoothField, 2020);
+  EXPECT_EQ(compress_digest(random_mesh, PipelineConfig::udp_dsh()), 
+            0x8e18839b18ce8f1full);
+  EXPECT_EQ(compress_digest(random_mesh, PipelineConfig::udp_vsh()), 
+            0x2b98c06d80bcd5a5ull);
+  EXPECT_EQ(compress_digest(smooth_mesh, PipelineConfig::udp_dsh()), 
+            0xbe24d06f02c27b92ull);
+  EXPECT_EQ(compress_digest(smooth_mesh, PipelineConfig::udp_vsh()), 
+            0x654581339f226c45ull);
 }
 
 TEST(Pipeline, EmptyMatrix) {

@@ -122,13 +122,15 @@ TEST(CodecRegistry, EncodeBlockReproducesSinglePipelineBlocks) {
   const CompressedMatrix cm = recode::codec::compress(csr, cfg);
   const BlockCodec baseline =
       recode::codec::codec_from_id(recode::codec::codec_id_for(cfg));
+  recode::codec::EncodeArena arena;
+  recode::codec::CompressedBlock block;
   for (std::size_t b = 0; b < cm.blocks.size(); ++b) {
     SCOPED_TRACE("block=" + std::to_string(b));
     const auto& range = cm.blocking.blocks[b];
-    const auto block = recode::codec::encode_block(
+    recode::codec::encode_block(
         recode::sparse::block_indices(csr, range),
         recode::sparse::block_values(csr, range), baseline,
-        cm.index_table.get(), cm.value_table.get());
+        cm.index_table.get(), cm.value_table.get(), arena, block);
     EXPECT_EQ(cm.blocks[b].index_data, block.index_data);
     EXPECT_EQ(cm.blocks[b].value_data, block.value_data);
   }

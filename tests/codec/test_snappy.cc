@@ -8,9 +8,12 @@
 #include <vector>
 
 #include "codec/arena.h"
+#include "codec/delta.h"
 #include "codec/fast_decode.h"
 #include "common/error.h"
 #include "common/prng.h"
+#include "sparse/blocked.h"
+#include "sparse/generators.h"
 #include "udp/lane.h"
 #include "udpprog/snappy_prog.h"
 
@@ -207,8 +210,9 @@ Bytes concat(Bytes a, const Bytes& b) {
   return a;
 }
 
-std::uint64_t fnv1a(const Bytes& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+// FNV-1a over `bytes`, continuing from `h` (so digests can chain).
+std::uint64_t fnv1a(const Bytes& bytes,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
   for (const std::uint8_t b : bytes) {
     h = (h ^ b) * 0x100000001b3ull;
   }
@@ -287,6 +291,28 @@ TEST(SnappyMissAcceleration, StepResetsAfterRandomPrefix) {
   EXPECT_LT(enc.size() - prefix_cost, suffix.size() / 4);
 }
 
+// One digest over the Snappy encodes of every block's streams of a mesh
+// matrix, as compress() hands them to Snappy: delta-coded indices, then
+// raw values.
+std::uint64_t mesh_snappy_digest(sparse::ValueModel vm) {
+  const sparse::Csr csr = sparse::gen_fem_like(3000, 10, 80, vm, 2019);
+  const sparse::Blocking blocking =
+      sparse::make_blocking(csr, sparse::kDefaultNnzPerBlock);
+  const SnappyCodec codec;
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& range : blocking.blocks) {
+    const auto idx = sparse::block_indices(csr, range);
+    const auto val = sparse::block_values(csr, range);
+    const Bytes delta = DeltaCodec().encode(
+        {reinterpret_cast<const std::uint8_t*>(idx.data()), idx.size_bytes()});
+    h = fnv1a(codec.encode(delta), h);
+    h = fnv1a(codec.encode({reinterpret_cast<const std::uint8_t*>(val.data()),
+                            val.size_bytes()}),
+              h);
+  }
+  return h;
+}
+
 TEST(SnappyMissAcceleration, CompressibleStreamsAreUnchanged) {
   // Digests of the encoder's output taken before miss acceleration
   // existed: a stream that never runs 128 probes without a match must
@@ -296,6 +322,57 @@ TEST(SnappyMissAcceleration, CompressibleStreamsAreUnchanged) {
             0xe8389586cad1933eull);
   EXPECT_EQ(fnv1a(codec.encode(structured_block(65536 + 300, 7))),
             0x3e7db8e5e59548d2ull);
+  // Real block payloads, pinned before the encoder moved to EncodeArena.
+  EXPECT_EQ(mesh_snappy_digest(sparse::ValueModel::kRandom), 0x12b4371df7907c29ull);
+  EXPECT_EQ(mesh_snappy_digest(sparse::ValueModel::kSmoothField),
+            0x8025280de4c4b128ull);
+}
+
+// ---------------------------------------------------------------------------
+// EncodeArena's epoch-stamped match table: reused without re-zeroing, it
+// must make exactly the decisions of a fresh table.
+
+Bytes arena_encode(const Bytes& raw, EncodeArena& arena) {
+  Bytes out(snappy_max_encoded_length(raw.size()));
+  out.resize(snappy_encode(raw, out.data(), arena));
+  return out;
+}
+
+TEST(SnappyEncodeArena, ReusedArenaMatchesFreshEncode) {
+  // X after unrelated Y and Z, then X again right after itself: the last
+  // encode finds every one of its hash slots stamped by the same bytes at
+  // the same positions, all of which must read as empty.
+  const Bytes y = repetitive_block(8192, 40);
+  const Bytes z = random_bytes(3000, 41);
+  const Bytes x = concat(structured_block(5000, 42), repetitive_block(3192, 43));
+  const SnappyCodec fresh;
+  EncodeArena arena;
+  EXPECT_EQ(arena_encode(y, arena), fresh.encode(y));
+  EXPECT_EQ(arena_encode(z, arena), fresh.encode(z));
+  EXPECT_EQ(arena_encode(x, arena), fresh.encode(x));
+  EXPECT_EQ(arena_encode(x, arena), fresh.encode(x));
+  EXPECT_EQ(arena.epoch(), y.size() + z.size() + 2 * x.size() + 4);
+}
+
+TEST(SnappyEncodeArena, EpochWrapRezeroesTableAndKeepsBytes) {
+  // Start 10000 stamps short of 2^32: Y fits below the limit, X would
+  // pass it, so the table is re-zeroed and the epoch restarts at 0.
+  const Bytes y = structured_block(4000, 50);
+  const Bytes x = structured_block(8192, 51);
+  const SnappyCodec fresh;
+  EncodeArena arena(0xFFFFFFFFull - 10000);
+  EXPECT_EQ(arena_encode(y, arena), fresh.encode(y));
+  EXPECT_EQ(arena.epoch(), 0xFFFFFFFFull - 10000 + y.size() + 1);
+  EXPECT_EQ(arena_encode(x, arena), fresh.encode(x));
+  EXPECT_EQ(arena.epoch(), x.size() + 1);  // restarted at 0
+  // No stamp of Y's survives the wrap: every entry is empty or X's.
+  const EncodeArena::SnappyTable table = arena.snappy_table(0);
+  EXPECT_EQ(table.base, x.size() + 1);
+  const std::uint32_t* begin = table.entries;
+  const std::uint32_t* end = begin + (1u << kSnappyHashBits);
+  EXPECT_TRUE(std::all_of(begin, end,
+                          [&](std::uint32_t e) { return e <= table.base; }));
+  EXPECT_EQ(arena_encode(x, arena), fresh.encode(x));
 }
 
 }  // namespace

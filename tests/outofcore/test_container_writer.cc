@@ -145,6 +145,42 @@ TEST(ContainerWriter, ByteIdenticalToCompressAtEveryThreadCount) {
   }
 }
 
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(ContainerWriter, FileBytesMatchPinnedDigests) {
+  // Pinned before the encoder moved to EncodeArena, at every thread
+  // count: workers reuse their arenas and the window slots across
+  // blocks, so any state leaking from one block into the next shows.
+  // 256 nnz per block gives ~120 blocks, several windows at each count.
+  const Csr a = sparse::gen_fem_like(3000, 10, 80,
+                                     sparse::ValueModel::kRandom, 2019);
+  const struct {
+    const char* name;
+    PipelineConfig cfg;
+    std::uint64_t digest;
+  } pinned[] = {
+      {"udp_dsh", PipelineConfig::udp_dsh(), 0xdfa35864fbd98d3aull},
+      {"udp_vsh", PipelineConfig::udp_vsh(), 0x10e7507d60e1dea4ull},
+  };
+  const std::string path = temp_path("pinned");
+  for (const auto& p : pinned) {
+    PipelineConfig cfg = p.cfg;
+    cfg.nnz_per_block = 256;
+    for (const std::size_t threads : kThreadCounts) {
+      write_stream(path, a, cfg, csr_filler(a), threads);
+      EXPECT_EQ(fnv1a(read_file(path)), p.digest)
+          << p.name << " threads=" << threads;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ContainerWriter, RowsSpanBlockBoundaries) {
   // The shape the battery relies on really has rows crossing blocks.
   const Csr& a = shapes()[3].matrix;

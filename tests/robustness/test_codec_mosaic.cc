@@ -17,6 +17,7 @@
 #include <sstream>
 #include <vector>
 
+#include "codec/arena.h"
 #include "codec/container.h"
 #include "codec/pipeline.h"
 #include "codec/registry.h"
@@ -45,14 +46,15 @@ CompressedMatrix make_mosaic(const Csr& csr, const PipelineConfig& cfg,
   CompressedMatrix cm = recode::codec::compress(csr, cfg);
   const std::vector<recode::codec::CodecId> candidates =
       recode::codec::candidate_codecs(cfg);
+  recode::codec::EncodeArena arena;
   for (std::size_t b = 0; b < cm.blocks.size(); ++b) {
     const auto id = candidates[prng.next_below(candidates.size())];
     const auto& range = cm.blocking.blocks[b];
-    cm.blocks[b] = recode::codec::encode_block(
+    recode::codec::encode_block(
         recode::sparse::block_indices(csr, range),
         recode::sparse::block_values(csr, range),
         recode::codec::codec_from_id(id), cm.index_table.get(),
-        cm.value_table.get());
+        cm.value_table.get(), arena, cm.blocks[b]);
     cm.block_codecs[b] = id;
   }
   return cm;
