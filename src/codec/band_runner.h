@@ -1,20 +1,23 @@
 // Reusable work-stealing fan-out over independent tasks: the one harness
-// the streaming executor, SpGEMM and SpMSpV run their row-disjoint bands
-// on, and the streamed container writer (container_writer.h) runs its
-// per-block encodes on. It lives in the codec layer because the writer
-// does; it depends only on common/ and telemetry/.
+// spmv::BlockStream (spmv/block_decoder.h) runs the streaming executor's,
+// SpGEMM's and SpMSpV's row-disjoint bands on, and the streamed container
+// writer (container_writer.h) runs its per-block encodes on. It lives in
+// the codec layer because the writer does; it depends only on common/
+// and telemetry/.
 //
 // A BandRunner owns a WorkStealingScheduler (common/work_stealing.h), a
 // WorkerTeam and a WorkerGate and keeps them across runs. run() seeds
 // the scheduler with a task order, wakes the team, and lets idle workers
 // steal. The body is a raw function pointer plus context, so a run on a
-// warmed runner performs no heap allocation — the streaming executor
-// holds one runner for its lifetime for exactly that reason; SpGEMM and
-// SpMSpV build one per call.
+// warmed runner performs no heap allocation — the streaming executor and
+// SpMSpV hold one (inside their BlockStream) for their lifetime for
+// exactly that reason; SpGEMM and the container writer build one per
+// call.
 //
 // A one-worker runner has no scheduler and no threads: it runs the order
-// inline on the calling thread, which is also how the executor's small-
-// matrix path and every `threads = 1` serial reference execute.
+// inline on the calling thread, as the writer's `threads = 1` path does.
+// (BlockStream runs its one-worker walks itself, to hint each task's
+// successor only once the task holds its lease.)
 //
 // Lookahead: when a lookahead hook is set, each worker pops its next task
 // (try_acquire only) before running the one in hand and passes it to the

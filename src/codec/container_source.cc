@@ -344,22 +344,10 @@ class StreamedSource final : public ContainerSource {
     if (count == 0) return;
     std::lock_guard<std::mutex> lk(mu_);
     Window* w = owner_[first];
-    if (w == nullptr) return;
-    RECODE_CHECK(w->first == first && w->count == count);
-    switch (w->state) {
-      case Window::State::kQueued:
-      case Window::State::kReady:
-      case Window::State::kInUse:
-        reset_locked(w);
-        budget_cv_.notify_all();
-        break;
-      case Window::State::kReading:
-        // The pread is in flight; the IO thread recycles on completion.
-        w->discard = true;
-        break;
-      case Window::State::kIdle:
-        break;
-    }
+    RECODE_CHECK(w != nullptr && w->first == first && w->count == count &&
+                 w->state == Window::State::kInUse);
+    reset_locked(w);
+    budget_cv_.notify_all();
   }
 
   void end_run() override {

@@ -16,9 +16,11 @@
 //                    background IO thread services prefetches so reads
 //                    overlap decode the way decode overlaps the kernel.
 //
-// The lease protocol engines follow, per contiguous block range (a
-// band, a run of frontier-needed blocks, or a serial chunk); a range
-// that was prefetched must later be leased with the same (first, count):
+// The lease protocol, per contiguous block range (a band, a run of
+// frontier-needed blocks, or a serial chunk). One module drives it:
+// spmv::BlockStream (spmv/block_decoder.h), through which every decoding
+// consumer reaches blocks. A range that was prefetched is later leased
+// with the same (first, count):
 //
 //   prefetch(first, n)   hint, never blocks; drops when the window
 //                        budget or queue is full (acquire then reads
@@ -26,11 +28,11 @@
 //                        prefetch happening)
 //   acquire(first, n)    blocks until the range's bytes are addressable
 //   block(b)             compressed index/value spans, valid while the
-//                        covering lease is held (read by
-//                        spmv::BlockDecoder, the one decode call)
-//   release(first, n)    ends the lease, recycles windows; also discards
-//                        a prefetched-but-unneeded range (cache hits)
-//   end_run()            run boundary: reclaims everything not in use
+//                        covering lease is held
+//   release(first, n)    ends the lease acquire(first, n) began and
+//                        recycles its window
+//   end_run()            run boundary: reclaims everything not in use,
+//                        prefetched ranges no task leased included
 //
 // Out-of-core backends record the leading `storage -> container` ledger
 // hop at block() time (bytes_in = the on-disk extent including record
@@ -108,7 +110,7 @@ class ContainerSource {
     return 0;
   }
 
-  // Capacity hint from the engine driving the lease protocol: at most
+  // Capacity hint from the module driving the lease protocol: at most
   // `leases` ranges held or staged concurrently, none larger than
   // `max_lease_bytes` of extent. StreamedSource pre-provisions its
   // window pool so a warmed steady state never allocates — without the

@@ -27,11 +27,6 @@ struct StageMetrics {
   telemetry::Counter& ns;
   telemetry::Counter& bytes_in;
   telemetry::Counter& bytes_out;
-  // Decode-path attribution: streams decoded by the word-wise fast
-  // decoders vs the scalar references (always zero for encode stages, and
-  // for the transform stage when the transform is kNone — no decode work).
-  telemetry::Counter& fast_streams;
-  telemetry::Counter& ref_streams;
 };
 
 struct CodecTelemetry {
@@ -48,9 +43,7 @@ struct CodecTelemetry {
     auto& reg = telemetry::MetricsRegistry::global();
     return StageMetrics{reg.counter(prefix + ".ns"),
                         reg.counter(prefix + ".bytes_in"),
-                        reg.counter(prefix + ".bytes_out"),
-                        reg.counter(prefix + ".fast_streams"),
-                        reg.counter(prefix + ".ref_streams")};
+                        reg.counter(prefix + ".bytes_out")};
   }
 
   static CodecTelemetry& get() {
@@ -445,7 +438,6 @@ ArenaStream decode_stream_arena(bool huffman, bool snappy, ByteSpan data,
                             ? scratch.slab(DecodeArena::kScratchA, frame.count)
                             : out.slab(out_slot, frame.count);
     fast::huffman_decode(*table, frame, dst);
-    telem.decode_huffman.fast_streams.add(1);
     cur = dst;
     cur_size = frame.count;
     telem.decode_huffman.bytes_out.add(cur_size);
@@ -472,7 +464,6 @@ ArenaStream decode_stream_arena(bool huffman, bool snappy, ByteSpan data,
                            static_cast<std::size_t>(n))
             : out.slab(out_slot, static_cast<std::size_t>(n));
     fast::snappy_decode({cur, cur_size}, dst);
-    telem.decode_snappy.fast_streams.add(1);
     cur = dst;
     cur_size = static_cast<std::size_t>(n);
     telem.decode_snappy.bytes_out.add(cur_size);
@@ -501,7 +492,6 @@ ArenaStream decode_stream_arena(bool huffman, bool snappy, ByteSpan data,
     case Transform::kDelta32: {
       std::uint8_t* dst = out.slab(out_slot, cur_size);
       cur_size = fast::delta_decode({cur, cur_size}, dst);
-      telem.decode_transform.fast_streams.add(1);
       cur = dst;
       break;
     }
@@ -509,14 +499,12 @@ ArenaStream decode_stream_arena(bool huffman, bool snappy, ByteSpan data,
       std::uint8_t* dst = out.slab(out_slot, expect_bytes);
       cur_size =
           fast::varint_delta_decode({cur, cur_size}, dst, expect_bytes);
-      telem.decode_transform.fast_streams.add(1);
       cur = dst;
       break;
     }
     case Transform::kByteTranspose: {
       std::uint8_t* dst = out.slab(out_slot, cur_size);
       cur_size = fast::byte_untranspose({cur, cur_size}, dst);
-      telem.decode_transform.fast_streams.add(1);
       cur = dst;
       break;
     }
@@ -604,7 +592,6 @@ void decompress_block_reference(const CompressedMatrix& cm, std::size_t b,
       const HuffmanCodec hc(table);
       buf = hc.decode(buf);
       telem.decode_huffman.bytes_out.add(buf.size());
-      telem.decode_huffman.ref_streams.add(1);
       ledger.flow(telemetry::Hop::kHuffman, stage_in, buf.size());
     } else {
       ledger.pass_through(telemetry::Hop::kHuffman, buf.size());
@@ -618,7 +605,6 @@ void decompress_block_reference(const CompressedMatrix& cm, std::size_t b,
       const SnappyCodec sc;
       buf = sc.decode(buf);
       telem.decode_snappy.bytes_out.add(buf.size());
-      telem.decode_snappy.ref_streams.add(1);
       ledger.flow(telemetry::Hop::kSnappy, stage_in, buf.size());
     } else {
       ledger.pass_through(telemetry::Hop::kSnappy, buf.size());
@@ -630,9 +616,6 @@ void decompress_block_reference(const CompressedMatrix& cm, std::size_t b,
     Bytes out = invert_transform(transform, buf);
     telem.decode_transform.bytes_out.add(out.size());
     ledger.flow(telemetry::Hop::kTransform, buf.size(), out.size());
-    if (transform != Transform::kNone) {
-      telem.decode_transform.ref_streams.add(1);
-    }
     return out;
   };
 

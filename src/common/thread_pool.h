@@ -3,8 +3,9 @@
 // tasks out on (WorkerTeam runs a body on every thread, WorkerGate
 // collects their completion and first error).
 //
-// ThreadPool serves the threaded SpMV kernels and the CPU-side block
-// decompression baseline. Sized from std::thread::hardware_concurrency()
+// ThreadPool serves the threaded plain-CSR SpMV kernels (spmv/kernels.h),
+// the baseline the compressed engines are measured against. Sized from
+// std::thread::hardware_concurrency()
 // by default but fully functional at any size (including 1, as on the CI
 // host).
 #pragma once

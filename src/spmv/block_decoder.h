@@ -1,30 +1,34 @@
-// One decode call per block for every decoded-stream consumer.
+// One path from a block range to its decoded streams. Every decoding
+// consumer (RecodedSpmv, StreamingExecutor, SpGEMM, SpMSpV) reaches blocks
+// through a BlockStream, which owns the codec::ContainerSource (null = a
+// resident source over cm.blocks), one decode state per worker and a
+// persistent codec::BandRunner, and is the only driver of the source's
+// lease protocol (codec/container_source.h).
 //
-// RecodedSpmv, StreamingExecutor, SpGEMM and SpMSpV all need the same
-// thing from a compressed matrix: block b's column indices and values.
-// They get it from one place. A BlockDecoder reads the block's compressed
-// bytes through a codec::ContainerSource (resident matrices use
-// codec::make_resident_source, so there is no separate in-RAM branch),
-// dispatches on the decode engine once, and range-checks the decoded
-// indices before any consumer gathers through them. The shape follows the
-// single-dispatch codec idiom: callers name a block, the decoder picks
-// the engine.
+// A consumer hands run() its task order, a `ranges` function listing the
+// block ranges each task leases (a band, the runs of frontier-needed
+// blocks, a chunk) and a body. The lookahead hint prefetches exactly
+// those ranges and decode_task() leases exactly those ranges, so a
+// prefetched range is always leased with the same (first, count). With
+// one worker the first task is hinted before the run and task i + 1 once
+// task i holds its first lease (or after task i, when it leases nothing),
+// so a synchronous read never waits on window budget its successor's
+// prefetch holds; with more workers the runner's pop-order lookahead
+// hints each worker's next task. Resident sources get no hints.
 //
-// A decoder is per-worker state: it owns the decode arenas the software
-// engine writes into and the lazily built UDP lane simulator, so the
-// spans decode() returns alias that worker's memory and stay valid only
-// until its next decode() call. Consumers that keep decoded data longer
+// Each block is one decode call: read its bytes from the source, dispatch
+// on the engine, range-check the decoded indices. The spans alias the
+// worker's arenas until its next decode; consumers that keep decoded data
 // (the band cache, SpGEMM's band-flat copy) copy it out.
-//
-// The lease protocol stays with the caller: decode(b) requires the
-// source's lease covering b to be held (a no-op for resident sources).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "codec/arena.h"
+#include "codec/band_runner.h"
 #include "codec/container_source.h"
 #include "codec/pipeline.h"
 #include "udpprog/block_decoder.h"
@@ -44,7 +48,11 @@ const char* decode_engine_name(DecodeEngine engine);
 void check_block_indices(std::span<const sparse::index_t> indices,
                          sparse::index_t cols);
 
-// One decoded block. indices/values alias the decoder's memory.
+// A worker count as the consumers' configs spell it: 0 means
+// hardware_concurrency.
+std::size_t resolve_workers(std::size_t workers);
+
+// One decoded block. indices/values alias the decoding worker's memory.
 struct BlockStreams {
   std::span<const sparse::index_t> indices;
   std::span<const double> values;
@@ -54,38 +62,147 @@ struct BlockStreams {
   std::uint64_t udp_cycles = 0;  // lane cycles, kUdpSimulated only
 };
 
-class BlockDecoder {
- public:
-  // `cm` and `source` must outlive the decoder. Throws recode::Error for
-  // an engine the source cannot serve (UDP on an out-of-core source).
-  BlockDecoder(const codec::CompressedMatrix& cm,
-               codec::ContainerSource& source,
-               DecodeEngine engine = DecodeEngine::kSoftware);
+// A contiguous block range leased as one unit.
+struct BlockRun {
+  std::size_t first = 0;
+  std::size_t count = 0;
+};
 
-  // Decodes block b and checks its indices against cm.cols.
-  BlockStreams decode(std::size_t b);
+// Decode totals of one run (failed ones included), or of a lifetime.
+struct StreamTally {
+  std::uint64_t blocks = 0;
+  std::uint64_t bytes = 0;  // BlockStreams::stream_bytes, summed
+  std::uint64_t udp_cycles = 0;
+  double decode_seconds = 0.0;  // summed over workers
+
+  StreamTally& operator+=(const StreamTally& o);
+};
+
+class BlockStream {
+ public:
+  // The lease ranges of `task`, in stream order, in consumer-owned memory
+  // that stays valid for the run. Called concurrently by the workers.
+  using Ranges = std::span<const BlockRun> (*)(void* ctx, std::uint32_t task);
+  using Body = codec::BandRunner::Body;
+
+  // A null `source` serves cm.blocks. `workers` workers (0 =
+  // hardware_concurrency), never more than max(1, max_tasks), the most
+  // tasks a run may hand in. Throws recode::Error for an engine the
+  // source cannot serve (UDP on an out-of-core source).
+  BlockStream(const codec::CompressedMatrix& cm,
+              std::shared_ptr<codec::ContainerSource> source,
+              std::size_t workers = 1, std::size_t max_tasks = 1,
+              DecodeEngine engine = DecodeEngine::kSoftware);
+  ~BlockStream();
+
+  BlockStream(const BlockStream&) = delete;
+  BlockStream& operator=(const BlockStream&) = delete;
+
+  // Runs body(ctx, task, worker) once for every task of `order`, after
+  // reserving source capacity for the run's ranges. Ends the source's run
+  // and sums the workers' tallies on every path, then grows every
+  // worker's arenas to their common high-water mark. `serial` runs the
+  // order on the calling thread as worker 0. Rethrows the first error.
+  void run(const std::vector<std::uint32_t>& order, Ranges ranges, Body body,
+           void* ctx, bool serial = false);
+
+  // Leases [first, first + count), calls fn(b, BlockStreams) for each
+  // block in stream order, and releases the lease, also on a throw.
+  template <typename Fn>
+  void decode(std::size_t worker, std::size_t first, std::size_t count,
+              Fn&& fn) {
+    Worker& w = *workers_[worker];
+    source_->acquire(first, count);
+    if (next_) hint_next();
+    try {
+      for (std::size_t b = first; b < first + count; ++b) {
+        fn(b, decode_block(w, b));
+      }
+    } catch (...) {
+      source_->release(first, count);
+      throw;
+    }
+    source_->release(first, count);
+  }
+
+  // decode() over every range `ranges` lists for `task`.
+  template <typename Fn>
+  void decode_task(std::size_t worker, std::uint32_t task, Fn&& fn) {
+    for (const BlockRun& r : ranges_(ctx_, task)) {
+      decode(worker, r.first, r.count, fn);
+    }
+  }
+
+  // A one-worker run over every block in 16-block chunks, in stream
+  // order, on the calling thread.
+  template <typename Fn>
+  void walk(Fn&& fn) {
+    struct Walk {
+      BlockStream* stream;
+      Fn* fn;
+    } state{this, &fn};
+    run(
+        chunk_order_,
+        [](void* ctx, std::uint32_t chunk) {
+          return std::span<const BlockRun>(
+              &static_cast<Walk*>(ctx)->stream->chunks_[chunk], 1);
+        },
+        [](void* ctx, std::uint32_t chunk, std::size_t) {
+          auto& w = *static_cast<Walk*>(ctx);
+          w.stream->decode_task(0, chunk, *w.fn);
+        },
+        &state, /*serial=*/true);
+  }
 
   // Same check as the constructor; throws with the engine unchanged.
   void set_engine(DecodeEngine engine);
 
-  // Software-engine arenas, exposed so an owner of several decoders can
-  // grow them all to a common high-water mark.
-  codec::DecodeArena& scratch_arena() { return scratch_; }
-  codec::DecodeArena& out_arena() { return out_; }
+  std::size_t workers() const { return workers_.size(); }
+  const StreamTally& last_run() const { return last_; }
+  const StreamTally& totals() const { return totals_; }
+  // Scheduler counters of the last run (workers == 1 on the inline path).
+  const codec::BandRunStats& run_stats() const { return run_stats_; }
+  // Tasks still queued in the scheduler: 0 whenever no run is in flight.
+  std::size_t queued() const { return runner_.queued(); }
 
  private:
-  // The one place engine/source compatibility is decided: the UDP
-  // simulator walks cm.blocks directly, so it needs a resident source.
-  static void check_engine(const codec::ContainerSource& source,
-                           DecodeEngine engine);
+  // Per-worker decode state: the arenas the software engine writes into
+  // (the zero-steady-state-allocation reservoir), the lazily built UDP
+  // lane simulator, and this run's tally (written only by the worker).
+  struct Worker {
+    codec::DecodeArena scratch;
+    codec::DecodeArena out;
+    std::unique_ptr<udpprog::UdpPipelineDecoder> udp;
+    udpprog::BlockResult udp_result;  // backs the spans of a UDP decode
+    StreamTally tally;
+  };
+
+  BlockStreams decode_block(Worker& w, std::size_t b);
+  static void run_body(void* self, std::uint32_t task, std::size_t worker);
+  static void hint(void* self, std::uint32_t task);
+  void hint_next();
+  void finish_run(bool threaded);
 
   const codec::CompressedMatrix* cm_;
-  codec::ContainerSource* source_;
+  std::shared_ptr<codec::ContainerSource> source_;
   DecodeEngine engine_;
-  codec::DecodeArena scratch_;
-  codec::DecodeArena out_;
-  std::unique_ptr<udpprog::UdpPipelineDecoder> udp_;  // built on first use
-  udpprog::BlockResult udp_result_;  // backs the spans of a UDP decode
+  std::vector<std::unique_ptr<Worker>> workers_;
+  // walk(): fixed-size chunks and their order.
+  std::vector<BlockRun> chunks_;
+  std::vector<std::uint32_t> chunk_order_;
+  // The run in flight.
+  Ranges ranges_ = nullptr;
+  Body body_ = nullptr;
+  void* ctx_ = nullptr;
+  // One-worker path: the task to hint once the running task holds its
+  // first lease. Null while workers run.
+  const std::uint32_t* next_ = nullptr;
+  StreamTally last_;
+  StreamTally totals_;
+  codec::BandRunStats run_stats_;
+  // Declared last: its threads reach the members above, so it is
+  // destroyed (and its threads joined) first.
+  codec::BandRunner runner_;
 };
 
 }  // namespace recode::spmv

@@ -43,17 +43,6 @@ inline void ledger_kernel_block(const sparse::BlockRange& range, int k) {
 // holds.
 constexpr std::size_t kPrefetchDistance = 16;
 
-// Out-of-core lease granularity for the serial engine: enough blocks
-// that the source's prefetch covers real read latency, small enough that
-// at most two chunks of compressed bytes are addressable at once.
-constexpr std::size_t kSourceChunkBlocks = 16;
-
-codec::ContainerSource& checked(
-    const std::shared_ptr<codec::ContainerSource>& source) {
-  RECODE_CHECK(source != nullptr);
-  return *source;
-}
-
 inline void prefetch_read(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
@@ -138,22 +127,17 @@ void accumulate_block_batch(const sparse::BlockRange& range,
 
 RecodedSpmv::RecodedSpmv(const codec::CompressedMatrix& cm,
                          DecodeEngine engine)
-    : RecodedSpmv(cm, codec::make_resident_source(cm), engine) {}
+    : RecodedSpmv(cm, nullptr, engine) {}
 
 RecodedSpmv::RecodedSpmv(const codec::CompressedMatrix& cm,
                          std::shared_ptr<codec::ContainerSource> source,
                          DecodeEngine engine)
-    : cm_(&cm),
-      source_(std::move(source)),
-      decoder_(cm, checked(source_), engine) {}
+    : cm_(&cm), stream_(cm, std::move(source), 1, 1, engine) {}
 
 void RecodedSpmv::multiply(std::span<const double> x, std::span<double> y) {
   multiply_batch(x, y, 1);
 }
 
-// Chunked loop: lease kSourceChunkBlocks at a time, and hint the *next*
-// chunk before decoding the current one so an out-of-core source's reads
-// run ahead of decode (leases and hints are no-ops for resident sources).
 void RecodedSpmv::multiply_batch(std::span<const double> x,
                                  std::span<double> y, int k) {
   RECODE_CHECK(k >= 1);
@@ -162,39 +146,10 @@ void RecodedSpmv::multiply_batch(std::span<const double> x,
   RECODE_CHECK(y.size() ==
                static_cast<std::size_t>(cm_->rows) * static_cast<std::size_t>(k));
   std::fill(y.begin(), y.end(), 0.0);
-
-  const std::size_t nblocks = cm_->blocking.blocks.size();
-  std::size_t first = 0;
-  std::size_t count = std::min(kSourceChunkBlocks, nblocks);
-  if (count > 0) source_->prefetch(first, count);
-  try {
-    while (first < nblocks) {
-      source_->acquire(first, count);
-      const std::size_t next_first = first + count;
-      const std::size_t next_count =
-          std::min(kSourceChunkBlocks, nblocks - next_first);
-      if (next_count > 0) source_->prefetch(next_first, next_count);
-      for (std::size_t b = first; b < first + count; ++b) {
-        const BlockStreams s = decoder_.decode(b);
-        ++blocks_decoded_;
-        compressed_bytes_streamed_ += s.stream_bytes;
-        udp_cycles_ += s.udp_cycles;
-        accumulate_block_batch(cm_->blocking.blocks[b], cm_->row_ptr,
-                               s.indices, s.values, x, y, k);
-      }
-      source_->release(first, count);
-      first = next_first;
-      count = next_count;
-    }
-  } catch (...) {
-    // Release the lease the failure interrupted (a no-op when acquire
-    // itself threw), then reclaim any prefetched successor at the run
-    // boundary.
-    source_->release(first, count);
-    source_->end_run();
-    throw;
-  }
-  source_->end_run();
+  stream_.walk([&](std::size_t b, const BlockStreams& s) {
+    accumulate_block_batch(cm_->blocking.blocks[b], cm_->row_ptr, s.indices,
+                           s.values, x, y, k);
+  });
 }
 
 }  // namespace recode::spmv

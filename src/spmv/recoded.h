@@ -62,11 +62,12 @@ class RecodedSpmv {
 
   // Out-of-core variant: compressed streams come from `source` instead
   // of cm.blocks (which may be empty — a header-only matrix from
-  // codec::open_container). The serial loop leases a fixed-size chunk of
-  // blocks at a time and prefetches the next chunk before decoding the
-  // current one, so storage reads overlap decode even without threads.
-  // The UDP simulator walks cm.blocks directly, so kUdpSimulated with an
-  // out-of-core source throws recode::Error.
+  // codec::open_container); null means cm.blocks. The serial loop is a
+  // BlockStream::walk: it leases a fixed-size chunk of blocks at a time
+  // and prefetches the next chunk before decoding the current one, so
+  // storage reads overlap decode even without threads. The UDP simulator
+  // walks cm.blocks directly, so kUdpSimulated with an out-of-core source
+  // throws recode::Error.
   RecodedSpmv(const codec::CompressedMatrix& cm,
               std::shared_ptr<codec::ContainerSource> source,
               DecodeEngine engine = DecodeEngine::kSoftware);
@@ -81,25 +82,21 @@ class RecodedSpmv {
   void multiply_batch(std::span<const double> x, std::span<double> y, int k);
 
   // Totals across all multiply() calls.
-  std::uint64_t blocks_decoded() const { return blocks_decoded_; }
+  std::uint64_t blocks_decoded() const { return stream_.totals().blocks; }
   std::uint64_t compressed_bytes_streamed() const {
-    return compressed_bytes_streamed_;
+    return stream_.totals().bytes;
   }
   // UDP lane cycles spent decoding (kUdpSimulated only).
-  std::uint64_t udp_cycles() const { return udp_cycles_; }
+  std::uint64_t udp_cycles() const { return stream_.totals().udp_cycles; }
 
   sparse::index_t rows() const { return cm_->rows; }
   sparse::index_t cols() const { return cm_->cols; }
 
  private:
   const codec::CompressedMatrix* cm_;
-  std::shared_ptr<codec::ContainerSource> source_;
-  // Decodes into its own arenas, so after the first block the decode
-  // loop performs zero heap allocations and no output copy.
-  BlockDecoder decoder_;
-  std::uint64_t blocks_decoded_ = 0;
-  std::uint64_t compressed_bytes_streamed_ = 0;
-  std::uint64_t udp_cycles_ = 0;
+  // One worker; decodes into its own arenas, so after the first pass the
+  // decode loop performs zero heap allocations and no output copy.
+  BlockStream stream_;
 };
 
 }  // namespace recode::spmv

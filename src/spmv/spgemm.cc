@@ -6,12 +6,10 @@
 #include <limits>
 #include <memory>
 #include <numeric>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
-#include "codec/band_runner.h"
 #include "spmv/block_decoder.h"
 #include "spmv/streaming_executor.h"
 #include "telemetry/telemetry.h"
@@ -48,11 +46,9 @@ constexpr std::size_t kSortSpanWords = 16;
 
 // Per-worker scratch reused across every band the worker executes.
 struct WorkerScratch {
-  WorkerScratch(const codec::CompressedMatrix& a,
-                codec::ContainerSource& source, std::size_t cols)
-      : decoder(a, source), acc(cols), stamp(cols), bits((cols + 63) / 64) {}
+  explicit WorkerScratch(std::size_t cols)
+      : acc(cols), stamp(cols), bits((cols + 63) / 64) {}
 
-  BlockDecoder decoder;
   // Band-local contiguous copies of A's decoded streams (rows span block
   // boundaries, so the Gustavson row loop needs the whole band flat).
   std::vector<sparse::index_t> a_idx;
@@ -87,8 +83,6 @@ struct BandOut {
   std::uint64_t rows_bitmap = 0;
   std::uint64_t rows_sorted = 0;
   std::uint64_t products = 0;
-  std::uint64_t blocks_decoded = 0;
-  std::uint64_t compressed_bytes = 0;
 };
 
 // C as the kernel leaves it: the final row_ptr plus the row-ordered band
@@ -117,9 +111,10 @@ struct BandedC {
 
 struct SpgemmJob {
   const codec::CompressedMatrix* a = nullptr;
-  codec::ContainerSource* source = nullptr;
   const sparse::Csr* b = nullptr;
+  BlockStream* stream = nullptr;
   std::vector<RowBand> bands;
+  std::vector<BlockRun> band_runs;  // each band's block range
   // Band i fills c.outs[i] and writes its rows' lengths into
   // c.row_ptr[r + 1] (disjoint rows, so plain writes); the caller
   // prefix-sums row_ptr after the run.
@@ -127,7 +122,8 @@ struct SpgemmJob {
   std::vector<std::unique_ptr<WorkerScratch>> scratch;  // one per worker
 };
 
-void process_band(SpgemmJob& job, std::size_t band_id, WorkerScratch& ws) {
+void process_band(SpgemmJob& job, std::uint32_t band_id, std::size_t worker) {
+  WorkerScratch& ws = *job.scratch[worker];
   const RowBand& band = job.bands[band_id];
   const codec::CompressedMatrix& a = *job.a;
   const sparse::Csr& b = *job.b;
@@ -143,24 +139,14 @@ void process_band(SpgemmJob& job, std::size_t band_id, WorkerScratch& ws) {
   ws.a_val.resize(band_nnz);
 
   // Decode the band's blocks into the flat band-local streams.
-  job.source->acquire(band.first_block, band.block_count);
-  try {
-    for (std::size_t i = 0; i < band.block_count; ++i) {
-      const std::size_t bi = band.first_block + i;
-      const BlockStreams decoded = ws.decoder.decode(bi);
-      out.compressed_bytes += decoded.stream_bytes;
-      ++out.blocks_decoded;
-      const std::size_t off = blocks[bi].first_nnz - band_first_nnz;
-      std::memcpy(ws.a_idx.data() + off, decoded.indices.data(),
-                  decoded.indices.size() * sizeof(sparse::index_t));
-      std::memcpy(ws.a_val.data() + off, decoded.values.data(),
-                  decoded.values.size() * sizeof(double));
-    }
-  } catch (...) {
-    job.source->release(band.first_block, band.block_count);
-    throw;
-  }
-  job.source->release(band.first_block, band.block_count);
+  job.stream->decode_task(
+      worker, band_id, [&](std::size_t bi, const BlockStreams& decoded) {
+        const std::size_t off = blocks[bi].first_nnz - band_first_nnz;
+        std::memcpy(ws.a_idx.data() + off, decoded.indices.data(),
+                    decoded.indices.size() * sizeof(sparse::index_t));
+        std::memcpy(ws.a_val.data() + off, decoded.values.data(),
+                    decoded.values.size() * sizeof(double));
+      });
 
   // Gustavson row loop over the band's rows. Timed as the kernel hop.
   telemetry::StageTimer ledger_timer(
@@ -260,10 +246,8 @@ BandedC run_spgemm(const codec::CompressedMatrix& a,
   RECODE_PARSE_CHECK(b.row_ptr.size() == static_cast<std::size_t>(b.rows) + 1,
                      "spgemm: malformed b.row_ptr");
 
-  if (!a_source) a_source = codec::make_resident_source(a);
   SpgemmJob job;
   job.a = &a;
-  job.source = a_source.get();
   job.b = &b;
   job.c.row_ptr.assign(static_cast<std::size_t>(a.rows) + 1, 0);
   job.bands = make_row_bands(a.blocking, cfg.blocks_per_band);
@@ -272,56 +256,36 @@ BandedC run_spgemm(const codec::CompressedMatrix& a,
     job.c.first_nnz = {0};
     return std::move(job.c);  // nnz == 0: all-empty rows
   }
-  std::size_t workers = cfg.threads;
-  if (workers == 0) {
-    workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  const std::size_t workers = resolve_workers(cfg.threads);
   if (workers > 1 && job.bands.size() > 1) {
     // Spread the matrix over ~4 tasks per worker so stealing has slack.
     const std::size_t max_blocks = std::max<std::size_t>(
         1, a.blocking.block_count() / (4 * workers));
     job.bands = split_row_bands(a.blocking, job.bands, max_blocks);
   }
-  workers = std::min(workers, job.bands.size());
   job.c.outs.resize(job.bands.size());
-  for (std::size_t w = 0; w < workers; ++w) {
-    job.scratch.push_back(std::make_unique<WorkerScratch>(
-        a, *job.source, static_cast<std::size_t>(b.cols)));
-  }
-
-  // An out-of-core source stages at most two bands per worker: the one in
-  // hand plus its lookahead prefetch.
-  std::size_t max_extent = 0;
-  for (const RowBand& band : job.bands) {
-    max_extent = std::max(max_extent, job.source->range_extent_bytes(
-                                          band.first_block, band.block_count));
-  }
-  if (max_extent > 0) job.source->reserve(2 * workers, max_extent);
-  codec::BandRunner::Lookahead prefetch = nullptr;
-  if (job.source->out_of_core()) {
-    prefetch = [](void* ctx, std::uint32_t t) {
-      const auto& j = *static_cast<SpgemmJob*>(ctx);
-      j.source->prefetch(j.bands[t].first_block, j.bands[t].block_count);
-    };
-  }
-
   std::vector<std::uint32_t> order(job.bands.size());
   std::iota(order.begin(), order.end(), 0u);
-  codec::BandRunner runner(workers, order.size());
-  try {
-    runner.run(
-        order,
-        [](void* ctx, std::uint32_t band_id, std::size_t worker) {
-          auto& j = *static_cast<SpgemmJob*>(ctx);
-          process_band(j, band_id, *j.scratch[worker]);
-        },
-        &job, prefetch);
-  } catch (...) {
-    job.source->end_run();
-    throw;
+  for (const RowBand& band : job.bands) {
+    job.band_runs.push_back({band.first_block, band.block_count});
   }
-  job.source->end_run();
-  const codec::BandRunStats& run_stats = runner.last_stats();
+  BlockStream stream(a, std::move(a_source), workers, job.bands.size());
+  job.stream = &stream;
+  for (std::size_t w = 0; w < stream.workers(); ++w) {
+    job.scratch.push_back(
+        std::make_unique<WorkerScratch>(static_cast<std::size_t>(b.cols)));
+  }
+  stream.run(
+      order,
+      [](void* ctx, std::uint32_t t) {
+        return std::span<const BlockRun>(
+            &static_cast<SpgemmJob*>(ctx)->band_runs[t], 1);
+      },
+      [](void* ctx, std::uint32_t band_id, std::size_t worker) {
+        process_band(*static_cast<SpgemmJob*>(ctx), band_id, worker);
+      },
+      &job);
+  const codec::BandRunStats& run_stats = stream.run_stats();
 
   std::partial_sum(job.c.row_ptr.begin(), job.c.row_ptr.end(),
                    job.c.row_ptr.begin());
@@ -332,9 +296,9 @@ BandedC run_spgemm(const codec::CompressedMatrix& a,
     st.rows_dense += out.rows_bitmap;
     st.rows_merge += out.rows_sorted;
     st.products += out.products;
-    st.a_blocks_decoded += out.blocks_decoded;
-    st.a_compressed_bytes += out.compressed_bytes;
   }
+  st.a_blocks_decoded = stream.last_run().blocks;
+  st.a_compressed_bytes = stream.last_run().bytes;
   st.tasks = job.bands.size();
   st.workers = run_stats.workers;
   st.steals = run_stats.steals;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <thread>
 
 #include "common/error.h"
-#include "codec/band_runner.h"
 #include "spmv/recoded.h"
 
 namespace recode::spmv {
@@ -17,20 +15,17 @@ SpmspvEngine::SpmspvEngine(const codec::CompressedMatrix& cm,
                            std::shared_ptr<codec::ContainerSource> source,
                            SpmspvConfig cfg)
     : cm_(&cm),
-      source_(source ? std::move(source) : codec::make_resident_source(cm)),
-      cfg_(cfg) {
-  bands_ = make_row_bands(cm_->blocking, cfg_.blocks_per_band);
+      bands_(make_row_bands(cm.blocking, cfg.blocks_per_band)),
+      stream_(cm, std::move(source), cfg.threads, bands_.size()) {
   in_frontier_.assign(static_cast<std::size_t>(cm_->cols), 0);
   x_dense_.assign(static_cast<std::size_t>(cm_->cols), 0.0);
-  band_stats_.resize(bands_.size());
-  std::size_t workers = cfg_.threads;
-  if (workers == 0) {
-    workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers = std::min(workers, std::max<std::size_t>(1, bands_.size()));
-  for (std::size_t i = 0; i < workers; ++i) {
-    decoders_.push_back(std::make_unique<BlockDecoder>(*cm_, *source_));
-  }
+  // Sized once so a multiply never allocates: a band holds at most one
+  // run per block.
+  runs_.reserve(cm_->blocking.blocks.size());
+  band_runs_.resize(bands_.size() + 1);
+  band_products_.resize(bands_.size());
+  order_.resize(bands_.size());
+  std::iota(order_.begin(), order_.end(), 0u);
   survey_blocks();
 }
 
@@ -38,43 +33,18 @@ SpmspvEngine::SpmspvEngine(const codec::CompressedMatrix& cm,
 // signatures — the metadata multiply() skips against. Runs at
 // construction, outside any ledger run window (see spmspv.h).
 void SpmspvEngine::survey_blocks() {
-  const auto& blocks = cm_->blocking.blocks;
-  summaries_.resize(blocks.size());
-  if (blocks.empty()) return;
-  BlockDecoder& decoder = *decoders_[0];
-  constexpr std::size_t kChunk = 16;
-  std::size_t first = 0;
-  std::size_t count = std::min(kChunk, blocks.size());
-  source_->prefetch(first, count);
-  try {
-    while (first < blocks.size()) {
-      source_->acquire(first, count);
-      const std::size_t next_first = first + count;
-      const std::size_t next_count =
-          std::min(kChunk, blocks.size() - next_first);
-      if (next_count > 0) source_->prefetch(next_first, next_count);
-      for (std::size_t b = first; b < first + count; ++b) {
-        const BlockStreams decoded = decoder.decode(b);
-        BlockSummary& s = summaries_[b];
-        s.col_min = cm_->cols;
-        s.col_max = -1;
-        s.signature = 0;
-        for (const sparse::index_t c : decoded.indices) {
-          s.col_min = std::min(s.col_min, c);
-          s.col_max = std::max(s.col_max, c);
-          s.signature |= column_bit(c);
-        }
-      }
-      source_->release(first, count);
-      first = next_first;
-      count = next_count;
+  summaries_.resize(cm_->blocking.blocks.size());
+  stream_.walk([this](std::size_t b, const BlockStreams& decoded) {
+    BlockSummary& s = summaries_[b];
+    s.col_min = cm_->cols;
+    s.col_max = -1;
+    s.signature = 0;
+    for (const sparse::index_t c : decoded.indices) {
+      s.col_min = std::min(s.col_min, c);
+      s.col_max = std::max(s.col_max, c);
+      s.signature |= column_bit(c);
     }
-  } catch (...) {
-    source_->release(first, count);
-    source_->end_run();
-    throw;
-  }
-  source_->end_run();
+  });
 }
 
 bool SpmspvEngine::block_needed(const BlockSummary& s) const {
@@ -90,55 +60,43 @@ bool SpmspvEngine::block_needed(const BlockSummary& s) const {
   return it != frontier_cols_.end() && *it <= s.col_max;
 }
 
-template <typename Fn>
-void SpmspvEngine::for_each_needed_run(const RowBand& band, Fn&& fn) const {
-  const std::size_t end = band.first_block + band.block_count;
-  std::size_t b = band.first_block;
-  while (b < end) {
-    if (!block_needed(summaries_[b])) {
-      ++b;
-      continue;
+// Lists each band's maximal runs of consecutive blocks the current
+// frontier needs, in stream order. The lookahead hint and process_band
+// both read this plan, so out-of-core leases cover exactly the bytes that
+// will be decoded.
+void SpmspvEngine::plan_runs() {
+  runs_.clear();
+  for (std::size_t i = 0; i < bands_.size(); ++i) {
+    band_runs_[i] = runs_.size();
+    const std::size_t end = bands_[i].first_block + bands_[i].block_count;
+    std::size_t b = bands_[i].first_block;
+    while (b < end) {
+      if (!block_needed(summaries_[b])) {
+        ++b;
+        continue;
+      }
+      std::size_t run = 1;
+      while (b + run < end && block_needed(summaries_[b + run])) ++run;
+      runs_.push_back({b, run});
+      b += run;
     }
-    std::size_t run = 1;
-    while (b + run < end && block_needed(summaries_[b + run])) ++run;
-    fn(b, run);
-    b += run;
   }
+  band_runs_[bands_.size()] = runs_.size();
 }
 
-void SpmspvEngine::process_band(std::size_t band_id, BlockDecoder& decoder) {
-  const RowBand& band = bands_[band_id];
-  SpmspvStats& bs = band_stats_[band_id];
-  bs = SpmspvStats{};
-  bs.blocks_total = band.block_count;
-  const auto& blocks = cm_->blocking.blocks;
-
-  // Lease exactly the runs the lookahead hinted, so out-of-core leases
-  // cover only the bytes that will be decoded.
-  for_each_needed_run(band, [&](std::size_t first, std::size_t run) {
-    source_->acquire(first, run);
-    try {
-      for (std::size_t b = first; b < first + run; ++b) {
-        const BlockStreams decoded = decoder.decode(b);
-        bs.compressed_bytes += decoded.stream_bytes;
-        ++bs.blocks_decoded;
-
+void SpmspvEngine::process_band(std::uint32_t band_id, std::size_t worker) {
+  std::uint64_t products = 0;
+  stream_.decode_task(
+      worker, band_id, [&](std::size_t b, const BlockStreams& decoded) {
         for (const sparse::index_t col : decoded.indices) {
-          bs.products += in_frontier_[static_cast<std::size_t>(col)];
+          products += in_frontier_[static_cast<std::size_t>(col)];
         }
         // The shared kernel over the dense frontier scatter (0.0 outside
         // the frontier): the same operations as a dense multiply.
-        accumulate_block(blocks[b], cm_->row_ptr, decoded.indices,
-                         decoded.values, x_dense_, y_);
-      }
-    } catch (...) {
-      source_->release(first, run);
-      throw;
-    }
-    source_->release(first, run);
-  });
-  bs.blocks_skipped = band.block_count - bs.blocks_decoded;
-  if (bs.blocks_skipped == band.block_count) bs.bands_skipped = 1;
+        accumulate_block(cm_->blocking.blocks[b], cm_->row_ptr,
+                         decoded.indices, decoded.values, x_dense_, y_);
+      });
+  band_products_[band_id] = products;
 }
 
 void SpmspvEngine::multiply(const SparseVector& x, std::span<double> y) {
@@ -157,6 +115,14 @@ void SpmspvEngine::multiply(const SparseVector& x, std::span<double> y) {
     prev = c;
   }
 
+  // Un-scatter on every path (O(|x|), keeps the dense buffers warm and
+  // the engine usable after a failed multiply).
+  const auto unscatter = [&] {
+    for (const sparse::index_t c : x.indices) {
+      in_frontier_[static_cast<std::size_t>(c)] = 0;
+      x_dense_[static_cast<std::size_t>(c)] = 0.0;
+    }
+  };
   // Scatter the frontier and build its span + signature.
   frontier_signature_ = 0;
   frontier_min_ = cm_->cols;
@@ -173,67 +139,39 @@ void SpmspvEngine::multiply(const SparseVector& x, std::span<double> y) {
 
   SpmspvStats totals;
   totals.frontier_nnz = x.indices.size();
+  totals.blocks_total = cm_->blocking.block_count();
+  totals.blocks_skipped = totals.blocks_total;
+  totals.bands_skipped = bands_.size();
   if (!bands_.empty() && !x.indices.empty()) {
-    std::size_t max_extent = 0;
-    for (const RowBand& band : bands_) {
-      max_extent = std::max(max_extent,
-                            source_->range_extent_bytes(band.first_block,
-                                                        band.block_count));
-    }
-    if (max_extent > 0) source_->reserve(2 * decoders_.size(), max_extent);
-    codec::BandRunner::Lookahead prefetch = nullptr;
-    if (source_->out_of_core()) {
-      prefetch = [](void* ctx, std::uint32_t t) {
-        // Hint exactly the runs process_band will lease.
-        const auto& e = *static_cast<SpmspvEngine*>(ctx);
-        e.for_each_needed_run(e.bands_[t],
-                              [&e](std::size_t first, std::size_t count) {
-                                e.source_->prefetch(first, count);
-                              });
-      };
-    }
-    std::vector<std::uint32_t> order(bands_.size());
-    std::iota(order.begin(), order.end(), 0u);
+    plan_runs();
     y_ = y;
-    codec::BandRunner runner(decoders_.size(), order.size());
     try {
-      runner.run(
-          order,
-          [](void* ctx, std::uint32_t band_id, std::size_t worker) {
-            auto& e = *static_cast<SpmspvEngine*>(ctx);
-            e.process_band(band_id, *e.decoders_[worker]);
+      stream_.run(
+          order_,
+          [](void* ctx, std::uint32_t band_id) {
+            const auto& e = *static_cast<const SpmspvEngine*>(ctx);
+            return std::span<const BlockRun>(
+                e.runs_.data() + e.band_runs_[band_id],
+                e.band_runs_[band_id + 1] - e.band_runs_[band_id]);
           },
-          this, prefetch);
+          [](void* ctx, std::uint32_t band_id, std::size_t worker) {
+            static_cast<SpmspvEngine*>(ctx)->process_band(band_id, worker);
+          },
+          this);
     } catch (...) {
-      source_->end_run();
-      // Un-scatter before propagating so the engine stays usable.
-      for (const sparse::index_t c : x.indices) {
-        in_frontier_[static_cast<std::size_t>(c)] = 0;
-        x_dense_[static_cast<std::size_t>(c)] = 0.0;
-      }
+      unscatter();
       throw;
     }
-    source_->end_run();
-    for (const SpmspvStats& bs : band_stats_) {
-      totals.blocks_total += bs.blocks_total;
-      totals.blocks_skipped += bs.blocks_skipped;
-      totals.bands_skipped += bs.bands_skipped;
-      totals.products += bs.products;
-      totals.blocks_decoded += bs.blocks_decoded;
-      totals.compressed_bytes += bs.compressed_bytes;
+    totals.blocks_decoded = stream_.last_run().blocks;
+    totals.compressed_bytes = stream_.last_run().bytes;
+    totals.blocks_skipped = totals.blocks_total - totals.blocks_decoded;
+    for (std::size_t i = 0; i < bands_.size(); ++i) {
+      if (band_runs_[i] != band_runs_[i + 1]) --totals.bands_skipped;
+      totals.products += band_products_[i];
     }
-  } else {
-    // Empty frontier (or empty matrix): every block is skipped.
-    totals.blocks_total = cm_->blocking.block_count();
-    totals.blocks_skipped = totals.blocks_total;
-    totals.bands_skipped = bands_.size();
   }
 
-  // Un-scatter the frontier (O(|x|), keeps the dense buffers warm).
-  for (const sparse::index_t c : x.indices) {
-    in_frontier_[static_cast<std::size_t>(c)] = 0;
-    x_dense_[static_cast<std::size_t>(c)] = 0.0;
-  }
+  unscatter();
 
   total_blocks_decoded_ += totals.blocks_decoded;
   total_blocks_skipped_ += totals.blocks_skipped;

@@ -31,8 +31,10 @@
 // (asserted by tests/spmv/test_spmspv.cc).
 //
 // Parallelism: row-aligned bands (make_row_bands) fanned out over the
-// work-stealing band runner; bands own disjoint y rows, so parallel ≡
-// serial bitwise.
+// engine's BlockStream (spmv/block_decoder.h), which keeps its decoders
+// and worker team across multiplies; bands own disjoint y rows, so
+// parallel ≡ serial bitwise. A warmed multiply performs no heap
+// allocation.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +45,7 @@
 #include "codec/container_source.h"
 #include "codec/pipeline.h"
 #include "sparse/formats.h"
+#include "spmv/block_decoder.h"
 #include "spmv/streaming_executor.h"  // RowBand / make_row_bands
 
 namespace recode::spmv {
@@ -115,13 +118,8 @@ class SpmspvEngine {
   };
 
   void survey_blocks();
-  // Calls fn(first, count) for each maximal run of consecutive blocks of
-  // `band` the current frontier needs, in stream order. The lookahead
-  // hint and process_band both walk a band through this, so prefetched
-  // ranges and leased ranges always match exactly.
-  template <typename Fn>
-  void for_each_needed_run(const RowBand& band, Fn&& fn) const;
-  void process_band(std::size_t band_id, BlockDecoder& decoder);
+  void plan_runs();
+  void process_band(std::uint32_t band_id, std::size_t worker);
   // True when the block can contribute a nonzero product: the 64-bit
   // signatures intersect AND some frontier column falls inside the
   // block's exact column span (binary search over the sorted frontier —
@@ -136,24 +134,27 @@ class SpmspvEngine {
   }
 
   const codec::CompressedMatrix* cm_;
-  // The caller's source, or a resident source over cm.blocks.
-  std::shared_ptr<codec::ContainerSource> source_;
-  SpmspvConfig cfg_;
   std::vector<BlockSummary> summaries_;
   std::vector<RowBand> bands_;
+  std::vector<std::uint32_t> order_;  // every band, in stream order
   std::vector<std::uint8_t> in_frontier_;         // dense frontier mask
   std::vector<double> x_dense_;                   // dense frontier scatter
   std::uint64_t frontier_signature_ = 0;
   sparse::index_t frontier_min_ = 0;
   sparse::index_t frontier_max_ = -1;
   std::vector<sparse::index_t> frontier_cols_;    // sorted, current multiply
-  // Per-band outputs of the current multiply (worker-disjoint).
-  std::vector<SpmspvStats> band_stats_;
+  // The current multiply's plan: band i leases
+  // runs_[band_runs_[i], band_runs_[i + 1]).
+  std::vector<BlockRun> runs_;
+  std::vector<std::size_t> band_runs_;
+  std::vector<std::uint64_t> band_products_;  // per band, worker-disjoint
   std::span<double> y_;  // output of the multiply in flight
-  std::vector<std::unique_ptr<BlockDecoder>> decoders_;  // one per worker
   SpmspvStats last_stats_;
   std::uint64_t total_blocks_decoded_ = 0;
   std::uint64_t total_blocks_skipped_ = 0;
+  // The caller's source (or cm.blocks), the decoders and the worker team.
+  // Declared last: its threads reach the members above.
+  BlockStream stream_;
 };
 
 }  // namespace recode::spmv

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "codec/arena.h"
 #include "common/error.h"
 #include "common/timer.h"
 #include "telemetry/telemetry.h"
@@ -176,41 +175,24 @@ std::vector<RowBand> split_row_bands(const sparse::Blocking& blocking,
   return out;
 }
 
-// Per-worker persistent state: the block decoder (its arenas are the
-// zero-steady-state-allocation reservoir) and this worker's stats slot
-// (written only by the owning worker during a run, read by the caller
-// after the runner returns).
-struct StreamingExecutor::WorkerState {
-  WorkerState(const codec::CompressedMatrix& cm,
-              codec::ContainerSource& source, DecodeEngine engine)
-      : decoder(cm, source, engine) {}
-
-  BlockDecoder decoder;
-  double decode_busy = 0.0;
+// Per-worker stats slot, written only by the owning worker during a run
+// and read by the caller after it returns. Aligned so neighbouring
+// workers' slots never share a cache line.
+struct alignas(64) StreamingExecutor::WorkerSlot {
   double compute_busy = 0.0;
-  std::uint64_t blocks = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t udp_cycles = 0;
   std::uint64_t hit_blocks = 0;
   std::size_t hit_bands = 0;
   std::size_t miss_bands = 0;
-
-  void reset_slot() {
-    decode_busy = compute_busy = 0.0;
-    blocks = bytes = udp_cycles = hit_blocks = 0;
-    hit_bands = miss_bands = 0;
-  }
 };
 
 StreamingExecutor::StreamingExecutor(const codec::CompressedMatrix& cm,
                                      StreamingConfig config)
-    : StreamingExecutor(cm, codec::make_resident_source(cm), config) {}
+    : StreamingExecutor(cm, nullptr, config) {}
 
 StreamingExecutor::StreamingExecutor(
     const codec::CompressedMatrix& cm,
     std::shared_ptr<codec::ContainerSource> source, StreamingConfig config)
-    : cm_(&cm), source_(std::move(source)), config_(config) {
-  RECODE_CHECK(source_ != nullptr);
+    : cm_(&cm), config_(config) {
   if (config_.compute_threads == 0) config_.compute_threads = 1;
   if (config_.decode_threads == 0) {
     const std::size_t hw =
@@ -241,65 +223,54 @@ StreamingExecutor::StreamingExecutor(
   }
   task_ids_rev_.assign(task_ids_fwd_.rbegin(), task_ids_fwd_.rend());
 
-  // Small matrices run inline: the runner with one worker and no threads.
+  band_runs_.reserve(bands_.size());
+  for (const RowBand& band : bands_) {
+    band_runs_.push_back({band.first_block, band.block_count});
+  }
+
+  // Small matrices run inline: one worker, no threads.
   const bool inline_run =
       bands_.size() <= 1 ||
       cm_->blocking.blocks.size() <= config_.fused_inline_blocks;
-  workers_ = inline_run ? 1 : pool;
-  states_.reserve(workers_);
-  for (std::size_t w = 0; w < workers_; ++w) {
-    // Throws for an engine the source cannot serve (UDP out of core).
-    states_.push_back(
-        std::make_unique<WorkerState>(*cm_, *source_, config_.engine));
-  }
-  runner_ = std::make_unique<codec::BandRunner>(workers_, bands_.size());
+  // Throws for an engine the source cannot serve (UDP out of core).
+  stream_ = std::make_unique<BlockStream>(*cm_, std::move(source),
+                                          inline_run ? 1 : pool,
+                                          bands_.size(), config_.engine);
+  slots_.resize(stream_->workers());
   if (config_.cache_budget_bytes > 0) {
     cache_ = std::make_unique<BandCache>(config_.cache_budget_bytes);
   }
-  // Pre-provision an out-of-core source's window pool for this
-  // executor's lease discipline — each worker holds at most two staged
-  // ranges (the band in hand plus its lookahead prefetch) — so the warmed
-  // steady state stays allocation-free even when a concurrency spike
-  // touches a window that demand-driven growth never warmed. Resident
-  // sources report no extents and ignore the hint.
-  std::size_t max_extent = 0;
-  for (const RowBand& band : bands_) {
-    max_extent = std::max(max_extent, source_->range_extent_bytes(
-                                          band.first_block, band.block_count));
-  }
-  if (max_extent > 0) source_->reserve(2 * workers_, max_extent);
 }
 
 StreamingExecutor::~StreamingExecutor() = default;
 
 std::size_t StreamingExecutor::scheduler_queued() const {
-  return runner_->queued();
+  return stream_->queued();
 }
 
 void StreamingExecutor::run_task(void* self, std::uint32_t task,
                                  std::size_t worker) {
-  auto* exec = static_cast<StreamingExecutor*>(self);
-  exec->execute_task(*exec->states_[worker], task);
+  static_cast<StreamingExecutor*>(self)->execute_task(worker, task);
   trace_ledger_counters();
 }
 
-// Lookahead hook: stage one band's compressed extent. Never blocks — a
-// full window budget or queue drops the hint and the band's acquire()
-// falls back to a synchronous read. Skips cache-resident bands
-// (contains() is non-perturbing, so the probe doesn't spend scan
-// protection; a band evicted between this probe and its lookup just
-// reads synchronously).
-void StreamingExecutor::prefetch_task(void* self, std::uint32_t task) {
+// A task leases its band, or nothing when the band cache holds it, so
+// warm runs re-stream only what the cache couldn't pin. contains() is
+// non-perturbing, so the lookahead's probe doesn't spend scan protection;
+// a band evicted between the probe and its lookup just reads
+// synchronously.
+std::span<const BlockRun> StreamingExecutor::task_ranges(void* self,
+                                                         std::uint32_t task) {
   auto* exec = static_cast<StreamingExecutor*>(self);
-  if (exec->cache_ && exec->cache_->contains(task)) return;
-  const RowBand& band = exec->bands_[task];
-  exec->source_->prefetch(band.first_block, band.block_count);
+  if (exec->cache_ && exec->cache_->contains(task)) return {};
+  return {&exec->band_runs_[task], 1};
 }
 
 // One task: decode every block and accumulate it immediately on the same
 // worker, in stream order. Serves/warms the band cache.
-void StreamingExecutor::execute_task(WorkerState& ws, std::uint32_t task) {
+void StreamingExecutor::execute_task(std::size_t worker, std::uint32_t task) {
   const RowBand& band = bands_[task];
+  WorkerSlot& slot = slots_[worker];
   RECODE_TRACE_SPAN_ARG("spmv", "task_fused", "task", task);
   Timer timer;
 
@@ -307,19 +278,17 @@ void StreamingExecutor::execute_task(WorkerState& ws, std::uint32_t task) {
     if (auto cached = cache_->lookup(task)) {
       // Warm task: accumulate straight from the pinned decoded copy; the
       // local shared_ptr keeps it alive past any concurrent eviction.
-      // A prefetch that raced the band into the cache is discarded.
-      source_->release(band.first_block, band.block_count);
-      ++ws.hit_bands;
+      ++slot.hit_bands;
       for (const CachedBlock& cb : cached->blocks) {
         timer.reset();
         accumulate_block_batch(cm_->blocking.blocks[cb.block], cm_->row_ptr,
                                cb.indices, cb.values, x_, y_, k_);
-        ws.compute_busy += timer.seconds();
-        ++ws.hit_blocks;
+        slot.compute_busy += timer.seconds();
+        ++slot.hit_blocks;
       }
       return;
     }
-    ++ws.miss_bands;
+    ++slot.miss_bands;
   }
 
   // Cold task: decide up front (exact decoded size from the blocking
@@ -339,42 +308,22 @@ void StreamingExecutor::execute_task(WorkerState& ws, std::uint32_t task) {
     }
   }
 
-  // Lease the band's compressed extent for the decode loop (the spans
-  // the decoder reads alias the lease; a no-op for resident sources).
-  source_->acquire(band.first_block, band.block_count);
-  try {
-    for (std::size_t i = 0; i < band.block_count; ++i) {
-      const std::size_t b = band.first_block + i;
-      BlockStreams s;
-      {
-        RECODE_TRACE_SPAN_ARG("spmv", "decode_block", "block", b);
-        timer.reset();
-        s = ws.decoder.decode(b);
-        ws.decode_busy += timer.seconds();
-      }
-      ++ws.blocks;
-      ws.bytes += s.stream_bytes;
-      ws.udp_cycles += s.udp_cycles;
-      if (pending) {
-        CachedBlock cb;
-        cb.block = b;
-        cb.indices.assign(s.indices.begin(), s.indices.end());
-        cb.values.assign(s.values.begin(), s.values.end());
-        pending->blocks.push_back(std::move(cb));
-      }
-      {
-        RECODE_TRACE_SPAN_ARG("spmv", "accumulate_block", "block", b);
-        timer.reset();
-        accumulate_block_batch(cm_->blocking.blocks[b], cm_->row_ptr,
-                               s.indices, s.values, x_, y_, k_);
-        ws.compute_busy += timer.seconds();
-      }
+  // Only this task inserts its band, so after the miss above
+  // task_ranges() lists the whole band.
+  stream_->decode_task(worker, task, [&](std::size_t b, const BlockStreams& s) {
+    if (pending) {
+      CachedBlock cb;
+      cb.block = b;
+      cb.indices.assign(s.indices.begin(), s.indices.end());
+      cb.values.assign(s.values.begin(), s.values.end());
+      pending->blocks.push_back(std::move(cb));
     }
-  } catch (...) {
-    source_->release(band.first_block, band.block_count);
-    throw;
-  }
-  source_->release(band.first_block, band.block_count);
+    RECODE_TRACE_SPAN_ARG("spmv", "accumulate_block", "block", b);
+    timer.reset();
+    accumulate_block_batch(cm_->blocking.blocks[b], cm_->row_ptr, s.indices,
+                           s.values, x_, y_, k_);
+    slot.compute_busy += timer.seconds();
+  });
   if (pending) cache_->insert(task, std::move(pending));
 }
 
@@ -397,7 +346,7 @@ void StreamingExecutor::multiply_batch(std::span<const double> x,
   stats_.split_bands = split_bands_;
   if (bands_.empty()) return;
 
-  for (auto& ws : states_) ws->reset_slot();
+  std::fill(slots_.begin(), slots_.end(), WorkerSlot{});
   // Run boundary for the cache's scan protection: bands resident now
   // are exactly the ones this run is about to want — shield them from
   // eviction until this run has consumed them, whatever order the
@@ -408,16 +357,15 @@ void StreamingExecutor::multiply_batch(std::span<const double> x,
   x_ = x;
   y_ = y;
   k_ = k;
-  stats_.workers = workers_;
-  stats_.inline_run = workers_ == 1;
+  stats_.workers = stream_->workers();
+  stats_.inline_run = stats_.workers == 1;
 
   RECODE_TRACE_SPAN_ARG("spmv", "multiply_batch", "rhs", k);
   Timer wall;
   try {
-    runner_->run(reverse ? task_ids_rev_ : task_ids_fwd_,
-                 &StreamingExecutor::run_task, this,
-                 source_->out_of_core() ? &StreamingExecutor::prefetch_task
-                                        : nullptr);
+    stream_->run(reverse ? task_ids_rev_ : task_ids_fwd_,
+                 &StreamingExecutor::task_ranges, &StreamingExecutor::run_task,
+                 this);
   } catch (...) {
     finish_run(wall.seconds());
     throw;
@@ -425,27 +373,25 @@ void StreamingExecutor::multiply_batch(std::span<const double> x,
   finish_run(wall.seconds());
 }
 
-// Aggregates the per-worker stats slots and the runner's scheduler
-// counters into last_stats(), publishes telemetry, and bumps the
-// lifetime totals. Runs on the caller thread after every multiply,
-// including failed ones (partial progress still counts).
+// Aggregates the per-worker stats slots, the stream's decode tally and
+// its scheduler counters into last_stats(), publishes telemetry, and
+// bumps the lifetime totals. Runs on the caller thread after every
+// multiply, including failed ones (partial progress still counts).
 void StreamingExecutor::finish_run(double wall_seconds) {
-  // Run boundary for the source: reclaims prefetched-but-unconsumed
-  // windows (a cancelled run leaves some behind; a clean run none).
-  source_->end_run();
   StreamTelemetry& telem = StreamTelemetry::get();
   stats_.wall_seconds = wall_seconds;
-  for (const auto& ws : states_) {
-    stats_.decode_busy_seconds += ws->decode_busy;
-    stats_.compute_busy_seconds += ws->compute_busy;
-    stats_.blocks_decoded += ws->blocks;
-    stats_.compressed_bytes += ws->bytes;
-    stats_.udp_cycles += ws->udp_cycles;
-    stats_.cache_hit_bands += ws->hit_bands;
-    stats_.cache_miss_bands += ws->miss_bands;
-    stats_.cache_hit_blocks += ws->hit_blocks;
+  const StreamTally& decoded = stream_->last_run();
+  stats_.decode_busy_seconds = decoded.decode_seconds;
+  stats_.blocks_decoded = decoded.blocks;
+  stats_.compressed_bytes = decoded.bytes;
+  stats_.udp_cycles = decoded.udp_cycles;
+  for (const WorkerSlot& slot : slots_) {
+    stats_.compute_busy_seconds += slot.compute_busy;
+    stats_.cache_hit_bands += slot.hit_bands;
+    stats_.cache_miss_bands += slot.miss_bands;
+    stats_.cache_hit_blocks += slot.hit_blocks;
   }
-  const codec::BandRunStats& rs = runner_->last_stats();
+  const codec::BandRunStats& rs = stream_->run_stats();
   stats_.decode_blocked_seconds = rs.acquire_wait_seconds;
   stats_.steals = rs.steals;
   stats_.steal_attempts = rs.steal_attempts;
@@ -481,38 +427,11 @@ void StreamingExecutor::finish_run(double wall_seconds) {
     cache_evictions_seen_ = cs.evictions;
     telem.cache_bytes_pinned.set(static_cast<double>(cs.bytes_pinned));
   }
-
-  total_blocks_decoded_ += stats_.blocks_decoded;
-  total_compressed_bytes_ += stats_.compressed_bytes;
-
-  // Equalize the worker arenas to the fleet-wide per-slot high-water.
-  // Stealing makes the worker<->block assignment nondeterministic, so any
-  // later run could hand a worker a block class it has never decoded and
-  // regrow its arena mid-run. A block's per-slot requirement is the same
-  // whichever worker decodes it, so after one full pass the max across
-  // workers covers every block — growing everyone to it here (off the
-  // hot path) makes every subsequent run allocation-free regardless of
-  // the steal pattern.
-  for (std::size_t slot = 0; slot < codec::DecodeArena::kSlotCount; ++slot) {
-    std::size_t scratch_max = 0;
-    std::size_t out_max = 0;
-    for (const auto& ws : states_) {
-      scratch_max = std::max(scratch_max,
-                             ws->decoder.scratch_arena().slot_capacity(slot));
-      out_max = std::max(out_max, ws->decoder.out_arena().slot_capacity(slot));
-    }
-    for (const auto& ws : states_) {
-      if (scratch_max > 0) ws->decoder.scratch_arena().slab(slot, scratch_max);
-      if (out_max > 0) ws->decoder.out_arena().slab(slot, out_max);
-    }
-  }
 }
 
 void StreamingExecutor::set_engine(DecodeEngine engine) {
   if (engine == config_.engine) return;
-  // Every decoder runs the same check, so the first one throws before
-  // any has switched.
-  for (auto& ws : states_) ws->decoder.set_engine(engine);
+  stream_->set_engine(engine);
   config_.engine = engine;
   clear_cache();
 }

@@ -1,6 +1,6 @@
 // Work-stealing parallel decode->SpMV execution engine (the paper's §V-B
 // co-scheduling, host-side). The matrix is cut into row-aligned *tasks*
-// (sub-bands) and fanned out over a BandRunner (codec/band_runner.h): a
+// (sub-bands) and fanned out over the band runner (codec/band_runner.h): a
 // Chase-Lev-style scheduler hands tasks to workers, and an idle worker
 // steals from a loaded one instead of blocking on a fixed queue.
 //
@@ -9,11 +9,13 @@
 // into y. Decoded data never crosses a thread and is never copied except
 // into the band cache. Small matrices (at most fused_inline_blocks
 // blocks, or a single task) run the same loop inline on the calling
-// thread: the runner with one worker, no scheduler, no handoff.
+// thread: one worker, no scheduler, no handoff.
 //
-// Every block reaches the executor through one BlockDecoder::decode call
-// per worker (spmv/block_decoder.h); resident matrices are served by
-// codec::make_resident_source, out-of-core ones by the caller's source.
+// Every block reaches the executor through its BlockStream
+// (spmv/block_decoder.h), which owns the workers' decoders, the band
+// runner and the source's lease protocol; resident matrices are served
+// by codec::make_resident_source, out-of-core ones by the caller's
+// source.
 //
 // Determinism contract: tasks are maximal runs of consecutive blocks cut
 // only where a block boundary coincides with a row boundary, so tasks own
@@ -32,8 +34,8 @@
 // fault) cancels the scheduler, lets every worker drain its deque, and is
 // rethrown on the calling thread. The executor stays usable afterwards.
 //
-// Steady-state allocation: the runner (scheduler, worker team, gate),
-// decoders and arenas are executor-owned and reused run after run — a
+// Steady-state allocation: the stream (runner, worker team, decoders and
+// arenas) is executor-owned and reused run after run — a
 // warmed multiply performs zero heap allocations, with or without a warm
 // band cache (asserted by the operator-new counting tests in
 // tests/spmv/test_streaming_stress.cc).
@@ -51,7 +53,7 @@
 
 #include "codec/pipeline.h"
 #include "spmv/band_cache.h"
-#include "codec/band_runner.h"
+#include "spmv/block_decoder.h"
 #include "spmv/recoded.h"
 
 namespace recode::spmv {
@@ -146,12 +148,13 @@ class StreamingExecutor {
 
   // Out-of-core variant: compressed streams come from `source` (cm may
   // be header-only). The source reads at least one band ahead of
-  // decode: the band runner's lookahead hook hands each worker's next
-  // task to prefetch before the task in hand decodes (pop-order
-  // lookahead, so in-flight compressed bytes stay bounded by ~one window
-  // per worker however stealing reorders the run; the inline path hints
-  // the next task of the run order). Bands the BandCache serves are
-  // skipped (warm runs re-stream only what the cache couldn't pin).
+  // decode: the stream's lookahead hint stages each worker's next band
+  // before the band in hand decodes (pop-order lookahead, so in-flight
+  // compressed bytes stay bounded by ~one window per worker however
+  // stealing reorders the run; the inline path hints the next task of
+  // the run order once the task in hand holds its lease). Bands the
+  // BandCache serves are skipped (warm runs re-stream only what the
+  // cache couldn't pin).
   // kUdpSimulated needs resident blocks and throws recode::Error here.
   StreamingExecutor(const codec::CompressedMatrix& cm,
                     std::shared_ptr<codec::ContainerSource> source,
@@ -193,28 +196,26 @@ class StreamingExecutor {
   BandCache::Stats cache_stats() const;
 
   // Totals across all calls (mirrors RecodedSpmv's counters).
-  std::uint64_t blocks_decoded() const { return total_blocks_decoded_; }
+  std::uint64_t blocks_decoded() const { return stream_->totals().blocks; }
   std::uint64_t compressed_bytes_streamed() const {
-    return total_compressed_bytes_;
+    return stream_->totals().bytes;
   }
 
  private:
-  struct WorkerState;  // per-worker block decoder and stats slot
+  struct WorkerSlot;  // per-worker stats
 
-  // BandRunner hooks (ctx = this).
+  // BlockStream hooks (ctx = this).
+  static std::span<const BlockRun> task_ranges(void* self,
+                                               std::uint32_t task);
   static void run_task(void* self, std::uint32_t task, std::size_t worker);
-  static void prefetch_task(void* self, std::uint32_t task);
 
-  void execute_task(WorkerState& ws, std::uint32_t task);
+  void execute_task(std::size_t worker, std::uint32_t task);
   void finish_run(double wall_seconds);
 
   const codec::CompressedMatrix* cm_;
-  // Serves every block: the caller's source, or a resident source over
-  // cm.blocks. Leases are no-ops for resident sources.
-  std::shared_ptr<codec::ContainerSource> source_;
   StreamingConfig config_;
-  std::size_t workers_ = 0;
   std::vector<RowBand> bands_;
+  std::vector<BlockRun> band_runs_;  // each band's block range
   std::size_t split_bands_ = 0;  // tasks added by dynamic splitting
   // Seed orders, alternated per run (serpentine scan): a fixed scan
   // direction plus an LRU band cache is the textbook sequential-thrash
@@ -226,22 +227,20 @@ class StreamingExecutor {
   std::vector<std::uint32_t> task_ids_fwd_;
   std::vector<std::uint32_t> task_ids_rev_;
   std::uint64_t run_counter_ = 0;
-  std::vector<std::unique_ptr<WorkerState>> states_;
+  std::vector<WorkerSlot> slots_;
   // Operands of the multiply in flight, read by the workers.
   std::span<const double> x_;
   std::span<double> y_;
   int k_ = 1;
   std::unique_ptr<BandCache> cache_;  // null when cache_budget_bytes == 0
   OverlapStats stats_;
-  std::uint64_t total_blocks_decoded_ = 0;
-  std::uint64_t total_compressed_bytes_ = 0;
   // Lifetime cache counters already published to telemetry, so each run
   // adds only its delta to the process-wide insert/evict counters.
   std::uint64_t cache_inserts_seen_ = 0;
   std::uint64_t cache_evictions_seen_ = 0;
   // One worker == the inline path. Declared last: its threads reach the
   // members above through the hooks, so it is destroyed first.
-  std::unique_ptr<codec::BandRunner> runner_;
+  std::unique_ptr<BlockStream> stream_;
 };
 
 }  // namespace recode::spmv

@@ -2,7 +2,7 @@
 // single-row matrices (including one row spanning several blocks) must
 // flow through every layer without crashing or hanging — compress /
 // decompress, container write + open through all three source backends,
-// RecodedSpmv, the StreamingExecutor in fused / split / inline modes,
+// RecodedSpmv, the StreamingExecutor threaded and inline,
 // both iterative solvers, SpGEMM, SpMSpV, and the graph drivers. Every
 // numeric result is still checked against the dense reference.
 #include <gtest/gtest.h>

@@ -1,5 +1,5 @@
 // Movement-ledger byte-conservation battery (ISSUE 8): every engine
-// (serial RecodedSpmv, StreamingExecutor fused and split) × {cold,
+// (serial RecodedSpmv, threaded StreamingExecutor) × {cold,
 // warm-cached} × {single-codec, adaptive} pipeline must leave a run
 // window whose flow graph passes the conservation check — stage-out ==
 // next-stage-in down the codec chain, and decoded + cache-served ==

@@ -5,13 +5,18 @@
 // per Liu & Vinter, arXiv 1504.06474). Asserted across sparse / full /
 // empty frontiers and a contiguous column band, thread counts {1, 2, 7},
 // all three container backends, and kRandom values; plus skip-ratio sanity on power-law
-// matrices with small frontiers and frontier-validation rejection.
+// matrices with small frontiers, frontier-validation rejection, and a
+// global operator-new counting hook asserting that a warmed threaded
+// multiply performs no heap allocation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -23,6 +28,27 @@
 #include "sparse/generators.h"
 #include "spmv/recoded.h"
 #include "spmv/spmspv.h"
+
+// ---------------------------------------------------------------------------
+// Global allocation-counting hook (same pattern as
+// test_streaming_stress.cc).
+namespace {
+std::atomic<std::uint64_t> g_heap_allocations{0};
+
+void* counted_alloc(std::size_t n) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// ---------------------------------------------------------------------------
 
 namespace recode::spmv {
 namespace {
@@ -215,6 +241,28 @@ TEST(Spmspv, EmptyFrontierSkipsEverything) {
   EXPECT_EQ(engine.last_stats().blocks_skipped,
             engine.last_stats().blocks_total);
   EXPECT_EQ(engine.last_stats().skip_ratio(), 1.0);
+}
+
+TEST(Spmspv, WarmThreadedMultiplyIsAllocationFree) {
+  const std::uint64_t seed = test_seed(117);
+  const Csr a =
+      sparse::gen_fem_like(9000, 8, 200, ValueModel::kSmoothField, seed);
+  const auto cm = codec::compress(a, PipelineConfig::udp_dsh());
+  SpmspvConfig cfg;
+  cfg.threads = 3;
+  SpmspvEngine engine(cm, cfg);
+  const SparseVector x = random_frontier(a.cols, 0.05, seed + 1);
+  std::vector<double> y(static_cast<std::size_t>(a.rows));
+  std::vector<double> y_warm(y.size());
+  engine.multiply(x, y);  // warm-up: scatter buffers, arenas, team
+
+  const std::uint64_t before =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  engine.multiply(x, y_warm);
+  EXPECT_EQ(g_heap_allocations.load(std::memory_order_relaxed) - before, 0u)
+      << "warmed multiply allocated";
+  EXPECT_GT(engine.last_stats().blocks_decoded, 0u);
+  expect_bitwise(y_warm, y, "warm multiply");
 }
 
 TEST(Spmspv, RejectsMalformedFrontiers) {
