@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 #include <string>
-#include <thread>
 
 #include "telemetry/telemetry.h"
 
@@ -30,16 +29,12 @@ struct SchedTelemetry {
 }  // namespace
 
 BandRunner::BandRunner(std::size_t workers, std::size_t max_tasks)
-    : workers_(workers) {
-  if (workers_ == 0) {
-    workers_ = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+    : pool_(workers) {
   SchedTelemetry::get();  // register the series before any run
-  if (workers_ > 1) {
+  if (pool_.size() > 1) {
     scheduler_ = std::make_unique<WorkStealingScheduler<std::uint32_t>>(
-        workers_, max_tasks + 1);
-    team_ = std::make_unique<WorkerTeam>(workers_);
-    acquire_wait_.assign(workers_, 0.0);
+        pool_.size(), max_tasks + 1);
+    acquire_wait_.assign(pool_.size(), 0.0);
   }
 }
 
@@ -50,32 +45,29 @@ std::size_t BandRunner::queued() const {
 }
 
 void BandRunner::run(const std::vector<std::uint32_t>& order, Body body,
-                     void* ctx, Lookahead lookahead) {
+                     void* ctx, Lookahead lookahead, bool serial) {
   body_ = body;
   lookahead_ = lookahead;
   ctx_ = ctx;
   stats_ = BandRunStats{};
-  stats_.workers = workers_;
-  if (!scheduler_) {
+  if (!scheduler_ || serial) {
+    stats_.workers = 1;
     run_inline(order);
     return;
   }
 
+  stats_.workers = pool_.size();
   std::fill(acquire_wait_.begin(), acquire_wait_.end(), 0.0);
   scheduler_->reset();
   scheduler_->seed(order);
-  gate_.reset(workers_);
-  team_->run(&BandRunner::worker_entry, this);
-  // gate_.wait() blocks until every worker has drained, then rethrows the
-  // first error; team_->wait() parks the threads so the next run() is
-  // legal. Stats are collected on both paths.
+  // The pool returns once every worker has drained and rethrows the
+  // first error; stats are collected on both paths.
   std::exception_ptr error;
   try {
-    gate_.wait();
+    pool_.run(&BandRunner::worker_entry, this);
   } catch (...) {
     error = std::current_exception();
   }
-  team_->wait();
   const StealStats& ss = scheduler_->stats();
   stats_.steals = ss.steals.load(std::memory_order_relaxed);
   stats_.steal_attempts = ss.steal_attempts.load(std::memory_order_relaxed);
@@ -86,6 +78,7 @@ void BandRunner::run(const std::vector<std::uint32_t>& order, Body body,
 }
 
 void BandRunner::run_inline(const std::vector<std::uint32_t>& order) {
+  if (lookahead_ && !order.empty()) lookahead_(ctx_, order[0]);
   for (std::size_t i = 0; i < order.size(); ++i) {
     if (lookahead_ && i + 1 < order.size()) lookahead_(ctx_, order[i + 1]);
     body_(ctx_, order[i], 0);
@@ -134,15 +127,14 @@ void BandRunner::worker_loop(std::size_t worker) {
       sched.complete();
       task = next;
     }
-    gate_.arrive();
   } catch (...) {
     sched.cancel();
     // The faulting worker never re-enters the loop's acquire(), so drain
     // its own deque here: the "all deques drained after an error"
-    // contract.
+    // contract. The pool rethrows the first error on the caller.
     std::uint32_t discard;
     sched.acquire(worker, discard);
-    gate_.arrive_with_error(std::current_exception());
+    throw;
   }
 }
 

@@ -5,29 +5,28 @@
 // the codec layer because the writer does; it depends only on common/
 // and telemetry/.
 //
-// A BandRunner owns a WorkStealingScheduler (common/work_stealing.h), a
-// WorkerTeam and a WorkerGate and keeps them across runs. run() seeds
-// the scheduler with a task order, wakes the team, and lets idle workers
-// steal. The body is a raw function pointer plus context, so a run on a
-// warmed runner performs no heap allocation — the streaming executor and
-// SpMSpV hold one (inside their BlockStream) for their lifetime for
-// exactly that reason; SpGEMM and the container writer build one per
-// call.
+// A BandRunner owns a WorkStealingScheduler (common/work_stealing.h) and
+// a ThreadPool and keeps them across runs. run() seeds the scheduler with
+// a task order, runs the team, and lets idle workers steal. The body is a
+// raw function pointer plus context, so a run on a warmed runner performs
+// no heap allocation — the streaming executor and SpMSpV hold one (inside
+// their BlockStream) for their lifetime for exactly that reason; SpGEMM
+// and the container writer build one per call.
 //
-// A one-worker runner has no scheduler and no threads: it runs the order
-// inline on the calling thread, as the writer's `threads = 1` path does.
-// (BlockStream runs its one-worker walks itself, to hint each task's
-// successor only once the task holds its lease.)
+// A one-worker runner, or a run asked to be serial, has no scheduler in
+// play: it runs the order inline on the calling thread as worker 0.
 //
-// Lookahead: when a lookahead hook is set, each worker pops its next task
-// (try_acquire only) before running the one in hand and passes it to the
-// hook — out-of-core consumers prefetch that band's compressed bytes
-// behind the current decode, so in-flight bytes stay bounded by about one
-// window per worker however stealing reorders the run. Only tasks popped
-// ahead reach the hook: a task a worker had to wait or steal for is read
-// by that worker itself, in parallel with the hinted reads. The inline
-// path hints order[i + 1] before running order[i]. Without a hook nothing
-// is popped ahead.
+// Lookahead, one rule for every run: with a lookahead hook set, a worker
+// hands the hook the task it will run next, once it holds that task and
+// before it runs the one in hand. A threaded worker holds its next task
+// only by popping it ahead (try_acquire, never blocking); the inline walk
+// holds the whole order, so it hints order[0] before the run and
+// order[i + 1] before running order[i]. Out-of-core consumers prefetch
+// that task's compressed bytes behind the current decode, so in-flight
+// bytes stay bounded by about two ranges per worker however stealing
+// reorders the run. A task a worker had to wait or steal for is read by
+// that worker itself, in parallel with the hinted reads. Without a hook
+// nothing is popped ahead.
 //
 // Determinism contract: callers hand in tasks that own disjoint outputs
 // (row ranges, block slots) and a body whose work for a task does not
@@ -75,8 +74,8 @@ class BandRunner {
   using Body = void (*)(void* ctx, std::uint32_t task, std::size_t worker);
   using Lookahead = void (*)(void* ctx, std::uint32_t task);
 
-  // `workers` threads (0 = hardware_concurrency); runs may hand in at most
-  // `max_tasks` tasks. The team is spawned here, never during a run.
+  // `workers` threads (ThreadPool::resolve_size); runs may hand in at
+  // most `max_tasks` tasks. The team is spawned here, never during a run.
   BandRunner(std::size_t workers, std::size_t max_tasks);
   ~BandRunner();
 
@@ -84,10 +83,11 @@ class BandRunner {
   BandRunner& operator=(const BandRunner&) = delete;
 
   // Runs body(ctx, task, worker) once for every task of `order`, seeded
-  // in that order. Blocks until the run has drained; rethrows the first
-  // error. last_stats() is refreshed either way.
+  // in that order (`serial`: inline, in that order). Blocks until the run
+  // has drained; rethrows the first error. last_stats() is refreshed
+  // either way.
   void run(const std::vector<std::uint32_t>& order, Body body, void* ctx,
-           Lookahead lookahead = nullptr);
+           Lookahead lookahead = nullptr, bool serial = false);
 
   const BandRunStats& last_stats() const { return stats_; }
 
@@ -100,18 +100,14 @@ class BandRunner {
   void worker_loop(std::size_t worker);
   void run_inline(const std::vector<std::uint32_t>& order);
 
-  std::size_t workers_;
+  ThreadPool pool_;
   std::unique_ptr<WorkStealingScheduler<std::uint32_t>> scheduler_;
-  WorkerGate gate_{0};
   std::vector<double> acquire_wait_;  // per-worker, reset each run
   // The run in flight.
   Body body_ = nullptr;
   Lookahead lookahead_ = nullptr;
   void* ctx_ = nullptr;
   BandRunStats stats_;
-  // Declared last: its threads use every member above, so it is
-  // destroyed (and its threads joined) first.
-  std::unique_ptr<WorkerTeam> team_;
 };
 
 }  // namespace recode::codec

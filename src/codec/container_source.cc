@@ -265,16 +265,15 @@ class StreamedSource final : public ContainerSource {
     std::lock_guard<std::mutex> lk(mu_);
     if (owner_[first] != nullptr) return;  // already in flight or leased
     const std::size_t bytes = range_bytes(first, count);
-    const bool fits =
-        in_flight_bytes_ == 0 || in_flight_bytes_ + bytes <= budget_;
-    if (!fits || q_size_ == kQueueCapacity) {
+    if (!fits(in_flight_bytes_, bytes) || q_size_ == kQueueCapacity) {
       // Dropping a hint is always safe: acquire falls back to a
       // synchronous read. Never queue beyond the byte budget.
       ++stats_.prefetch_drops;
       return;
     }
     Window* w = grab_idle_locked();
-    stage_locked(w, first, count, bytes, Window::State::kQueued);
+    stage_locked(w, first, count, bytes, Window::State::kQueued,
+                 /*leased=*/false);
     queue_push_locked(w);
     io_cv_.notify_one();
   }
@@ -288,6 +287,10 @@ class StreamedSource final : public ContainerSource {
       // Lease ranges must match the prefetch ranges exactly (both come
       // from the same band/chunk plan).
       RECODE_CHECK(w->first == first && w->count == count);
+      // Claimed: no reclaim touches it now. A window reclaimed while
+      // still reading is adopted rather than left to be discarded.
+      w->leased = true;
+      w->discard = false;
       ready_cv_.wait(lk, [&] { return w->state == Window::State::kReady; });
       if (!w->error.empty()) {
         const std::string msg = w->error;
@@ -301,13 +304,19 @@ class StreamedSource final : public ContainerSource {
     }
     // No prefetch landed: read inline, still respecting the budget (a
     // single range larger than the whole budget proceeds alone so tiny
-    // budgets serialize instead of deadlocking).
+    // budgets serialize instead of deadlocking). Leases end as their
+    // tasks finish, but an unleased prefetch ends only at its own acquire
+    // — possibly this caller's next one — so once the leases alone leave
+    // room, the prefetches are reclaimed instead of waited on.
     const std::size_t bytes = range_bytes(first, count);
     budget_cv_.wait(lk, [&] {
-      return in_flight_bytes_ == 0 || in_flight_bytes_ + bytes <= budget_;
+      if (fits(in_flight_bytes_, bytes)) return true;
+      if (fits(leased_bytes_locked(), bytes)) reclaim_prefetches_locked();
+      return fits(in_flight_bytes_, bytes);
     });
     w = grab_idle_locked();
-    stage_locked(w, first, count, bytes, Window::State::kReading);
+    stage_locked(w, first, count, bytes, Window::State::kReading,
+                 /*leased=*/true);
     ++stats_.sync_reads;
     lk.unlock();
     std::uint64_t ns = 0;
@@ -352,19 +361,7 @@ class StreamedSource final : public ContainerSource {
 
   void end_run() override {
     std::lock_guard<std::mutex> lk(mu_);
-    while (q_size_ > 0) {
-      Window* w = queue_pop_locked();
-      if (w->state == Window::State::kQueued) reset_locked(w);
-    }
-    for (auto& up : windows_) {
-      Window* w = up.get();
-      if (w->state == Window::State::kReady) {
-        reset_locked(w);
-      } else if (w->state == Window::State::kReading) {
-        w->discard = true;
-      }
-    }
-    budget_cv_.notify_all();
+    reclaim_prefetches_locked();
   }
 
   SourceStats stats() const override {
@@ -411,9 +408,49 @@ class StreamedSource final : public ContainerSource {
     std::size_t bytes = 0;
     enum class State { kIdle, kQueued, kReading, kReady, kInUse };
     State state = State::kIdle;
-    bool discard = false;
+    bool leased = false;   // an acquire owns it (always so when kInUse)
+    bool discard = false;  // reclaimed mid-read: reset when the read lands
     std::string error;
   };
+
+  // The budget rule: a range fits beside `held` in-flight bytes, and a
+  // range alone always fits.
+  bool fits(std::size_t held, std::size_t bytes) const {
+    return held == 0 || held + bytes <= budget_;
+  }
+
+  std::size_t leased_bytes_locked() const {
+    std::size_t bytes = 0;
+    for (const auto& up : windows_) {
+      if (up->leased) bytes += up->bytes;
+    }
+    return bytes;
+  }
+
+  // Reclaims every prefetch no acquire has claimed: queued and ready
+  // windows go idle now, a window mid-read once its read lands (unless an
+  // acquire adopts it first).
+  void reclaim_prefetches_locked() {
+    const std::size_t before = in_flight_bytes_;
+    for (std::size_t n = q_size_; n > 0; --n) {
+      Window* w = queue_pop_locked();
+      if (w->leased) {
+        queue_push_locked(w);  // keeps its place in the read order
+      } else {
+        reset_locked(w);
+      }
+    }
+    for (auto& up : windows_) {
+      Window* w = up.get();
+      if (w->leased) continue;
+      if (w->state == Window::State::kReady) {
+        reset_locked(w);
+      } else if (w->state == Window::State::kReading) {
+        w->discard = true;
+      }
+    }
+    if (in_flight_bytes_ < before) budget_cv_.notify_all();
+  }
 
   std::size_t range_bytes(std::size_t first, std::size_t count) const {
     return static_cast<std::size_t>(index_.offsets[first + count] -
@@ -437,7 +474,7 @@ class StreamedSource final : public ContainerSource {
   }
 
   void stage_locked(Window* w, std::size_t first, std::size_t count,
-                    std::size_t bytes, Window::State state) {
+                    std::size_t bytes, Window::State state, bool leased) {
     for (std::size_t b = first; b < first + count; ++b) {
       RECODE_CHECK(owner_[b] == nullptr);
       owner_[b] = w;
@@ -452,6 +489,7 @@ class StreamedSource final : public ContainerSource {
     w->file_offset = index_.offsets[first];
     w->bytes = bytes;
     w->error.clear();
+    w->leased = leased;
     w->discard = false;
     w->state = state;
     in_flight_bytes_ += bytes;
@@ -466,6 +504,7 @@ class StreamedSource final : public ContainerSource {
     in_flight_bytes_ -= w->bytes;
     w->count = 0;
     w->bytes = 0;
+    w->leased = false;
     w->discard = false;
     w->error.clear();
     w->state = Window::State::kIdle;

@@ -26,7 +26,11 @@
 //                        budget or queue is full (acquire then reads
 //                        synchronously — correctness never depends on a
 //                        prefetch happening)
-//   acquire(first, n)    blocks until the range's bytes are addressable
+//   acquire(first, n)    blocks until the range's bytes are addressable;
+//                        never waits on window budget held only by
+//                        prefetches no acquire has claimed (it reclaims
+//                        them), nor on a prefetch end_run reclaimed
+//                        mid-read (it adopts that window)
 //   block(b)             compressed index/value spans, valid while the
 //                        covering lease is held
 //   release(first, n)    ends the lease acquire(first, n) began and
@@ -126,8 +130,9 @@ class ContainerSource {
 struct StreamedOptions {
   // Bound on in-flight compressed bytes across queued, reading, ready,
   // and in-use windows. A single range larger than the budget is still
-  // served (one oversized window at a time) so tiny budgets degrade to
-  // serial reads instead of deadlocking.
+  // served (one oversized window at a time), and a synchronous read
+  // reclaims unleased prefetches rather than waiting on them, so tiny
+  // budgets degrade to serial reads instead of deadlocking.
   std::size_t window_budget_bytes = 64ull << 20;
 };
 

@@ -4,7 +4,6 @@
 #include <array>
 #include <fstream>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "codec/arena.h"
@@ -13,6 +12,7 @@
 #include "codec/registry.h"
 #include "common/error.h"
 #include "common/prng.h"
+#include "common/thread_pool.h"
 #include "common/varint.h"
 
 namespace recode::codec {
@@ -114,11 +114,9 @@ StreamWriteResult write_compressed_stream(
   WriteJob job;
   job.cm = &cm;
   job.fill = &fill;
-  // 0 = hardware_concurrency; never more workers than blocks.
-  std::size_t workers =
-      threads != 0 ? threads : std::thread::hardware_concurrency();
-  workers = std::clamp<std::size_t>(workers, 1,
-                                    std::max<std::size_t>(1, nblocks));
+  // Never more workers than blocks.
+  const std::size_t workers = std::min(ThreadPool::resolve_size(threads),
+                                       std::max<std::size_t>(1, nblocks));
   BandRunner runner(workers, nblocks);
   job.scratch.resize(workers);
 

@@ -1,19 +1,12 @@
 #include "spmv/block_decoder.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/error.h"
 #include "common/timer.h"
 #include "telemetry/telemetry.h"
 
 namespace recode::spmv {
-
-std::size_t resolve_workers(std::size_t workers) {
-  return workers != 0
-             ? workers
-             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
 
 namespace {
 
@@ -23,7 +16,7 @@ namespace {
 constexpr std::size_t kChunkBlocks = 16;
 
 std::size_t stream_workers(std::size_t workers, std::size_t max_tasks) {
-  return std::min(resolve_workers(workers),
+  return std::min(ThreadPool::resolve_size(workers),
                   std::max<std::size_t>(1, max_tasks));
 }
 
@@ -121,12 +114,6 @@ void BlockStream::hint(void* self, std::uint32_t task) {
   }
 }
 
-void BlockStream::hint_next() {
-  const std::uint32_t task = *next_;
-  next_ = nullptr;
-  hint(this, task);
-}
-
 void BlockStream::run(const std::vector<std::uint32_t>& order, Ranges ranges,
                       Body body, void* ctx, bool serial) {
   ranges_ = ranges;
@@ -134,7 +121,6 @@ void BlockStream::run(const std::vector<std::uint32_t>& order, Ranges ranges,
   ctx_ = ctx;
   for (auto& w : workers_) w->tally = StreamTally{};
   const bool hints = source_->out_of_core();
-  const bool threaded = !serial && workers_.size() > 1;
   try {
     if (hints) {
       // Each worker stages at most two ranges (the one in hand and its
@@ -146,33 +132,22 @@ void BlockStream::run(const std::vector<std::uint32_t>& order, Ranges ranges,
               max_extent, source_->range_extent_bytes(r.first, r.count));
         }
       }
-      source_->reserve(threaded ? 2 * workers_.size() : 2, max_extent);
+      source_->reserve(2 * (serial ? 1 : workers_.size()), max_extent);
     }
-    if (threaded) {
-      runner_.run(order, &BlockStream::run_body, this,
-                  hints ? &BlockStream::hint : nullptr);
-    } else {
-      if (hints && !order.empty()) hint(this, order[0]);
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        next_ = hints && i + 1 < order.size() ? &order[i + 1] : nullptr;
-        body(ctx, order[i], 0);
-        if (next_) hint_next();  // the task leased nothing
-      }
-    }
+    runner_.run(order, &BlockStream::run_body, this,
+                hints ? &BlockStream::hint : nullptr, serial);
   } catch (...) {
-    finish_run(threaded);
+    finish_run();
     throw;
   }
-  finish_run(threaded);
+  finish_run();
 }
 
 // Runs on the calling thread after every run, failed ones included.
-void BlockStream::finish_run(bool threaded) {
-  next_ = nullptr;
+void BlockStream::finish_run() {
   // The run boundary reclaims prefetched ranges no task leased.
   source_->end_run();
-  run_stats_ = threaded ? runner_.last_stats()
-                        : codec::BandRunStats{.workers = 1};
+  run_stats_ = runner_.last_stats();
   last_ = StreamTally{};
   for (const auto& w : workers_) last_ += w->tally;
   totals_ += last_;

@@ -9,12 +9,14 @@
 // block ranges each task leases (a band, the runs of frontier-needed
 // blocks, a chunk) and a body. The lookahead hint prefetches exactly
 // those ranges and decode_task() leases exactly those ranges, so a
-// prefetched range is always leased with the same (first, count). With
-// one worker the first task is hinted before the run and task i + 1 once
-// task i holds its first lease (or after task i, when it leases nothing),
-// so a synchronous read never waits on window budget its successor's
-// prefetch holds; with more workers the runner's pop-order lookahead
-// hints each worker's next task. Resident sources get no hints.
+// prefetched range is always leased with the same (first, count). Every
+// run, with one worker or many, goes through the BandRunner and its one
+// lookahead rule (codec/band_runner.h): the inline walk hints order[0]
+// before the run and order[i + 1] before running order[i]; a threaded
+// worker hints the task it popped ahead before running the one in hand.
+// The source never lets a synchronous read wait on window budget that
+// only unleased prefetches hold, so no hint timing can stall a run.
+// Resident sources get no hints.
 //
 // Each block is one decode call: read its bytes from the source, dispatch
 // on the engine, range-check the decoded indices. The spans alias the
@@ -47,10 +49,6 @@ const char* decode_engine_name(DecodeEngine engine);
 // recoverable error, never as an out-of-bounds gather in a kernel.
 void check_block_indices(std::span<const sparse::index_t> indices,
                          sparse::index_t cols);
-
-// A worker count as the consumers' configs spell it: 0 means
-// hardware_concurrency.
-std::size_t resolve_workers(std::size_t workers);
 
 // One decoded block. indices/values alias the decoding worker's memory.
 struct BlockStreams {
@@ -85,8 +83,8 @@ class BlockStream {
   using Ranges = std::span<const BlockRun> (*)(void* ctx, std::uint32_t task);
   using Body = codec::BandRunner::Body;
 
-  // A null `source` serves cm.blocks. `workers` workers (0 =
-  // hardware_concurrency), never more than max(1, max_tasks), the most
+  // A null `source` serves cm.blocks. `workers` workers
+  // (ThreadPool::resolve_size), never more than max(1, max_tasks), the most
   // tasks a run may hand in. Throws recode::Error for an engine the
   // source cannot serve (UDP on an out-of-core source).
   BlockStream(const codec::CompressedMatrix& cm,
@@ -113,7 +111,6 @@ class BlockStream {
               Fn&& fn) {
     Worker& w = *workers_[worker];
     source_->acquire(first, count);
-    if (next_) hint_next();
     try {
       for (std::size_t b = first; b < first + count; ++b) {
         fn(b, decode_block(w, b));
@@ -180,8 +177,7 @@ class BlockStream {
   BlockStreams decode_block(Worker& w, std::size_t b);
   static void run_body(void* self, std::uint32_t task, std::size_t worker);
   static void hint(void* self, std::uint32_t task);
-  void hint_next();
-  void finish_run(bool threaded);
+  void finish_run();
 
   const codec::CompressedMatrix* cm_;
   std::shared_ptr<codec::ContainerSource> source_;
@@ -194,9 +190,6 @@ class BlockStream {
   Ranges ranges_ = nullptr;
   Body body_ = nullptr;
   void* ctx_ = nullptr;
-  // One-worker path: the task to hint once the running task holds its
-  // first lease. Null while workers run.
-  const std::uint32_t* next_ = nullptr;
   StreamTally last_;
   StreamTally totals_;
   codec::BandRunStats run_stats_;

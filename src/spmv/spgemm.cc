@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "spmv/block_decoder.h"
 #include "spmv/streaming_executor.h"
 #include "telemetry/telemetry.h"
@@ -256,7 +257,7 @@ BandedC run_spgemm(const codec::CompressedMatrix& a,
     job.c.first_nnz = {0};
     return std::move(job.c);  // nnz == 0: all-empty rows
   }
-  const std::size_t workers = resolve_workers(cfg.threads);
+  const std::size_t workers = ThreadPool::resolve_size(cfg.threads);
   if (workers > 1 && job.bands.size() > 1) {
     // Spread the matrix over ~4 tasks per worker so stealing has slack.
     const std::size_t max_blocks = std::max<std::size_t>(

@@ -1,9 +1,9 @@
 #include "spmv/streaming_executor.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "telemetry/telemetry.h"
 
@@ -195,8 +195,7 @@ StreamingExecutor::StreamingExecutor(
     : cm_(&cm), config_(config) {
   if (config_.compute_threads == 0) config_.compute_threads = 1;
   if (config_.decode_threads == 0) {
-    const std::size_t hw =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    const std::size_t hw = ThreadPool::resolve_size(0);
     config_.decode_threads =
         hw > config_.compute_threads ? hw - config_.compute_threads : 1;
   }

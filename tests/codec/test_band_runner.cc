@@ -1,8 +1,9 @@
 // BandRunner contracts: every task runs exactly once on any worker
 // count, the lookahead hook sees a task at most once and always before
-// its body runs (and nothing is popped ahead without a hook), the first
-// error is rethrown on the caller with the scheduler drained, and one
-// runner stays usable run after run. Carries the concurrency label
+// its body runs (and nothing is popped ahead without a hook), a serial
+// run stays on the caller in order on any runner, the first error is
+// rethrown on the caller with the scheduler drained, and one runner
+// stays usable run after run. Carries the concurrency label
 // (tsan/sanitize repeat 3x).
 #include "codec/band_runner.h"
 
@@ -78,12 +79,38 @@ TEST(BandRunner, LookaheadHintsPoppedAheadTasksBeforeTheirBodies) {
       hinted += c.hint[t].load();
     }
     if (workers == 1) {
-      // Inline: order[i + 1] is hinted before order[i] runs.
-      EXPECT_EQ(c.hint[0].load(), 0);
-      EXPECT_EQ(hinted, static_cast<int>(kTasks) - 1);
+      // Inline: order[0] is hinted before the run and order[i + 1]
+      // before order[i] runs, so every task is hinted exactly once.
+      EXPECT_EQ(hinted, static_cast<int>(kTasks));
     } else {
       EXPECT_GT(hinted, 0);
     }
+  }
+}
+
+TEST(BandRunner, SerialRunIsInlineInOrderOnAnyRunner) {
+  constexpr std::size_t kTasks = 40;
+  const auto order = iota_order(kTasks);
+  for (const std::size_t workers : {1u, 4u}) {
+    BandRunner runner(workers, kTasks);
+    struct Log {
+      std::vector<std::uint32_t> ran;
+      std::vector<std::uint32_t> hinted;
+    } log;
+    runner.run(
+        order,
+        [](void* ctx, std::uint32_t task, std::size_t worker) {
+          EXPECT_EQ(worker, 0u);
+          static_cast<Log*>(ctx)->ran.push_back(task);
+        },
+        &log,
+        [](void* ctx, std::uint32_t task) {
+          static_cast<Log*>(ctx)->hinted.push_back(task);
+        },
+        /*serial=*/true);
+    EXPECT_EQ(log.ran, order) << "workers=" << workers;
+    EXPECT_EQ(log.hinted, order) << "workers=" << workers;
+    EXPECT_EQ(runner.last_stats().workers, 1u);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -11,14 +12,51 @@
 namespace recode {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+// --- run(): the team protocol --------------------------------------------
+
+struct RunCounts {
+  explicit RunCounts(std::size_t n) : hits(n) {}
+  std::vector<std::atomic<int>> hits;
+  std::atomic<bool> off_caller{true};
+  std::thread::id caller = std::this_thread::get_id();
+};
+
+void count_worker(void* ctx, std::size_t worker) {
+  auto& c = *static_cast<RunCounts*>(ctx);
+  c.hits[worker].fetch_add(1);
+  if (std::this_thread::get_id() == c.caller) c.off_caller = false;
+}
+
+TEST(ThreadPool, RunCallsEveryWorkerOnceAndIsReusable) {
+  for (const std::size_t threads : {2u, 4u}) {
+    ThreadPool pool(threads);
+    RunCounts c(threads);
+    for (int run = 1; run <= 5; ++run) {
+      pool.run(&count_worker, &c);
+      for (std::size_t w = 0; w < threads; ++w) {
+        ASSERT_EQ(c.hits[w].load(), run) << "threads=" << threads;
+      }
+    }
+    EXPECT_TRUE(c.off_caller.load()) << "a team body ran on the caller";
   }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ThreadPool, OneWorkerRunIsInlineOnTheCaller) {
+  ThreadPool pool(1);
+  RunCounts c(1);
+  pool.run(&count_worker, &c);
+  EXPECT_EQ(c.hits[0].load(), 1);
+  EXPECT_FALSE(c.off_caller.load());
+}
+
+TEST(ThreadPool, DestructionWhenIdleJoinsTheTeam) {
+  for (int round = 0; round < 20; ++round) {
+    ThreadPool never_ran(3);  // threads parked since construction
+    ThreadPool ran(3);
+    RunCounts c(3);
+    ran.run(&count_worker, &c);
+  }
+  SUCCEED();
 }
 
 TEST(ThreadPool, SizeMatchesRequest) {
@@ -118,57 +156,52 @@ TEST(ThreadPool, ParallelForUsableAfterException) {
   }
 }
 
-// --- WorkerGate ---------------------------------------------------------
+// --- run() first-error capture and drain ---------------------------------
+// A throwing body does not unwind its thread: run() waits for every
+// worker to return, then rethrows the first error on the caller.
 
-TEST(WorkerGate, WaitsForAllWorkersThenRethrowsFirstError) {
-  WorkerGate gate(3);
-  std::atomic<int> arrived{0};
-  std::vector<std::thread> workers;
-  workers.emplace_back([&] {
-    arrived.fetch_add(1);
-    gate.arrive();
-  });
-  workers.emplace_back([&] {
-    arrived.fetch_add(1);
-    gate.arrive_with_error(
-        std::make_exception_ptr(std::runtime_error("first")));
-  });
-  workers.emplace_back([&] {
-    arrived.fetch_add(1);
-    gate.arrive();
-  });
-  EXPECT_THROW(gate.wait(), std::runtime_error);
-  EXPECT_TRUE(gate.failed());
-  EXPECT_EQ(arrived.load(), 3);
-  for (auto& w : workers) w.join();
-}
+struct FaultyRun {
+  std::atomic<int> returned{0};
+  std::atomic<int> threw{0};
+  std::size_t clean_worker = 0;  // the one worker that does not throw
+};
 
-TEST(WorkerGate, CleanShutdownDoesNotThrow) {
-  WorkerGate gate(2);
-  std::thread a([&] { gate.arrive(); });
-  std::thread b([&] { gate.arrive(); });
-  gate.wait();
-  EXPECT_FALSE(gate.failed());
-  a.join();
-  b.join();
-}
-
-TEST(ThreadPool, WaitIdleWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, ReusableAcrossWaves) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int wave = 0; wave < 5; ++wave) {
-    for (int i = 0; i < 20; ++i) {
-      pool.submit([&count] { count.fetch_add(1); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), (wave + 1) * 20);
+void faulty_worker(void* ctx, std::size_t worker) {
+  auto& f = *static_cast<FaultyRun*>(ctx);
+  if (worker != f.clean_worker) {
+    f.threw.fetch_add(1);
+    throw std::runtime_error("worker " + std::to_string(worker));
   }
+  // Finishes last, so the rethrow provably waited for it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  f.returned.fetch_add(1);
+}
+
+TEST(ThreadPool, RunWaitsForAllWorkersThenRethrowsFirstError) {
+  ThreadPool pool(3);
+  FaultyRun f;
+  f.clean_worker = 1;
+  try {
+    pool.run(&faulty_worker, &f);
+    FAIL() << "expected a worker's exception to propagate";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_TRUE(what == "worker 0" || what == "worker 2") << what;
+  }
+  EXPECT_EQ(f.threw.load(), 2);
+  EXPECT_EQ(f.returned.load(), 1);
+}
+
+TEST(ThreadPool, CleanRunAfterAFailedOneDoesNotThrow) {
+  ThreadPool pool(2);
+  FaultyRun f;
+  EXPECT_THROW(pool.run(&faulty_worker, &f), std::runtime_error);
+  // The captured error is consumed by the rethrow: a clean run on the
+  // same team reports nothing.
+  RunCounts c(2);
+  pool.run(&count_worker, &c);
+  EXPECT_EQ(c.hits[0].load(), 1);
+  EXPECT_EQ(c.hits[1].load(), 1);
 }
 
 }  // namespace

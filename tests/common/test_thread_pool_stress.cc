@@ -1,5 +1,6 @@
-// ThreadPool stress tests: concurrent submission from many producers,
-// interleaved parallel_for users, and shutdown while the queue is busy.
+// ThreadPool stress tests: many concurrent callers of one team,
+// interleaved parallel_for users, repeated runs, and destruction right
+// after a run.
 // Run these under the sanitize preset (README) to verify the pool is
 // data-race- and lifetime-clean, not just functionally correct.
 #include <gtest/gtest.h>
@@ -14,59 +15,58 @@
 namespace recode {
 namespace {
 
-TEST(ThreadPoolStress, ConcurrentProducers) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  constexpr int kProducers = 8;
-  constexpr int kTasksPerProducer = 500;
+// Many callers share one team: each run() is a whole run of every worker,
+// and concurrent callers serialize rather than interleave (an
+// interleaved arming would lose or misroute some workers' calls).
+struct Tally {
+  std::atomic<int> calls{0};
+};
 
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&pool, &counter] {
-      for (int i = 0; i < kTasksPerProducer; ++i) {
-        pool.submit([&counter] {
-          counter.fetch_add(1, std::memory_order_relaxed);
-        });
+void tally_worker(void* ctx, std::size_t) {
+  auto& t = *static_cast<Tally*>(ctx);
+  t.calls.fetch_add(1, std::memory_order_relaxed);
+  std::this_thread::yield();
+}
+
+TEST(ThreadPoolStress, ConcurrentCallersSerializeOnTheTeam) {
+  ThreadPool pool(4);
+  constexpr int kCallers = 8;
+  constexpr int kRunsPerCaller = 200;
+  // One Tally per caller, so a misrouted call shows in two counts.
+  std::vector<Tally> tallies(kCallers);
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &tallies, c] {
+      for (int r = 0; r < kRunsPerCaller; ++r) {
+        pool.run(&tally_worker, &tallies[static_cast<std::size_t>(c)]);
       }
     });
   }
-  for (auto& t : producers) t.join();
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), kProducers * kTasksPerProducer);
+  for (auto& t : callers) t.join();
+  for (const Tally& t : tallies) {
+    EXPECT_EQ(t.calls.load(), kRunsPerCaller * 4);
+  }
 }
 
-TEST(ThreadPoolStress, SubmitAndDrainRepeatedly) {
+TEST(ThreadPoolStress, RunAndDrainRepeatedly) {
   ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 40; ++i) {
-      pool.submit([&counter] {
-        counter.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), (round + 1) * 40);
+  Tally t;
+  for (int round = 0; round < 500; ++round) {
+    pool.run(&tally_worker, &t);
+    ASSERT_EQ(t.calls.load(), (round + 1) * 3);
   }
 }
 
-TEST(ThreadPoolStress, ShutdownWhileBusy) {
-  std::atomic<int> started{0};
-  std::atomic<int> finished{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&started, &finished] {
-        started.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        finished.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    // Destructor runs with most of the queue still pending: it must
-    // drain everything and join without losing or double-running tasks.
+TEST(ThreadPoolStress, DestroyRightAfterARun) {
+  for (int round = 0; round < 64; ++round) {
+    Tally t;
+    {
+      ThreadPool pool(2);
+      pool.run(&tally_worker, &t);
+    }  // threads still settling back to idle when the destructor joins
+    EXPECT_EQ(t.calls.load(), 2);
   }
-  EXPECT_EQ(started.load(), 64);
-  EXPECT_EQ(finished.load(), 64);
 }
 
 TEST(ThreadPoolStress, ParallelForFromMultipleThreads) {
@@ -93,22 +93,22 @@ TEST(ThreadPoolStress, ParallelForFromMultipleThreads) {
   EXPECT_EQ(sum_b.load(), kExpected);
 }
 
-TEST(ThreadPoolStress, SingleWorkerPoolUnderLoad) {
-  ThreadPool pool(1);
+TEST(ThreadPoolStress, SingleWorkerPoolFromMultipleThreads) {
+  ThreadPool pool(1);  // no threads: every caller runs inline
   std::atomic<int> counter{0};
-  std::vector<std::thread> producers;
+  std::vector<std::thread> callers;
   for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&] {
+    callers.emplace_back([&] {
       for (int i = 0; i < 200; ++i) {
-        pool.submit([&counter] {
-          counter.fetch_add(1, std::memory_order_relaxed);
+        pool.parallel_for(0, 8, [&counter](std::size_t b, std::size_t e) {
+          counter.fetch_add(static_cast<int>(e - b),
+                            std::memory_order_relaxed);
         });
       }
     });
   }
-  for (auto& t : producers) t.join();
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 800);
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(counter.load(), 4 * 200 * 8);
 }
 
 }  // namespace

@@ -14,16 +14,29 @@
 //   - block(b) is only called while a lease covering b is held;
 //   - each run calls end_run exactly once, also after a throw.
 //
+// Then every consumer at window budgets from 4 KB to one band's extent
+// and threads {1, 2, 3, 7}, bitwise against resident, and an acquire
+// racing the end_run that reclaimed its prefetch — each under a
+// watchdog, since a protocol bug shows as a hang.
+//
 // Carries the concurrency label (sanitize/tsan presets repeat it 3x).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "codec/container.h"
@@ -309,7 +322,9 @@ TEST_F(LeaseProtocol, StreamingExecutorCacheOffAndOn) {
         }
         audit(*src, corrupt, 1, tag, [&] { exec.multiply(x_, y); });
         EXPECT_EQ(exec.scheduler_queued(), 0u) << tag;
-        EXPECT_EQ(exec.last_stats().workers, threads) << tag;
+        EXPECT_EQ(exec.last_stats().workers,
+                  std::min<std::size_t>(threads, exec.bands().size()))
+            << tag;
       });
     }
   }
@@ -380,62 +395,193 @@ TEST_F(LeaseProtocol, SpmspvSurveyAndMultiply) {
   }
 }
 
-// A window budget below every lease range: a prefetch is staged only
-// while nothing else is in flight. The one-worker paths hint a task's
-// successor only once the task holds its lease, so the successor's
-// prefetch is dropped and can never hold the budget a synchronous read
-// of the task in hand waits for; each consumer finishes and matches the
-// resident result.
-TEST_F(LeaseProtocol, OneWorkerRunsFinishUnderATinyWindowBudget) {
-  codec::StreamedOptions tiny;
-  tiny.window_budget_bytes = 4096;
-  const auto streamed = [&] {
-    OpenedContainer oc = codec::open_container(path_, SourceKind::kStreamed,
-                                               tiny);
-    return std::make_pair(oc.matrix, std::make_shared<AuditSource>(oc.source));
-  };
-  const std::string tag = "streamed tiny budget";
+// Aborts the process, naming the case, if the case is still running
+// after `seconds`. A lease-protocol regression shows as a hang; this
+// turns it into a fast failure that names its case instead of a ctest
+// timeout.
+class Watchdog {
+ public:
+  explicit Watchdog(std::string name, int seconds = 30)
+      : name_(std::move(name)), thread_([this, seconds] {
+          std::unique_lock<std::mutex> lk(mu_);
+          if (!cv_.wait_for(lk, std::chrono::seconds(seconds),
+                            [this] { return done_; })) {
+            std::fprintf(stderr, "watchdog: '%s' still running after %d s\n",
+                         name_.c_str(), seconds);
+            std::abort();
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+ private:
+  const std::string name_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;  // last: it reads every member above
+};
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Window budgets from below any lease (4 KB) to one block's and one
+// band's largest extent, at every worker count: a synchronous acquire
+// must never wait on budget that only unleased prefetches hold — a
+// worker's own prefetch of its popped-ahead task included. Every
+// consumer finishes and matches its resident result bitwise.
+TEST_F(LeaseProtocol, EveryConsumerFinishesAtAnyWindowBudget) {
+  constexpr std::size_t kBlocksPerBand = 2;
+  std::size_t block_extent = 0;
+  std::size_t band_extent = 0;
+  {
+    const OpenedContainer oc =
+        codec::open_container(path_, SourceKind::kStreamed);
+    const std::size_t nblocks = cm_.blocks.size();
+    for (std::size_t b = 0; b < nblocks; ++b) {
+      block_extent =
+          std::max(block_extent, oc.source->range_extent_bytes(b, 1));
+      const std::size_t n = std::min(kBlocksPerBand, nblocks - b);
+      band_extent = std::max(band_extent, oc.source->range_extent_bytes(b, n));
+    }
+  }
+  SparseVector full_x;
+  for (sparse::index_t c = 0; c < a_.cols; ++c) {
+    full_x.indices.push_back(c);
+    full_x.values.push_back(x_[static_cast<std::size_t>(c)]);
+  }
   std::vector<double> y_ref(static_cast<std::size_t>(a_.rows));
   RecodedSpmv(cm_).multiply(x_, y_ref);
-
-  StreamingConfig cfg;
-  cfg.blocks_per_band = 2;
-  cfg.fused_inline_blocks = SIZE_MAX;
+  SpgemmConfig ref_cfg;
+  ref_cfg.blocks_per_band = kBlocksPerBand;
+  const Csr c_ref = spgemm(cm_, a_, ref_cfg);
+  const std::string c_ref_path = "lease_protocol_c_ref.rcm";
+  (void)spgemm_to_container(c_ref_path, cm_, nullptr, a_,
+                            PipelineConfig::udp_dsh(), ref_cfg);
+  const std::string c_ref_bytes = file_bytes(c_ref_path);
+  std::remove(c_ref_path.c_str());
+  std::vector<double> y_spmspv_ref(y_ref.size());
   {
-    auto [m, src] = streamed();
-    StreamingExecutor exec(*m, src, cfg);
-    std::vector<double> y(y_ref.size());
-    audit(*src, false, 1, tag + " executor", [&] { exec.multiply(x_, y); });
-    EXPECT_EQ(y, y_ref) << tag;
-  }
-  {
-    auto [m, src] = streamed();
-    SpgemmConfig gcfg;
-    gcfg.blocks_per_band = 2;
-    Csr c;
-    audit(*src, false, 1, tag + " spgemm",
-          [&] { c = spgemm(*m, src, a_, gcfg); });
-    const Csr c_ref = spgemm(cm_, a_, gcfg);
-    EXPECT_EQ(c.col_idx, c_ref.col_idx) << tag;
-    EXPECT_EQ(c.val, c_ref.val) << tag;
-  }
-  {
-    auto [m, src] = streamed();
     SpmspvConfig scfg;
-    scfg.blocks_per_band = 2;
-    std::unique_ptr<SpmspvEngine> engine;
-    audit(*src, false, 1, tag + " survey",
-          [&] { engine = std::make_unique<SpmspvEngine>(*m, src, scfg); });
-    SparseVector full_x;
-    for (sparse::index_t c = 0; c < a_.cols; ++c) {
-      full_x.indices.push_back(c);
-      full_x.values.push_back(x_[static_cast<std::size_t>(c)]);
-    }
-    std::vector<double> y(y_ref.size());
-    audit(*src, false, 1, tag + " spmspv",
-          [&] { engine->multiply(full_x, y); });
-    EXPECT_EQ(y, y_ref) << tag;
+    scfg.blocks_per_band = kBlocksPerBand;
+    SpmspvEngine(cm_, scfg).multiply(full_x, y_spmspv_ref);
   }
+
+  for (const std::size_t budget : {std::size_t{4096}, block_extent,
+                                   band_extent}) {
+    codec::StreamedOptions opts;
+    opts.window_budget_bytes = budget;
+    const auto streamed = [&] {
+      OpenedContainer oc =
+          codec::open_container(path_, SourceKind::kStreamed, opts);
+      return std::make_pair(oc.matrix,
+                            std::make_shared<AuditSource>(oc.source));
+    };
+    for (const std::size_t threads : {1u, 2u, 3u, 7u}) {
+      const std::string tag = "budget=" + std::to_string(budget) +
+                              " threads=" + std::to_string(threads);
+      {
+        const Watchdog dog(tag + " executor");
+        auto [m, src] = streamed();
+        StreamingConfig cfg;
+        cfg.blocks_per_band = kBlocksPerBand;
+        cfg.cache_budget_bytes = 0;
+        // threads == 1 is the inline path; otherwise `threads` workers
+        // on the threaded path however few blocks there are.
+        cfg.decode_threads = threads == 1 ? 1 : threads - 1;
+        cfg.compute_threads = 1;
+        cfg.fused_inline_blocks = threads == 1 ? SIZE_MAX : 0;
+        StreamingExecutor exec(*m, src, cfg);
+        std::vector<double> y(y_ref.size());
+        audit(*src, false, 1, tag + " executor",
+              [&] { exec.multiply(x_, y); });
+        EXPECT_EQ(exec.last_stats().workers,
+                  std::min<std::size_t>(threads, exec.bands().size()))
+            << tag;
+        EXPECT_EQ(y, y_ref) << tag << " executor";
+      }
+      SpgemmConfig gcfg;
+      gcfg.threads = threads;
+      gcfg.blocks_per_band = kBlocksPerBand;
+      {
+        const Watchdog dog(tag + " spgemm");
+        auto [m, src] = streamed();
+        Csr c;
+        audit(*src, false, 1, tag + " spgemm",
+              [&] { c = spgemm(*m, src, a_, gcfg); });
+        EXPECT_EQ(c.row_ptr, c_ref.row_ptr) << tag << " spgemm";
+        EXPECT_EQ(c.col_idx, c_ref.col_idx) << tag << " spgemm";
+        EXPECT_EQ(c.val, c_ref.val) << tag << " spgemm";
+      }
+      {
+        const Watchdog dog(tag + " spgemm_to_container");
+        auto [m, src] = streamed();
+        audit(*src, false, 1, tag + " spgemm_to_container", [&] {
+          (void)spgemm_to_container(c_path_, *m, src, a_,
+                                    PipelineConfig::udp_dsh(), gcfg);
+        });
+        EXPECT_TRUE(file_bytes(c_path_) == c_ref_bytes)
+            << tag << " spgemm_to_container";
+      }
+      {
+        const Watchdog dog(tag + " spmspv");
+        auto [m, src] = streamed();
+        SpmspvConfig scfg;
+        scfg.threads = threads;
+        scfg.blocks_per_band = kBlocksPerBand;
+        std::unique_ptr<SpmspvEngine> engine;
+        audit(*src, false, 1, tag + " survey",
+              [&] { engine = std::make_unique<SpmspvEngine>(*m, src, scfg); });
+        std::vector<double> y(y_ref.size());
+        audit(*src, false, 1, tag + " spmspv",
+              [&] { engine->multiply(full_x, y); });
+        EXPECT_EQ(y, y_spmspv_ref) << tag << " spmspv";
+      }
+    }
+  }
+}
+
+// A run that fails mid-way leaves its prefetches to end_run, and the
+// next run may lease the same range while the IO thread is still reading
+// it: prefetch, end_run, acquire of one range, looped so the end_run
+// lands on a queued, a reading and a ready window. The acquire must
+// adopt or re-read the range, never wait on a window end_run reclaimed.
+TEST_F(LeaseProtocol, AcquireAfterEndRunReclaimedItsPrefetch) {
+  // A range of ~1 MB, so its read lasts long enough to be caught mid-way.
+  const Csr big = sparse::gen_fem_like(
+      40000, 9, 120, sparse::ValueModel::kSmoothField, test_seed(131));
+  const codec::CompressedMatrix big_cm =
+      codec::compress(big, PipelineConfig::udp_dsh());
+  codec::write_compressed_file(c_path_, big_cm, /*with_index=*/true);
+  const Watchdog dog("prefetch -> end_run -> acquire");
+  const OpenedContainer oc =
+      codec::open_container(c_path_, SourceKind::kStreamed);
+  codec::ContainerSource& src = *oc.source;
+  const std::size_t nblocks = big_cm.blocks.size();
+  for (int i = 0; i < 1000; ++i) {
+    src.prefetch(0, nblocks);
+    // Staggers end_run across the IO thread's queue pop, read and
+    // completion.
+    std::this_thread::sleep_for(std::chrono::microseconds(i % 4 * 50));
+    src.end_run();
+    src.acquire(0, nblocks);
+    const std::size_t b = static_cast<std::size_t>(i) % nblocks;
+    const codec::SourceBlockBytes bytes = src.block(b);
+    ASSERT_TRUE(std::equal(bytes.index_data.begin(), bytes.index_data.end(),
+                           big_cm.blocks[b].index_data.begin(),
+                           big_cm.blocks[b].index_data.end()))
+        << "iteration " << i;
+    src.release(0, nblocks);
+  }
+  src.end_run();
 }
 
 }  // namespace

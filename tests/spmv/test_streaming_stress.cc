@@ -303,25 +303,5 @@ TEST(StreamingStress, WarmCachedBatchIsAllocationFree) {
   EXPECT_FALSE(exec.last_stats().inline_run);
 }
 
-TEST(StreamingStress, ParallelForPropagatesBodyExceptions) {
-  // The executor's pool primitive: exceptions from parallel_for bodies
-  // surface on the caller, pooled and inline paths alike (regression for
-  // the inline-path fix; the fuller matrix lives in test_thread_pool.cc).
-  ThreadPool pooled(4);
-  EXPECT_THROW(
-      pooled.parallel_for(0, 1000,
-                          [](std::size_t b, std::size_t) {
-                            if (b > 0) throw recode::Error("mid-range fault");
-                          }),
-      recode::Error);
-  ThreadPool inline_pool(1);
-  EXPECT_THROW(
-      inline_pool.parallel_for(0, 1000,
-                               [](std::size_t, std::size_t) {
-                                 throw recode::Error("inline fault");
-                               }),
-      recode::Error);
-}
-
 }  // namespace
 }  // namespace recode::spmv
