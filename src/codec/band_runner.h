@@ -1,9 +1,9 @@
 // Reusable work-stealing fan-out over independent tasks: the one harness
-// spmv::BlockStream (spmv/block_decoder.h) runs the streaming executor's,
-// SpGEMM's and SpMSpV's row-disjoint bands on, and the streamed container
-// writer (container_writer.h) runs its per-block encodes on. It lives in
-// the codec layer because the writer does; it depends only on common/
-// and telemetry/.
+// spmv::BlockStream (spmv/block_decoder.h) runs the streaming executor's
+// and SpMSpV's row-disjoint bands and SpGEMM's block ranges on, and the
+// streamed container writer (container_writer.h) runs its per-block
+// encodes and file I/O tasks on. It lives in the codec layer because the
+// writer does; it depends only on common/ and telemetry/.
 //
 // A BandRunner owns a WorkStealingScheduler (common/work_stealing.h) and
 // a ThreadPool and keeps them across runs. run() seeds the scheduler with

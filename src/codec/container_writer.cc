@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <fstream>
+#include <limits>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "codec/arena.h"
@@ -19,25 +21,28 @@ namespace recode::codec {
 
 namespace {
 
-void put_bytes(std::ostream& out, const void* data, std::size_t size) {
+// Each put_* returns the bytes it wrote, so the writer counts record
+// offsets instead of reading them back with tellp().
+std::size_t put_bytes(std::ostream& out, const void* data, std::size_t size) {
   out.write(static_cast<const char*>(data),
             static_cast<std::streamsize>(size));
+  return size;
 }
 
 template <typename T>
-void put_pod(std::ostream& out, T v) {
-  put_bytes(out, &v, sizeof(v));
+std::size_t put_pod(std::ostream& out, T v) {
+  return put_bytes(out, &v, sizeof(v));
 }
 
 // Through a stack buffer: no heap traffic per varint.
-void put_varint(std::ostream& out, std::uint64_t v) {
+std::size_t put_varint(std::ostream& out, std::uint64_t v) {
   std::uint8_t buf[kMaxVarintBytes];
-  put_bytes(out, buf, varint_store(buf, v));
+  return put_bytes(out, buf, varint_store(buf, v));
 }
 
-void put_blob(std::ostream& out, const Bytes& data) {
-  put_varint(out, data.size());
-  put_bytes(out, data.data(), data.size());
+std::size_t put_blob(std::ostream& out, const Bytes& data) {
+  return put_varint(out, data.size()) +
+         put_bytes(out, data.data(), data.size());
 }
 
 std::uint64_t tell_out(std::ostream& out) {
@@ -60,16 +65,31 @@ struct alignas(64) WorkerScratch {
   std::array<std::uint64_t, 256> value_hist{};
 };
 
+// The task id of a run's one file-I/O task: pass 1's truncating open,
+// or in pass 2 the append of the previous window's records.
+constexpr std::uint32_t kIoTask = std::numeric_limits<std::uint32_t>::max();
+
 // One write's shared state, handed to the BandRunner bodies as ctx.
 // Pass-1 tasks are block ids; pass-2 task t is block first_block + t and
-// owns slots[t], whose buffers keep their capacity from window to window.
+// owns (*encoding)[t]. The two slot sets alternate from window to window
+// and keep their buffers' capacity.
 struct WriteJob {
+  const std::string* path = nullptr;
   const CompressedMatrix* cm = nullptr;
   const BlockFiller* fill = nullptr;
   BlockCodec codec;
+  CodecId id{};
   std::vector<WorkerScratch> scratch;  // one per worker
-  std::vector<CompressedBlock> slots;  // pass 2: the window's records
+  std::array<std::vector<CompressedBlock>, 2> slots;
+  std::vector<CompressedBlock>* encoding = nullptr;  // this window's records
+  std::span<const CompressedBlock> pending;  // the previous window's
   std::size_t first_block = 0;
+  // The file, touched by one task or the caller at a time: the run
+  // boundary orders every access.
+  std::ofstream out;
+  std::uint64_t pos = 0;  // counted offset of the next byte
+  std::vector<std::uint64_t> offsets;
+  std::uint64_t payload_bytes = 0;
 
   // Fills block b into the worker's scratch.
   void fill_block(std::size_t b, WorkerScratch& ws) const {
@@ -79,6 +99,24 @@ struct WriteJob {
     (*fill)(b, static_cast<std::uint64_t>(range.first_nnz),
             std::span<sparse::index_t>(ws.indices),
             std::span<double>(ws.values));
+  }
+
+  // Opens the output, truncating an old file at the path.
+  void open() {
+    out.open(*path, std::ios::binary);
+    if (!out) fail("rcm: cannot open for write: " + *path);
+  }
+
+  // Appends records in block order, each at its counted offset.
+  void append(std::span<const CompressedBlock> records) {
+    for (const CompressedBlock& rec : records) {
+      offsets.push_back(pos);
+      pos += put_pod<std::uint8_t>(out, id);
+      pos += put_blob(out, rec.index_data);
+      pos += put_blob(out, rec.value_data);
+      payload_bytes += rec.bytes();
+    }
+    if (!out) fail("rcm: write failed: " + *path);
   }
 };
 
@@ -112,31 +150,39 @@ StreamWriteResult write_compressed_stream(
   const std::size_t nblocks = cm.blocking.block_count();
 
   WriteJob job;
+  job.path = &path;
   job.cm = &cm;
   job.fill = &fill;
   // Never more workers than blocks.
   const std::size_t workers = std::min(ThreadPool::resolve_size(threads),
                                        std::max<std::size_t>(1, nblocks));
-  BandRunner runner(workers, nblocks);
+  BandRunner runner(workers, nblocks + 1);
   job.scratch.resize(workers);
 
   // Pass 1 (only when training Huffman tables): the same block-sampling
   // Prng walk compress() performs, histogramming the post-Snappy mid
   // streams of the sampled blocks. The walk is serial and advances once
   // per block, so the sampled set matches compress() bit-for-bit;
-  // unsampled blocks are skipped entirely.
+  // unsampled blocks are skipped entirely. The run's I/O task opens the
+  // file meanwhile (truncating a previous one can take milliseconds).
+  // The I/O task is seeded last, so its worker pops it first.
   if (cfg.huffman) {
-    std::vector<std::uint32_t> sampled;
+    std::vector<std::uint32_t> order;
     Prng sampler(cfg.sample_seed);
     for (std::size_t b = 0; b < nblocks; ++b) {
       if (sampler.next_double() < cfg.huffman_sample_fraction) {
-        sampled.push_back(static_cast<std::uint32_t>(b));
+        order.push_back(static_cast<std::uint32_t>(b));
       }
     }
+    order.push_back(kIoTask);
     job.codec = BlockCodec{cfg.index_transform, cfg.value_transform,
                            cfg.snappy, false};
-    runner.run(sampled, [](void* ctx, std::uint32_t b, std::size_t worker) {
+    runner.run(order, [](void* ctx, std::uint32_t b, std::size_t worker) {
       auto& j = *static_cast<WriteJob*>(ctx);
+      if (b == kIoTask) {
+        j.open();
+        return;
+      }
       WorkerScratch& ws = j.scratch[worker];
       j.fill_block(b, ws);
       const MidStreams mid = encode_mid(ws.indices, ws.values, j.codec,
@@ -156,56 +202,67 @@ StreamWriteResult write_compressed_stream(
         std::make_shared<const HuffmanTable>(HuffmanTable::build(index_hist));
     cm.value_table =
         std::make_shared<const HuffmanTable>(HuffmanTable::build(value_hist));
+  } else {
+    job.open();
   }
 
-  std::ofstream out(path, std::ios::binary);
-  if (!out) fail("rcm: cannot open for write: " + path);
-  write_container_header(out, cm);
-  put_varint(out, nblocks);
+  write_container_header(job.out, cm);
+  put_varint(job.out, nblocks);
+  job.pos = tell_out(job.out);
 
-  // Pass 2: encode a window of blocks on the team into per-slot records,
-  // then append them in block order on this thread, tracking each
-  // record's offset for the index. Memory stays O(row_ptr + window).
-  const CodecId id = codec_id_for(cfg);
-  job.codec = codec_from_id(id);
+  // Pass 2: encode a window of blocks on the team into one slot set while
+  // the run's I/O task appends the previous window's records from the
+  // other, in block order, counting each record's offset for the index.
+  // The last window appends after the loop. Memory stays O(row_ptr + two
+  // windows).
+  job.id = codec_id_for(cfg);
+  job.codec = codec_from_id(job.id);
   const std::size_t window = kWindowBlocksPerWorker * workers;
-  job.slots.resize(std::min(window, nblocks));
+  for (auto& slots : job.slots) slots.resize(std::min(window, nblocks));
+  job.offsets.reserve(nblocks + 1);
   std::vector<std::uint32_t> order;
-  StreamWriteResult result;
-  result.block_count = nblocks;
-  std::vector<std::uint64_t> offsets;
-  offsets.reserve(nblocks + 1);
-  for (std::size_t first = 0; first < nblocks; first += window) {
+  for (std::size_t first = 0, w = 0; first < nblocks; first += window, ++w) {
     const std::size_t count = std::min(window, nblocks - first);
     order.resize(count);
     std::iota(order.begin(), order.end(), 0u);
+    if (!job.pending.empty()) order.push_back(kIoTask);
     job.first_block = first;
+    job.encoding = &job.slots[w % 2];
     runner.run(order, [](void* ctx, std::uint32_t t, std::size_t worker) {
       auto& j = *static_cast<WriteJob*>(ctx);
+      if (t == kIoTask) {
+        j.append(j.pending);
+        return;
+      }
       WorkerScratch& ws = j.scratch[worker];
       j.fill_block(j.first_block + t, ws);
       encode_block(ws.indices, ws.values, j.codec, j.cm->index_table.get(),
-                   j.cm->value_table.get(), ws.arena, j.slots[t]);
+                   j.cm->value_table.get(), ws.arena, (*j.encoding)[t]);
     }, &job);
-    for (std::size_t t = 0; t < count; ++t) {
-      const CompressedBlock& rec = job.slots[t];
-      offsets.push_back(tell_out(out));
-      put_pod<std::uint8_t>(out, id);
-      put_blob(out, rec.index_data);
-      put_blob(out, rec.value_data);
-      result.payload_bytes += rec.bytes();
-    }
-    if (!out) fail("rcm: write failed: " + path);
+    job.pending = std::span<const CompressedBlock>(job.encoding->data(), count);
   }
+  job.append(job.pending);
 
-  const std::uint64_t index_offset = tell_out(out);
-  offsets.push_back(index_offset);
-  for (const std::uint64_t off : offsets) put_pod<std::uint64_t>(out, off);
-  for (std::size_t b = 0; b < nblocks; ++b) put_pod<std::uint8_t>(out, id);
-  put_pod<std::uint64_t>(out, index_offset);
-  put_bytes(out, kIndexFooterMagic, sizeof(kIndexFooterMagic));
+  // The counted offsets must agree with the stream's own position.
+  const std::uint64_t index_offset = job.pos;
+  RECODE_CHECK(index_offset == tell_out(job.out));
+  job.offsets.push_back(index_offset);
+  std::ofstream& out = job.out;
+  std::uint64_t end = index_offset;
+  for (const std::uint64_t off : job.offsets) end += put_pod(out, off);
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    end += put_pod<std::uint8_t>(out, job.id);
+  }
+  end += put_pod<std::uint64_t>(out, index_offset);
+  end += put_bytes(out, kIndexFooterMagic, sizeof(kIndexFooterMagic));
+  // Closing flushes the last buffered bytes, which can fail too.
+  out.close();
   if (!out) fail("rcm: write failed: " + path);
-  result.file_bytes = tell_out(out);
+
+  StreamWriteResult result;
+  result.block_count = nblocks;
+  result.payload_bytes = job.payload_bytes;
+  result.file_bytes = end;
   return result;
 }
 

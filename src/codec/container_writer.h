@@ -1,5 +1,5 @@
 // Streaming container writer: compresses a matrix of arbitrary size to
-// an .rcm file with O(row_ptr + one window of blocks) resident memory —
+// an .rcm file with O(row_ptr + two windows of blocks) resident memory —
 // the producer that makes ≥1e8-nnz out-of-core runs possible without
 // ever materializing the CSR (let alone the compressed matrix) in RAM.
 //
@@ -19,10 +19,20 @@
 // the allocator lock. Pass 1 histograms each sampled block's pre-Huffman
 // streams straight from the arena, into the worker's own histograms,
 // summed afterwards (integer sums, so the tables do not depend on the
-// schedule); pass 2 encodes a bounded window of blocks into per-slot
-// records, reused from window to window, that the calling thread
-// appends in block order. The file is byte-identical for every thread
-// count.
+// schedule). Pass 2 encodes a bounded window of blocks per run into
+// per-slot records.
+//
+// File I/O runs as tasks on the same team, overlapping the encodes
+// instead of running on the caller between runs. Each run carries one
+// extra I/O task, seeded last so a worker pops it first. In pass 1 it
+// opens (truncates) the file while the sampled blocks encode. In pass 2,
+// window k + 1's run appends window k's records while it encodes its own:
+// the slots are double-buffered, window k + 1 encoding into one set while
+// the other, window k's, is appended. The caller writes only the header
+// (once the tables are built), the last window's records and the index.
+// Records are appended in block order and their offsets are counted, not
+// read back from the stream (one tellp() check before the index), so the
+// file is byte-identical for every thread count.
 #pragma once
 
 #include <cstdint>

@@ -12,21 +12,21 @@
 #include "common/error.h"
 #include "common/thread_pool.h"
 #include "spmv/block_decoder.h"
-#include "spmv/streaming_executor.h"
 #include "telemetry/telemetry.h"
 
 namespace recode::spmv {
 
 namespace {
 
-// Kernel-hop ledger feed, one call per band (never per row or product).
+// Kernel-hop ledger feed, one call per task and one for the seam fix-up
+// (never per row or product).
 // Byte model: the kernel consumes A's decoded stream (12 B/nnz) and
 // writes C's stream (12 B/nnz); the B-row gathers are the vector-side
 // traffic (12 B per expanded product), the SpGEMM analog of the SpMV x
 // gather. Conservation holds because B is decoded outside the run window
 // (see spgemm.h): in-window transform.out is exactly A's decoded bytes.
-inline void ledger_kernel_band(std::uint64_t a_nnz, std::uint64_t c_nnz,
-                               std::uint64_t products) {
+inline void ledger_kernel_op(std::uint64_t a_nnz, std::uint64_t c_nnz,
+                             std::uint64_t products) {
   if constexpr (telemetry::kEnabled) {
     telemetry::MovementLedger& ledger = telemetry::MovementLedger::global();
     telemetry::MovementLedger::HopFlow& f =
@@ -45,13 +45,13 @@ inline void ledger_kernel_band(std::uint64_t a_nnz, std::uint64_t c_nnz,
 // bitmap span: sorting k columns then costs less than loading the span.
 constexpr std::size_t kSortSpanWords = 16;
 
-// Per-worker scratch reused across every band the worker executes.
+// Per-worker scratch reused across every task the worker executes.
 struct WorkerScratch {
   explicit WorkerScratch(std::size_t cols)
       : acc(cols), stamp(cols), bits((cols + 63) / 64) {}
 
-  // Band-local contiguous copies of A's decoded streams (rows span block
-  // boundaries, so the Gustavson row loop needs the whole band flat).
+  // Task-local contiguous copies of A's decoded streams (rows span block
+  // boundaries, so the Gustavson row loop needs the task's blocks flat).
   std::vector<sparse::index_t> a_idx;
   std::vector<double> a_val;
   // The accumulator, per column of B: value, row stamp (set = touched by
@@ -73,11 +73,11 @@ struct WorkerScratch {
   }
 };
 
-// One band's slice of C — its rows' columns and values, concatenated —
-// allocated once at the exact size the count pass found, and left
-// uninitialized because the fill pass writes every element. One task
-// owns each band, so no synchronization is needed.
-struct BandOut {
+// One slice of C — a task's rows or one seam row: their columns and
+// values, concatenated — allocated once at the exact size the count sweep
+// found, and left uninitialized because the fill sweep writes every
+// element. One writer owns each slice, so no synchronization is needed.
+struct SliceOut {
   std::size_t nnz = 0;
   std::unique_ptr<sparse::index_t[]> cols;
   std::unique_ptr<double[]> vals;
@@ -86,15 +86,15 @@ struct BandOut {
   std::uint64_t products = 0;
 };
 
-// C as the kernel leaves it: the final row_ptr plus the row-ordered band
+// C as the kernel leaves it: the final row_ptr plus the row-ordered
 // slices, outs[i] holding C's nnz range [first_nnz[i], first_nnz[i + 1]).
 struct BandedC {
   std::vector<sparse::offset_t> row_ptr;
-  std::vector<BandOut> outs;
+  std::vector<SliceOut> outs;
   std::vector<std::size_t> first_nnz;
 
   // Copies C's nnz range [first, first + idx.size()) out of the slices it
-  // spans, starting at the last band that begins at or before `first`.
+  // spans, starting at the last slice that begins at or before `first`.
   void copy(std::size_t first, std::span<sparse::index_t> idx,
             std::span<double> val) const {
     auto i = static_cast<std::size_t>(
@@ -110,59 +110,35 @@ struct BandedC {
   }
 };
 
-struct SpgemmJob {
-  const codec::CompressedMatrix* a = nullptr;
-  const sparse::Csr* b = nullptr;
-  BlockStream* stream = nullptr;
-  std::vector<RowBand> bands;
-  std::vector<BlockRun> band_runs;  // each band's block range
-  // Band i fills c.outs[i] and writes its rows' lengths into
-  // c.row_ptr[r + 1] (disjoint rows, so plain writes); the caller
-  // prefix-sums row_ptr after the run.
-  BandedC c;
-  std::vector<std::unique_ptr<WorkerScratch>> scratch;  // one per worker
+// A's entries for a run of rows, flat: row r's entries are
+// idx/val[row_ptr[r] - base, row_ptr[r + 1] - base).
+struct RowEntries {
+  const sparse::offset_t* row_ptr;
+  std::size_t base;
+  const sparse::index_t* idx;
+  const double* val;
 };
 
-void process_band(SpgemmJob& job, std::uint32_t band_id, std::size_t worker) {
-  WorkerScratch& ws = *job.scratch[worker];
-  const RowBand& band = job.bands[band_id];
-  const codec::CompressedMatrix& a = *job.a;
-  const sparse::Csr& b = *job.b;
-  BandOut& out = job.c.outs[band_id];
-  const auto& blocks = a.blocking.blocks;
-
-  const std::size_t band_first_nnz = blocks[band.first_block].first_nnz;
-  const sparse::BlockRange& last =
-      blocks[band.first_block + band.block_count - 1];
-  const std::size_t band_nnz = last.first_nnz + last.count - band_first_nnz;
-
-  ws.a_idx.resize(band_nnz);
-  ws.a_val.resize(band_nnz);
-
-  // Decode the band's blocks into the flat band-local streams.
-  job.stream->decode_task(
-      worker, band_id, [&](std::size_t bi, const BlockStreams& decoded) {
-        const std::size_t off = blocks[bi].first_nnz - band_first_nnz;
-        std::memcpy(ws.a_idx.data() + off, decoded.indices.data(),
-                    decoded.indices.size() * sizeof(sparse::index_t));
-        std::memcpy(ws.a_val.data() + off, decoded.values.data(),
-                    decoded.values.size() * sizeof(double));
-      });
-
-  // Gustavson row loop over the band's rows. Timed as the kernel hop.
-  telemetry::StageTimer ledger_timer(
-      telemetry::MovementLedger::global().hop(telemetry::Hop::kKernel).ns);
-  // Row r's entries in the band-local streams: [row_lo(r), row_lo(r + 1)).
-  const auto row_lo = [&](sparse::index_t r) {
-    return static_cast<std::size_t>(a.row_ptr[r]) - band_first_nnz;
+// C's rows [r0, r1) into `out`, which they fill alone: a count sweep
+// writes each row's length into c_len[r + 1] and sizes the slice, then a
+// fill sweep scatter-adds every row's products in A-entry order (seeding
+// each column's sum by assignment, the reference's operation order) and
+// emits its columns in ascending order. Tasks and the seam fix-up both
+// run rows through here, so every row has one operation order.
+void multiply_rows(WorkerScratch& ws, const sparse::Csr& b,
+                   const RowEntries& a, sparse::index_t r0,
+                   sparse::index_t r1, sparse::offset_t* c_len,
+                   SliceOut& out) {
+  const auto row_lo = [&a](sparse::index_t r) {
+    return static_cast<std::size_t>(a.row_ptr[r]) - a.base;
   };
 
-  // Count: a stamp-only sweep gives each row's C length and the band's.
-  for (sparse::index_t r = band.first_row; r < band.end_row; ++r) {
+  // Count: a stamp-only sweep gives each row's C length and the slice's.
+  for (sparse::index_t r = r0; r < r1; ++r) {
     const std::uint32_t tag = ws.next_stamp();
     std::size_t len = 0;
     for (std::size_t k = row_lo(r), k1 = row_lo(r + 1); k < k1; ++k) {
-      const auto col = static_cast<std::size_t>(ws.a_idx[k]);
+      const auto col = static_cast<std::size_t>(a.idx[k]);
       const auto j0 = static_cast<std::size_t>(b.row_ptr[col]);
       const auto j1 = static_cast<std::size_t>(b.row_ptr[col + 1]);
       out.products += j1 - j0;
@@ -172,26 +148,24 @@ void process_band(SpgemmJob& job, std::uint32_t band_id, std::size_t worker) {
         ws.stamp[c] = tag;
       }
     }
-    job.c.row_ptr[static_cast<std::size_t>(r) + 1] =
+    c_len[static_cast<std::size_t>(r) + 1] =
         static_cast<sparse::offset_t>(len);
     out.nnz += len;
   }
 
-  // Size: the band's slice of C, once, exactly.
+  // Size: the slice, once, exactly.
   out.cols = std::make_unique_for_overwrite<sparse::index_t[]>(out.nnz);
   out.vals = std::make_unique_for_overwrite<double[]>(out.nnz);
 
-  // Fill: scatter-add in A-entry order, seeding each column's sum by
-  // assignment (the reference's operation order, so the bits match), then
-  // emit the row's columns in ascending order.
+  // Fill and emit.
   std::size_t pos = 0;
-  for (sparse::index_t r = band.first_row; r < band.end_row; ++r) {
-    if (job.c.row_ptr[static_cast<std::size_t>(r) + 1] == 0) continue;
+  for (sparse::index_t r = r0; r < r1; ++r) {
+    if (c_len[static_cast<std::size_t>(r) + 1] == 0) continue;
     const std::uint32_t tag = ws.next_stamp();
     ws.touched.clear();
     for (std::size_t k = row_lo(r), k1 = row_lo(r + 1); k < k1; ++k) {
-      const auto col = static_cast<std::size_t>(ws.a_idx[k]);
-      const double av = ws.a_val[k];
+      const auto col = static_cast<std::size_t>(a.idx[k]);
+      const double av = a.val[k];
       const auto j1 = static_cast<std::size_t>(b.row_ptr[col + 1]);
       for (auto j = static_cast<std::size_t>(b.row_ptr[col]); j < j1; ++j) {
         const auto c = static_cast<std::size_t>(b.col_idx[j]);
@@ -234,8 +208,163 @@ void process_band(SpgemmJob& job, std::uint32_t band_id, std::size_t worker) {
       }
     }
   }
+}
 
-  ledger_kernel_band(band_nnz, out.nnz, out.products);
+constexpr std::size_t kNoSeam = static_cast<std::size_t>(-1);
+
+// One task: a contiguous block range of A. It computes the rows that lie
+// wholly inside the range; for a seam row crossing either end it copies
+// its piece of the row's A entries into that row's buffer instead.
+struct SpgemmTask {
+  BlockRun blocks;
+  sparse::index_t first_row = 0;  // rows wholly inside: [first_row, end_row)
+  sparse::index_t end_row = 0;
+  std::size_t out = 0;         // its slice of C
+  std::size_t head = kNoSeam;  // the seam row crossing its start, if any
+  std::size_t tail = kNoSeam;  // the seam row crossing its end (== head
+                               // when the range lies inside one row)
+};
+
+// A row that crosses at least one cut: its slice of C, and where its A
+// entries gather in SpgemmJob::seam_idx/seam_val.
+struct SeamRow {
+  sparse::index_t row = 0;
+  std::size_t entries = 0;
+  std::size_t out = 0;
+};
+
+struct SpgemmJob {
+  const codec::CompressedMatrix* a = nullptr;
+  const sparse::Csr* b = nullptr;
+  BlockStream* stream = nullptr;
+  std::vector<SpgemmTask> tasks;
+  std::vector<SeamRow> seams;
+  // Seam rows' A entries, each row's range tiled by its tasks' pieces.
+  std::vector<sparse::index_t> seam_idx;
+  std::vector<double> seam_val;
+  // Each task and seam row fills its own slice of c.outs and writes its
+  // rows' lengths into c.row_ptr[r + 1] (disjoint rows, so plain writes);
+  // the caller prefix-sums row_ptr after the fix-up.
+  BandedC c;
+  std::vector<std::unique_ptr<WorkerScratch>> scratch;  // one per worker
+};
+
+// Tasks from the block ranges, seam rows from the cuts a row crosses,
+// and C's slices in row order: each task's slice, then the slice of the
+// seam row crossing its end (once per row, however many cuts it
+// crosses).
+void plan_tasks(SpgemmJob& job, const std::vector<BlockRun>& runs) {
+  const codec::CompressedMatrix& a = *job.a;
+  const auto& blocks = a.blocking.blocks;
+  const auto crosses = [&blocks](std::size_t b) {  // the cut after block b
+    return b + 1 < blocks.size() &&
+           blocks[b].last_row == blocks[b + 1].first_row;
+  };
+  std::size_t slices = 0;
+  std::size_t seam_entries = 0;
+  for (const BlockRun& run : runs) {
+    const std::size_t last = run.first + run.count - 1;
+    SpgemmTask task;
+    task.blocks = run;
+    task.first_row = blocks[run.first].first_row;
+    task.end_row = blocks[last].last_row + 1;
+    if (run.first > 0 && crosses(run.first - 1)) {
+      task.head = job.seams.size() - 1;  // pushed by the previous task
+      ++task.first_row;
+    }
+    task.out = slices++;
+    if (crosses(last)) {
+      const sparse::index_t row = blocks[last].last_row;
+      if (job.seams.empty() || job.seams.back().row != row) {
+        job.seams.push_back({row, seam_entries, slices++});
+        seam_entries += static_cast<std::size_t>(a.row_ptr[row + 1] -
+                                                 a.row_ptr[row]);
+      }
+      task.tail = job.seams.size() - 1;
+      --task.end_row;
+    }
+    task.end_row = std::max(task.end_row, task.first_row);
+    job.tasks.push_back(task);
+  }
+  job.seam_idx.resize(seam_entries);
+  job.seam_val.resize(seam_entries);
+  job.c.outs.resize(slices);
+}
+
+void process_task(SpgemmJob& job, std::uint32_t task_id, std::size_t worker) {
+  WorkerScratch& ws = *job.scratch[worker];
+  const SpgemmTask& task = job.tasks[task_id];
+  const codec::CompressedMatrix& a = *job.a;
+  const auto& blocks = a.blocking.blocks;
+
+  const std::size_t first_nnz = blocks[task.blocks.first].first_nnz;
+  const sparse::BlockRange& last =
+      blocks[task.blocks.first + task.blocks.count - 1];
+  const std::size_t end_nnz = last.first_nnz + last.count;
+
+  ws.a_idx.resize(end_nnz - first_nnz);
+  ws.a_val.resize(end_nnz - first_nnz);
+
+  // Decode the task's blocks into the flat task-local streams.
+  job.stream->decode_task(
+      worker, task_id, [&](std::size_t bi, const BlockStreams& decoded) {
+        const std::size_t off = blocks[bi].first_nnz - first_nnz;
+        std::memcpy(ws.a_idx.data() + off, decoded.indices.data(),
+                    decoded.indices.size() * sizeof(sparse::index_t));
+        std::memcpy(ws.a_val.data() + off, decoded.values.data(),
+                    decoded.values.size() * sizeof(double));
+      });
+
+  // Each seam row gets the task's piece of its entries, at the piece's
+  // offset within the row: the pieces tile the row in A-entry order.
+  const auto give_piece = [&](const SeamRow& seam) {
+    const auto row_first = static_cast<std::size_t>(a.row_ptr[seam.row]);
+    const std::size_t lo = std::max(row_first, first_nnz);
+    const std::size_t hi = std::min(
+        static_cast<std::size_t>(a.row_ptr[seam.row + 1]), end_nnz);
+    const std::size_t to = seam.entries + (lo - row_first);
+    std::copy(ws.a_idx.begin() + (lo - first_nnz),
+              ws.a_idx.begin() + (hi - first_nnz), job.seam_idx.begin() + to);
+    std::copy(ws.a_val.begin() + (lo - first_nnz),
+              ws.a_val.begin() + (hi - first_nnz), job.seam_val.begin() + to);
+  };
+  if (task.head != kNoSeam) give_piece(job.seams[task.head]);
+  if (task.tail != kNoSeam && task.tail != task.head) {
+    give_piece(job.seams[task.tail]);
+  }
+
+  // Gustavson row loop over the task's own rows. Timed as the kernel hop.
+  telemetry::StageTimer ledger_timer(
+      telemetry::MovementLedger::global().hop(telemetry::Hop::kKernel).ns);
+  SliceOut& out = job.c.outs[task.out];
+  multiply_rows(ws, *job.b,
+                {a.row_ptr.data(), first_nnz, ws.a_idx.data(),
+                 ws.a_val.data()},
+                task.first_row, task.end_row, job.c.row_ptr.data(), out);
+  ledger_kernel_op(end_nnz - first_nnz, out.nnz, out.products);
+}
+
+// The fix-up: every seam row from its gathered entries, after the run, on
+// the calling thread. Its A entries were counted by the tasks that
+// decoded them, so the ledger sees one kernel op with no input bytes.
+void fix_up_seams(SpgemmJob& job, WorkerScratch& ws) {
+  if (job.seams.empty()) return;
+  telemetry::StageTimer ledger_timer(
+      telemetry::MovementLedger::global().hop(telemetry::Hop::kKernel).ns);
+  std::uint64_t c_nnz = 0;
+  std::uint64_t products = 0;
+  for (const SeamRow& seam : job.seams) {
+    SliceOut& out = job.c.outs[seam.out];
+    multiply_rows(ws, *job.b,
+                  {job.a->row_ptr.data(),
+                   static_cast<std::size_t>(job.a->row_ptr[seam.row]),
+                   job.seam_idx.data() + seam.entries,
+                   job.seam_val.data() + seam.entries},
+                  seam.row, seam.row + 1, job.c.row_ptr.data(), out);
+    c_nnz += out.nnz;
+    products += out.products;
+  }
+  ledger_kernel_op(0, c_nnz, products);
 }
 
 BandedC run_spgemm(const codec::CompressedMatrix& a,
@@ -251,26 +380,17 @@ BandedC run_spgemm(const codec::CompressedMatrix& a,
   job.a = &a;
   job.b = &b;
   job.c.row_ptr.assign(static_cast<std::size_t>(a.rows) + 1, 0);
-  job.bands = make_row_bands(a.blocking, cfg.blocks_per_band);
-  if (job.bands.empty()) {
+  const std::size_t workers = ThreadPool::resolve_size(cfg.threads);
+  plan_tasks(job, plan_spgemm_tasks(a.blocking.block_count(),
+                                    cfg.blocks_per_band, workers));
+  if (job.tasks.empty()) {
     if (stats) *stats = SpgemmStats{.workers = 1};
     job.c.first_nnz = {0};
     return std::move(job.c);  // nnz == 0: all-empty rows
   }
-  const std::size_t workers = ThreadPool::resolve_size(cfg.threads);
-  if (workers > 1 && job.bands.size() > 1) {
-    // Spread the matrix over ~4 tasks per worker so stealing has slack.
-    const std::size_t max_blocks = std::max<std::size_t>(
-        1, a.blocking.block_count() / (4 * workers));
-    job.bands = split_row_bands(a.blocking, job.bands, max_blocks);
-  }
-  job.c.outs.resize(job.bands.size());
-  std::vector<std::uint32_t> order(job.bands.size());
+  std::vector<std::uint32_t> order(job.tasks.size());
   std::iota(order.begin(), order.end(), 0u);
-  for (const RowBand& band : job.bands) {
-    job.band_runs.push_back({band.first_block, band.block_count});
-  }
-  BlockStream stream(a, std::move(a_source), workers, job.bands.size());
+  BlockStream stream(a, std::move(a_source), workers, job.tasks.size());
   job.stream = &stream;
   for (std::size_t w = 0; w < stream.workers(); ++w) {
     job.scratch.push_back(
@@ -280,19 +400,20 @@ BandedC run_spgemm(const codec::CompressedMatrix& a,
       order,
       [](void* ctx, std::uint32_t t) {
         return std::span<const BlockRun>(
-            &static_cast<SpgemmJob*>(ctx)->band_runs[t], 1);
+            &static_cast<SpgemmJob*>(ctx)->tasks[t].blocks, 1);
       },
-      [](void* ctx, std::uint32_t band_id, std::size_t worker) {
-        process_band(*static_cast<SpgemmJob*>(ctx), band_id, worker);
+      [](void* ctx, std::uint32_t t, std::size_t worker) {
+        process_task(*static_cast<SpgemmJob*>(ctx), t, worker);
       },
       &job);
+  fix_up_seams(job, *job.scratch[0]);
   const codec::BandRunStats& run_stats = stream.run_stats();
 
   std::partial_sum(job.c.row_ptr.begin(), job.c.row_ptr.end(),
                    job.c.row_ptr.begin());
   job.c.first_nnz.assign(1, 0);
   SpgemmStats st;
-  for (const BandOut& out : job.c.outs) {
+  for (const SliceOut& out : job.c.outs) {
     job.c.first_nnz.push_back(job.c.first_nnz.back() + out.nnz);
     st.rows_dense += out.rows_bitmap;
     st.rows_merge += out.rows_sorted;
@@ -300,7 +421,7 @@ BandedC run_spgemm(const codec::CompressedMatrix& a,
   }
   st.a_blocks_decoded = stream.last_run().blocks;
   st.a_compressed_bytes = stream.last_run().bytes;
-  st.tasks = job.bands.size();
+  st.tasks = job.tasks.size();
   st.workers = run_stats.workers;
   st.steals = run_stats.steals;
   if (stats) *stats = st;
@@ -308,6 +429,26 @@ BandedC run_spgemm(const codec::CompressedMatrix& a,
 }
 
 }  // namespace
+
+std::vector<BlockRun> plan_spgemm_tasks(std::size_t blocks,
+                                        std::size_t blocks_per_band,
+                                        std::size_t workers) {
+  std::vector<BlockRun> runs;
+  if (blocks == 0) return runs;
+  const std::size_t cap = std::max<std::size_t>(1, blocks_per_band);
+  const std::size_t count =
+      std::max((blocks + cap - 1) / cap, std::min(blocks, 4 * workers));
+  // The first blocks % count ranges take one block more than the rest.
+  const std::size_t size = blocks / count;
+  const std::size_t extra = blocks % count;
+  std::size_t first = 0;
+  for (std::size_t t = 0; t < count; ++t) {
+    const std::size_t n = size + (t < extra ? 1 : 0);
+    runs.push_back({first, n});
+    first += n;
+  }
+  return runs;
+}
 
 sparse::Csr spgemm(const codec::CompressedMatrix& a,
                    std::shared_ptr<codec::ContainerSource> a_source,
@@ -318,8 +459,8 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a,
   c.rows = a.rows;
   c.cols = b.cols;
   c.row_ptr = std::move(bc.row_ptr);
-  // Stitch: bands are row-ordered and own disjoint row ranges, so C is
-  // the in-order concatenation of the band slices.
+  // Stitch: the slices are row-ordered and own disjoint row ranges, so C
+  // is their in-order concatenation.
   c.col_idx.resize(bc.first_nnz.back());
   c.val.resize(bc.first_nnz.back());
   bc.copy(0, c.col_idx, c.val);

@@ -7,8 +7,17 @@ namespace recode::udp {
 
 namespace {
 
+// One string built by append. GCC 12 reports a -Wrestrict false positive
+// on `"literal" + std::string` chains once they are inlined.
+template <typename... Parts>
+std::string cat(const Parts&... parts) {
+  std::string out;
+  (out.append(parts), ...);
+  return out;
+}
+
 std::string operand(const Operand& o) {
-  if (!o.is_imm) return "r" + std::to_string(o.reg);
+  if (!o.is_imm) return cat("r", std::to_string(o.reg));
   char buf[24];
   if (o.imm > 0xFFFF) {
     std::snprintf(buf, sizeof(buf), "0x%llx",
@@ -23,12 +32,12 @@ std::string operand(const Operand& o) {
 }  // namespace
 
 std::string format_action(const Action& a) {
-  const std::string dst = "r" + std::to_string(a.dst);
+  const std::string dst = cat("r", std::to_string(a.dst));
   switch (a.op) {
     case Op::kSetImm:
-      return "set " + dst + ", " + operand(a.a);
+      return cat("set ", dst, ", ", operand(a.a));
     case Op::kMove:
-      return "mov " + dst + ", " + operand(a.a);
+      return cat("mov ", dst, ", ", operand(a.a));
     case Op::kAdd:
     case Op::kSub:
     case Op::kAnd:
@@ -38,30 +47,30 @@ std::string format_action(const Action& a) {
     case Op::kShr:
     case Op::kSar:
     case Op::kMul:
-      return std::string(op_name(a.op)) + " " + dst + ", " + operand(a.a) +
-             ", " + operand(a.b);
+      return cat(op_name(a.op), " ", dst, ", ", operand(a.a), ", ",
+                 operand(a.b));
     case Op::kNot:
-      return "not " + dst + ", " + operand(a.a);
+      return cat("not ", dst, ", ", operand(a.a));
     case Op::kLoadLe:
-      return "ldle" + std::to_string(a.width) + " " + dst + ", [" +
-             operand(a.a) + "+" + std::to_string(a.b.imm) + "]";
+      return cat("ldle", std::to_string(a.width), " ", dst, ", [",
+                 operand(a.a), "+", std::to_string(a.b.imm), "]");
     case Op::kStoreLe:
-      return "stle" + std::to_string(a.width) + " [" + operand(a.a) + "+" +
-             std::to_string(a.b.imm) + "], " + dst;
+      return cat("stle", std::to_string(a.width), " [", operand(a.a), "+",
+                 std::to_string(a.b.imm), "], ", dst);
     case Op::kStreamReadBits:
-      return "srdb " + dst + ", " + operand(a.b);
+      return cat("srdb ", dst, ", ", operand(a.b));
     case Op::kStreamPeekBits:
-      return "spkb " + dst + ", " + operand(a.b);
+      return cat("spkb ", dst, ", ", operand(a.b));
     case Op::kStreamSkipBits:
-      return "sskb " + operand(a.b);
+      return cat("sskb ", operand(a.b));
     case Op::kStreamRewindBits:
-      return "srwb " + operand(a.b);
+      return cat("srwb ", operand(a.b));
     case Op::kStreamReadLe:
-      return "srdl" + std::to_string(a.width) + " " + dst;
+      return cat("srdl", std::to_string(a.width), " ", dst);
     case Op::kStreamCopy:
-      return "scpy [" + operand(a.a) + "], " + operand(a.b);
+      return cat("scpy [", operand(a.a), "], ", operand(a.b));
     case Op::kScratchCopy:
-      return "mcpy [" + dst + "], [" + operand(a.a) + "], " + operand(a.b);
+      return cat("mcpy [", dst, "], [", operand(a.a), "], ", operand(a.b));
   }
   return "?";
 }
@@ -71,7 +80,7 @@ std::string format_dispatch(const DispatchSpec& d) {
     case DispatchKind::kDirect:
       return "dispatch direct";
     case DispatchKind::kStreamBits:
-      return "dispatch stream[" + std::to_string(d.bits) + "]";
+      return cat("dispatch stream[", std::to_string(d.bits), "]");
     case DispatchKind::kRegister: {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "dispatch (r%d >> %d) & 0x%llx", d.reg,
@@ -79,7 +88,7 @@ std::string format_dispatch(const DispatchSpec& d) {
       return buf;
     }
     case DispatchKind::kRegisterBool:
-      return "dispatch r" + std::to_string(d.reg) + " != 0";
+      return cat("dispatch r", std::to_string(d.reg), " != 0");
     case DispatchKind::kHalt:
       return "halt";
   }
@@ -90,7 +99,8 @@ std::string disassemble(const Program& program) {
   std::string out;
   for (std::size_t sid = 0; sid < program.state_count(); ++sid) {
     const State& s = program.state(static_cast<StateId>(sid));
-    out += s.name + ":  ; " + format_dispatch(s.dispatch) + "\n";
+    out.append(s.name).append(":  ; ").append(format_dispatch(s.dispatch));
+    out.append("\n");
     // Collapse runs of arcs with identical actions/targets (Huffman and
     // Snappy tag tables would otherwise print hundreds of identical rows).
     for (std::size_t i = 0; i < s.arcs.size();) {
@@ -117,12 +127,12 @@ std::string disassemble(const Program& program) {
       } else {
         std::snprintf(sym, sizeof(sym), "  [%u]", s.arcs[i].symbol);
       }
-      out += sym;
-      out += ":";
+      out.append(sym).append(":");
       for (const Action& a : s.arcs[i].actions) {
-        out += " " + format_action(a) + ";";
+        out.append(" ").append(format_action(a)).append(";");
       }
-      out += " -> " + program.state(s.arcs[i].next).name + "\n";
+      out.append(" -> ").append(program.state(s.arcs[i].next).name);
+      out.append("\n");
       i = j;
     }
   }

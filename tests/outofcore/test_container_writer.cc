@@ -6,8 +6,9 @@
 // filler copies C's blocks straight out of the SpGEMM band slices, must
 // match the serial spgemm + compress() file at every thread count, with
 // one-block bands, C blocks spanning many bands, and leading bands that
-// produce no output; a filler error on a middle
-// block is rethrown on the caller and leaves the writer reusable; and
+// produce no output; a filler error in pass 1, in pass 2, and in the
+// second and last windows (while the previous window's records append) is
+// rethrown on the caller and leaves the writer reusable; and
 // the Huffman encode stage reports its time and bytes. Carries the
 // concurrency label (tsan/sanitize repeat 3x).
 #include "codec/container_writer.h"
@@ -272,34 +273,51 @@ TEST(ContainerWriter, FillerErrorRethrowsOnCallerAndWriterStaysUsable) {
   const Csr& a = shape.matrix;
   const std::size_t nblocks =
       sparse::make_blocking(a, cfg.nnz_per_block).block_count();
-  // The first Huffman-sampled block from the middle on (the writer's
-  // Prng walk): its first fill is in pass 1, its second in pass 2.
+  // The writer's Prng walk: a sampled block is filled in pass 1 and again
+  // in pass 2. The first sampled block from the middle on is the target.
   Prng sampler(cfg.sample_seed);
+  std::vector<bool> sampled(nblocks);
   std::size_t target = nblocks;
   for (std::size_t b = 0; b < nblocks; ++b) {
-    const bool sampled = sampler.next_double() < cfg.huffman_sample_fraction;
-    if (sampled && b >= nblocks / 2 && target == nblocks) target = b;
+    sampled[b] = sampler.next_double() < cfg.huffman_sample_fraction;
+    if (sampled[b] && b >= nblocks / 2 && target == nblocks) target = b;
   }
   ASSERT_LT(target, nblocks);
+  // At 3 threads a pass-2 window holds 16 blocks per worker; from the
+  // second window on, each window's run also appends the previous
+  // window's records, so those faults land while an append is in flight.
+  constexpr std::size_t kWindow = 16 * 3;
+  ASSERT_GT(nblocks, 2 * kWindow) << "the shape must span three windows";
+  const auto pass2_call = [&](std::size_t b) { return sampled[b] ? 2 : 1; };
+  struct Fault {
+    const char* what;
+    std::size_t block;
+    int call;  // which fill of the block throws
+  };
+  const Fault faults[] = {
+      {"pass 1", target, 1},
+      {"pass 2", target, 2},
+      {"second window", kWindow + 5, pass2_call(kWindow + 5)},
+      {"last window", nblocks - 1, pass2_call(nblocks - 1)},
+  };
 
   const std::string ref = reference_bytes(a, cfg);
   const std::string path = temp_path("fault");
   const BlockFiller good = csr_filler(a);
-  for (const int fail_on_call : {1, 2}) {  // pass 1, then pass 2
+  for (const Fault& fault : faults) {
     std::atomic<int> calls{0};
     const BlockFiller faulty = [&](std::size_t b, std::uint64_t first_nnz,
                                    std::span<sparse::index_t> idx,
                                    std::span<double> val) {
-      if (b == target && calls.fetch_add(1) + 1 == fail_on_call) {
+      if (b == fault.block && calls.fetch_add(1) + 1 == fault.call) {
         fail("writer test fault");
       }
       good(b, first_nnz, idx, val);
     };
-    EXPECT_THROW(write_stream(path, a, cfg, faulty, 3), Error)
-        << "fail_on_call=" << fail_on_call;
+    EXPECT_THROW(write_stream(path, a, cfg, faulty, 3), Error) << fault.what;
     // The next call on the same path writes the reference bytes.
     write_stream(path, a, cfg, good, 3);
-    EXPECT_EQ(read_file(path), ref) << "fail_on_call=" << fail_on_call;
+    EXPECT_EQ(read_file(path), ref) << fault.what;
   }
   std::remove(path.c_str());
 }

@@ -3,8 +3,11 @@
 // bit for bit on a 20+ matrix generator sweep and on an input that sends
 // rows through both emit orders (bitmap walk and sorted touched list),
 // (b) stay bitwise identical serial vs parallel across {1, 2, 7} threads
-// × all three container backends, and (c) round-trip through spgemm_to_container byte-identically to the
-// in-memory compress path. Runs under the tsan preset via the
+// × all three container backends, (c) round-trip through
+// spgemm_to_container byte-identically to the in-memory compress path,
+// and (d) stay bitwise at every cut of the task planner: rows crossing
+// every cut, a row spanning 3+ tasks, empty rows beside cuts, and seams
+// in the first and last rows. Runs under the tsan preset via the
 // `concurrency` label.
 #include <gtest/gtest.h>
 
@@ -12,6 +15,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -303,6 +309,220 @@ TEST(Spgemm, ContainerOutputMatchesCompressOfResult) {
         << "kind " << static_cast<int>(kind);
   }
   std::remove(path.c_str());
+}
+
+// A matrix from its row lengths: each row's columns are distinct, drawn
+// from [0, cols), sorted; values uniform in [-1, 1).
+Csr rows_of_lengths(const std::vector<std::size_t>& lengths,
+                    sparse::index_t cols, std::uint64_t seed) {
+  Prng prng(seed);
+  Csr m;
+  m.rows = static_cast<sparse::index_t>(lengths.size());
+  m.cols = cols;
+  m.row_ptr.push_back(0);
+  std::vector<sparse::index_t> pool(static_cast<std::size_t>(cols));
+  for (const std::size_t len : lengths) {
+    RECODE_CHECK(len <= pool.size());
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      pool[i] = static_cast<sparse::index_t>(i);
+    }
+    for (std::size_t i = 0; i < len; ++i) {  // partial Fisher-Yates
+      std::swap(pool[i], pool[i + prng.next_below(pool.size() - i)]);
+    }
+    std::sort(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(len));
+    for (std::size_t i = 0; i < len; ++i) {
+      m.col_idx.push_back(pool[i]);
+      m.val.push_back(prng.next_double() * 2.0 - 1.0);
+    }
+    m.row_ptr.push_back(static_cast<sparse::offset_t>(m.col_idx.size()));
+  }
+  return m;
+}
+
+constexpr std::size_t kSeamBlock = 64;  // nnz per block of the seam tests
+
+// Row lengths that put a seam in the first and the last row, a row of
+// more than six blocks in the middle, a seam row and a row-aligned cut
+// with empty rows on both sides, and random rows (a quarter empty)
+// around them.
+std::vector<std::size_t> seam_lengths(std::uint64_t seed) {
+  Prng prng(seed);
+  std::vector<std::size_t> len{3 * kSeamBlock + 17};  // row 0: 4 blocks
+  std::size_t nnz = len.back();
+  const auto add = [&](std::size_t n) {
+    len.push_back(n);
+    nnz += n;
+  };
+  const auto random_rows = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      add(prng.next_below(4) == 0 ? 0 : 1 + prng.next_below(120));
+    }
+  };
+  random_rows(30);
+  add(6 * kSeamBlock + 40);  // spans 3+ two-block tasks from mid-block
+  random_rows(30);
+  // Close the block exactly, then empty rows on both sides of the cut.
+  add(0);
+  add(0);
+  add(kSeamBlock - nnz % kSeamBlock);
+  add(0);
+  add(0);
+  add(kSeamBlock / 2);
+  // A seam row (longer than a block, so it crosses a cut) between
+  // empty rows.
+  add(0);
+  add(0);
+  add(kSeamBlock + 9);
+  add(0);
+  add(0);
+  random_rows(30);
+  // The last row crosses the last cut: it starts mid-block.
+  if (nnz % kSeamBlock == 0) add(5);
+  add(kSeamBlock + 3);
+  return len;
+}
+
+TEST(Spgemm, PlannerCutsAtAnyBlockIntoNearEqualRanges) {
+  for (const std::size_t blocks : {0u, 1u, 2u, 5u, 32u, 52u, 100u, 813u}) {
+    for (const std::size_t per_band : {0u, 1u, 2u, 8u, 64u}) {
+      for (const std::size_t workers : {1u, 2u, 3u, 7u}) {
+        const std::string tag = "blocks=" + std::to_string(blocks) +
+                                " per_band=" + std::to_string(per_band) +
+                                " workers=" + std::to_string(workers);
+        const auto runs = plan_spgemm_tasks(blocks, per_band, workers);
+        if (blocks == 0) {
+          EXPECT_TRUE(runs.empty()) << tag;
+          continue;
+        }
+        EXPECT_GE(runs.size(), std::min(blocks, 4 * workers)) << tag;
+        std::size_t next = 0, lo = blocks, hi = 0;
+        for (const BlockRun& r : runs) {
+          EXPECT_EQ(r.first, next) << tag;  // contiguous, in order
+          EXPECT_GE(r.count, 1u) << tag;
+          EXPECT_LE(r.count, std::max<std::size_t>(1, per_band)) << tag;
+          next = r.first + r.count;
+          lo = std::min(lo, r.count);
+          hi = std::max(hi, r.count);
+        }
+        EXPECT_EQ(next, blocks) << tag;  // covers every block once
+        EXPECT_LE(hi - lo, 1u) << tag;
+      }
+    }
+  }
+  // spgemm-write's A: 32 blocks at 3 workers is 12 tasks, not 4.
+  EXPECT_EQ(plan_spgemm_tasks(32, 8, 3).size(), 12u);
+}
+
+TEST(Spgemm, SeamRowsAreBitwiseAtEveryCut) {
+  const std::uint64_t seed = test_seed(106);
+  constexpr sparse::index_t kInner = 640;  // A's cols == B's rows
+  // B: ~8 entries per row, every 9th row empty.
+  std::vector<std::size_t> b_len;
+  Prng prng(seed);
+  for (sparse::index_t r = 0; r < kInner; ++r) {
+    b_len.push_back(r % 9 == 0 ? 0 : 1 + prng.next_below(16));
+  }
+  const Csr b = rows_of_lengths(b_len, 500, seed + 1);
+  // "mixed": the seam_lengths() layout. "straddle": rows of 97 nnz, so
+  // every cut (a multiple of 64 below lcm(64, 97)) falls inside a row.
+  const std::vector<std::pair<std::string, Csr>> mats{
+      {"mixed", rows_of_lengths(seam_lengths(seed + 2), kInner, seed + 3)},
+      {"straddle", rows_of_lengths(std::vector<std::size_t>(60, 97), kInner,
+                                   seed + 4)}};
+
+  PipelineConfig cfg = PipelineConfig::udp_dsh();
+  cfg.nnz_per_block = kSeamBlock;
+  for (const auto& [name, a] : mats) {
+    const auto cm = codec::compress(a, cfg);
+    const auto& blocks = cm.blocking.blocks;
+    const auto crosses = [&](std::size_t k) {  // the cut after block k
+      return blocks[k].last_row == blocks[k + 1].first_row;
+    };
+    const auto row_len = [&](sparse::index_t r) {
+      return static_cast<std::size_t>(a.row_ptr[r + 1] - a.row_ptr[r]);
+    };
+    // The layouts hold what the test claims.
+    ASSERT_GT(blocks.size(), 20u) << name;
+    ASSERT_TRUE(crosses(0) && blocks[0].last_row == 0) << name;
+    ASSERT_TRUE(crosses(blocks.size() - 2) &&
+                blocks.back().first_row == a.rows - 1)
+        << name;
+    if (name == "straddle") {
+      for (std::size_t k = 0; k + 1 < blocks.size(); ++k) {
+        ASSERT_TRUE(crosses(k)) << name << " cut " << k;
+      }
+    } else {
+      bool long_row = false, empty_seam = false, empty_cut = false;
+      for (sparse::index_t r = 1; r + 1 < a.rows; ++r) {
+        long_row |= row_len(r) > 3 * kSeamBlock;
+      }
+      for (std::size_t k = 0; k + 1 < blocks.size(); ++k) {
+        const sparse::index_t r = blocks[k].last_row;
+        empty_seam |= r > 0 && crosses(k) && row_len(r - 1) == 0 &&
+                      row_len(r + 1) == 0;
+        empty_cut |= blocks[k + 1].first_row > r + 2;
+      }
+      ASSERT_TRUE(long_row && empty_seam && empty_cut) << name;
+    }
+
+    const Csr want = spgemm_reference(a, b);
+    const PipelineConfig out_cfg = cfg;  // small C blocks: many windows
+    std::string want_bytes;
+    {
+      std::ostringstream os;
+      codec::write_compressed(os, codec::compress(want, out_cfg), true);
+      want_bytes = os.str();
+    }
+    const std::string a_path = "spgemm_seam_" + name + ".rcm";
+    const std::string c_path = "spgemm_seam_" + name + "_c.rcm";
+    codec::write_compressed_file(a_path, cm, /*with_index=*/true);
+    for (const std::size_t per_band : {1u, 2u}) {
+      for (const SourceKind kind : kAllKinds) {
+        SpgemmStats serial;
+        for (const std::size_t threads : {1u, 2u, 3u, 7u}) {
+          const std::string tag =
+              name + " per_band=" + std::to_string(per_band) + " kind=" +
+              std::to_string(static_cast<int>(kind)) +
+              " threads=" + std::to_string(threads);
+          // Some task of "mixed" holds only a middle piece of one row.
+          bool middle = name != "mixed";
+          for (const BlockRun& r :
+               plan_spgemm_tasks(blocks.size(), per_band, threads)) {
+            const std::size_t last = r.first + r.count - 1;
+            middle |= r.first > 0 && crosses(r.first - 1) &&
+                      last + 1 < blocks.size() && crosses(last) &&
+                      blocks[r.first].first_row == blocks[last].last_row;
+          }
+          EXPECT_TRUE(middle) << tag;
+          SpgemmConfig scfg;
+          scfg.threads = threads;
+          scfg.blocks_per_band = per_band;
+          SpgemmStats stats;
+          {
+            OpenedContainer oc = codec::open_container(a_path, kind);
+            expect_bitwise_equal(spgemm(*oc.matrix, oc.source, b, scfg, &stats),
+                                 want, tag.c_str());
+          }
+          {
+            OpenedContainer oc = codec::open_container(a_path, kind);
+            spgemm_to_container(c_path, *oc.matrix, oc.source, b, out_cfg,
+                                scfg);
+          }
+          std::ifstream in(c_path, std::ios::binary);
+          EXPECT_TRUE(std::string(std::istreambuf_iterator<char>(in), {}) ==
+                      want_bytes)
+              << tag << ": container bytes";
+          if (threads == 1) serial = stats;
+          EXPECT_EQ(stats.products, serial.products) << tag;
+          EXPECT_EQ(stats.rows_dense, serial.rows_dense) << tag;
+          EXPECT_EQ(stats.rows_merge, serial.rows_merge) << tag;
+          EXPECT_GE(stats.tasks, blocks.size() / per_band) << tag;
+        }
+      }
+    }
+    std::remove(a_path.c_str());
+    std::remove(c_path.c_str());
+  }
 }
 
 TEST(Spgemm, RejectsDimensionMismatch) {

@@ -28,7 +28,9 @@ Program sparse_arc_program(std::uint64_t seed, int n_states) {
   Program p;
   std::vector<StateId> ids;
   for (int i = 0; i < n_states; ++i) {
-    ids.push_back(p.add_state("s" + std::to_string(i), stream_bits(4)));
+    std::string name = std::to_string(i);
+    name.insert(name.begin(), 's');  // GCC 12 -Wrestrict misfires on "s" + s
+    ids.push_back(p.add_state(name, stream_bits(4)));
   }
   const StateId h = p.add_state("h", halt());
   for (const StateId s : ids) {
