@@ -6,6 +6,7 @@
 #include <limits>
 #include <ostream>
 
+#include "codec/file_sink.h"
 #include "codec/registry.h"
 #include "common/error.h"
 #include "common/varint.h"
@@ -400,9 +401,11 @@ ContainerLayout read_container_layout(std::istream& in) {
 
 void write_compressed_file(const std::string& path, const CompressedMatrix& cm,
                            bool with_index) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) fail("rcm: cannot open for write: " + path);
+  FileSink sink(path);
+  std::ostream out(&sink);
+  out.exceptions(std::ios::badbit);  // the sink's errors name the path
   write_compressed(out, cm, with_index);
+  sink.finish(tell_out(out));
 }
 
 CompressedMatrix read_compressed_file(const std::string& path) {

@@ -99,6 +99,8 @@ void write_container_header(std::ostream& out, const CompressedMatrix& cm);
 // historical byte-exact layout.
 void write_compressed(std::ostream& out, const CompressedMatrix& cm,
                       bool with_index = false);
+// Rewrites `path` in place through the FileSink (file_sink.h), with the
+// failure contract of write_compressed_stream (container_writer.h).
 void write_compressed_file(const std::string& path, const CompressedMatrix& cm,
                            bool with_index = false);
 

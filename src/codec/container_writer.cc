@@ -2,15 +2,16 @@
 
 #include <algorithm>
 #include <array>
-#include <fstream>
 #include <limits>
 #include <numeric>
+#include <ostream>
 #include <span>
 #include <vector>
 
 #include "codec/arena.h"
 #include "codec/band_runner.h"
 #include "codec/container.h"
+#include "codec/file_sink.h"
 #include "codec/registry.h"
 #include "common/error.h"
 #include "common/prng.h"
@@ -45,14 +46,6 @@ std::size_t put_blob(std::ostream& out, const Bytes& data) {
          put_bytes(out, data.data(), data.size());
 }
 
-std::uint64_t tell_out(std::ostream& out) {
-  const std::ostream::pos_type p = out.tellp();
-  if (p == std::ostream::pos_type(-1)) {
-    fail("rcm: index requires a seekable stream");
-  }
-  return static_cast<std::uint64_t>(p);
-}
-
 // Per-worker scratch: the raw streams of the block in hand, the
 // worker's EncodeArena, and its own pass-1 histograms (summed after the
 // run; integer sums do not depend on which worker saw which block).
@@ -65,8 +58,8 @@ struct alignas(64) WorkerScratch {
   std::array<std::uint64_t, 256> value_hist{};
 };
 
-// The task id of a run's one file-I/O task: pass 1's truncating open,
-// or in pass 2 the append of the previous window's records.
+// The task id of a pass-2 run's one file-I/O task: the append of the
+// previous window's records.
 constexpr std::uint32_t kIoTask = std::numeric_limits<std::uint32_t>::max();
 
 // One write's shared state, handed to the BandRunner bodies as ctx.
@@ -74,7 +67,6 @@ constexpr std::uint32_t kIoTask = std::numeric_limits<std::uint32_t>::max();
 // owns (*encoding)[t]. The two slot sets alternate from window to window
 // and keep their buffers' capacity.
 struct WriteJob {
-  const std::string* path = nullptr;
   const CompressedMatrix* cm = nullptr;
   const BlockFiller* fill = nullptr;
   BlockCodec codec;
@@ -86,7 +78,7 @@ struct WriteJob {
   std::size_t first_block = 0;
   // The file, touched by one task or the caller at a time: the run
   // boundary orders every access.
-  std::ofstream out;
+  std::ostream* out = nullptr;
   std::uint64_t pos = 0;  // counted offset of the next byte
   std::vector<std::uint64_t> offsets;
   std::uint64_t payload_bytes = 0;
@@ -101,22 +93,15 @@ struct WriteJob {
             std::span<double>(ws.values));
   }
 
-  // Opens the output, truncating an old file at the path.
-  void open() {
-    out.open(*path, std::ios::binary);
-    if (!out) fail("rcm: cannot open for write: " + *path);
-  }
-
   // Appends records in block order, each at its counted offset.
   void append(std::span<const CompressedBlock> records) {
     for (const CompressedBlock& rec : records) {
       offsets.push_back(pos);
-      pos += put_pod<std::uint8_t>(out, id);
-      pos += put_blob(out, rec.index_data);
-      pos += put_blob(out, rec.value_data);
+      pos += put_pod<std::uint8_t>(*out, id);
+      pos += put_blob(*out, rec.index_data);
+      pos += put_blob(*out, rec.value_data);
       payload_bytes += rec.bytes();
     }
-    if (!out) fail("rcm: write failed: " + *path);
   }
 };
 
@@ -149,8 +134,14 @@ StreamWriteResult write_compressed_stream(
   cm.blocking = sparse::make_blocking(row_ptr, cfg.nnz_per_block);
   const std::size_t nblocks = cm.blocking.block_count();
 
+  // Opening zeroes the old file's magic before any block is filled, so a
+  // write that fails anywhere below leaves a file readers reject.
+  FileSink sink(path);
+  std::ostream out(&sink);
+  out.exceptions(std::ios::badbit);  // the sink's errors name the path
+
   WriteJob job;
-  job.path = &path;
+  job.out = &out;
   job.cm = &cm;
   job.fill = &fill;
   // Never more workers than blocks.
@@ -163,9 +154,7 @@ StreamWriteResult write_compressed_stream(
   // Prng walk compress() performs, histogramming the post-Snappy mid
   // streams of the sampled blocks. The walk is serial and advances once
   // per block, so the sampled set matches compress() bit-for-bit;
-  // unsampled blocks are skipped entirely. The run's I/O task opens the
-  // file meanwhile (truncating a previous one can take milliseconds).
-  // The I/O task is seeded last, so its worker pops it first.
+  // unsampled blocks are skipped entirely.
   if (cfg.huffman) {
     std::vector<std::uint32_t> order;
     Prng sampler(cfg.sample_seed);
@@ -174,15 +163,10 @@ StreamWriteResult write_compressed_stream(
         order.push_back(static_cast<std::uint32_t>(b));
       }
     }
-    order.push_back(kIoTask);
     job.codec = BlockCodec{cfg.index_transform, cfg.value_transform,
                            cfg.snappy, false};
     runner.run(order, [](void* ctx, std::uint32_t b, std::size_t worker) {
       auto& j = *static_cast<WriteJob*>(ctx);
-      if (b == kIoTask) {
-        j.open();
-        return;
-      }
       WorkerScratch& ws = j.scratch[worker];
       j.fill_block(b, ws);
       const MidStreams mid = encode_mid(ws.indices, ws.values, j.codec,
@@ -202,18 +186,17 @@ StreamWriteResult write_compressed_stream(
         std::make_shared<const HuffmanTable>(HuffmanTable::build(index_hist));
     cm.value_table =
         std::make_shared<const HuffmanTable>(HuffmanTable::build(value_hist));
-  } else {
-    job.open();
   }
 
-  write_container_header(job.out, cm);
-  put_varint(job.out, nblocks);
-  job.pos = tell_out(job.out);
+  write_container_header(out, cm);
+  put_varint(out, nblocks);
+  job.pos = static_cast<std::uint64_t>(out.tellp());
 
   // Pass 2: encode a window of blocks on the team into one slot set while
   // the run's I/O task appends the previous window's records from the
   // other, in block order, counting each record's offset for the index.
-  // The last window appends after the loop. Memory stays O(row_ptr + two
+  // The I/O task is seeded last, so its worker pops it first. The last
+  // window appends after the loop. Memory stays O(row_ptr + two
   // windows).
   job.id = codec_id_for(cfg);
   job.codec = codec_from_id(job.id);
@@ -243,11 +226,8 @@ StreamWriteResult write_compressed_stream(
   }
   job.append(job.pending);
 
-  // The counted offsets must agree with the stream's own position.
   const std::uint64_t index_offset = job.pos;
-  RECODE_CHECK(index_offset == tell_out(job.out));
   job.offsets.push_back(index_offset);
-  std::ofstream& out = job.out;
   std::uint64_t end = index_offset;
   for (const std::uint64_t off : job.offsets) end += put_pod(out, off);
   for (std::size_t b = 0; b < nblocks; ++b) {
@@ -255,9 +235,8 @@ StreamWriteResult write_compressed_stream(
   }
   end += put_pod<std::uint64_t>(out, index_offset);
   end += put_bytes(out, kIndexFooterMagic, sizeof(kIndexFooterMagic));
-  // Closing flushes the last buffered bytes, which can fail too.
-  out.close();
-  if (!out) fail("rcm: write failed: " + path);
+  // Checks the counted end against the bytes put, then the file's size.
+  sink.finish(end);
 
   StreamWriteResult result;
   result.block_count = nblocks;

@@ -22,17 +22,30 @@
 // schedule). Pass 2 encodes a bounded window of blocks per run into
 // per-slot records.
 //
-// File I/O runs as tasks on the same team, overlapping the encodes
-// instead of running on the caller between runs. Each run carries one
-// extra I/O task, seeded last so a worker pops it first. In pass 1 it
-// opens (truncates) the file while the sampled blocks encode. In pass 2,
-// window k + 1's run appends window k's records while it encodes its own:
-// the slots are double-buffered, window k + 1 encoding into one set while
-// the other, window k's, is appended. The caller writes only the header
-// (once the tables are built), the last window's records and the index.
-// Records are appended in block order and their offsets are counted, not
-// read back from the stream (one tellp() check before the index), so the
-// file is byte-identical for every thread count.
+// The file is rewritten in place through the one FileSink (file_sink.h)
+// that write_compressed_file also writes through. The caller opens it
+// before pass 1, which zeroes the old file's magic and truncates nothing.
+// Appends run as tasks on the same team, overlapping the encodes instead
+// of running on the caller between runs: window k + 1's run carries one
+// extra I/O task, seeded last so a worker pops it first, that appends
+// window k's records while the run encodes its own. The slots are
+// double-buffered, window k + 1 encoding into one set while the other,
+// window k's, is appended. The caller writes only the header (once the
+// tables are built), the last window's records and the index. Records are
+// appended in block order and their offsets are counted, not read back
+// from the file, so the file is byte-identical for every thread count.
+//
+// What a rewrite leaves at the path:
+//   - on success, exactly the new container: the file is trimmed to the
+//     counted end (its size is checked), so a shorter container written
+//     over a longer one leaves no stale tail, and the magic is written
+//     last;
+//   - on any failure (a filler error, a storage fault) or a process that
+//     dies mid-write, a file whose magic is zero, so every reader rejects
+//     it with "rcm: bad magic (file: <path>)" instead of parsing a mix of
+//     old and new bytes;
+//   - after power loss, no guarantee: that needs an fsync, which the
+//     writers do not do.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +81,10 @@ struct StreamWriteResult {
 // CodecSelection::kSingle configs are supported (per-block trial
 // encoding needs all candidates in memory; the out-of-core producer
 // path doesn't); any other config is rejected before a thread starts.
-// Throws recode::Error on I/O failure or a non-kSingle config, and
-// rethrows on the calling thread the first error the filler throws.
+// Throws recode::Error on a non-kSingle config (before the file is
+// opened), "rcm: cannot open for write: <path>" or "rcm: write failed:
+// <path>" on a storage fault, and rethrows on the calling thread the
+// first error the filler throws.
 StreamWriteResult write_compressed_stream(
     const std::string& path, sparse::index_t rows, sparse::index_t cols,
     std::span<const sparse::offset_t> row_ptr, const PipelineConfig& cfg,

@@ -122,7 +122,9 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a, const sparse::Csr& b,
 // an out-of-core source's IO thread). The file is byte-identical to
 // compress(C, out_cfg) + write_compressed_file with the index appended,
 // for every thread count (the write_compressed_stream contract; kSingle
-// configs only).
+// configs only). An old file at `path` is rewritten in place, never
+// truncated first; a failed call leaves a file every reader rejects
+// (codec/container_writer.h).
 codec::StreamWriteResult spgemm_to_container(
     const std::string& path, const codec::CompressedMatrix& a,
     std::shared_ptr<codec::ContainerSource> a_source, const sparse::Csr& b,

@@ -8,15 +8,20 @@
 // one-block bands, C blocks spanning many bands, and leading bands that
 // produce no output; a filler error in pass 1, in pass 2, and in the
 // second and last windows (while the previous window's records append) is
-// rethrown on the caller and leaves the writer reusable; and
-// the Huffman encode stage reports its time and bytes. Carries the
-// concurrency label (tsan/sanitize repeat 3x).
+// rethrown on the caller, leaves a file every reader rejects (even over a
+// valid older container) and leaves the writer reusable; both writers
+// rewrite a path in place without leaving a stale tail, and name the file
+// on a storage fault; and the Huffman encode stage reports its time and
+// bytes. Carries the concurrency label (tsan/sanitize repeat 3x).
 #include "codec/container_writer.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -72,6 +77,17 @@ StreamWriteResult write_stream(const std::string& path, const Csr& a,
                                const BlockFiller& fill, std::size_t threads) {
   return write_compressed_stream(path, a.rows, a.cols, a.row_ptr, cfg, fill,
                                  threads);
+}
+
+// The message of the recode::Error `f` throws, or "" when it throws none.
+template <typename F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 struct Shape {
@@ -304,7 +320,17 @@ TEST(ContainerWriter, FillerErrorRethrowsOnCallerAndWriterStaysUsable) {
   const std::string ref = reference_bytes(a, cfg);
   const std::string path = temp_path("fault");
   const BlockFiller good = csr_filler(a);
+  // Before each fault the path holds a different valid container, so the
+  // bytes the faulted write leaves behind would parse if nothing marked
+  // them invalid.
+  const Csr& older = shapes()[3].matrix;
+  std::uint64_t older_seed = 0;
   for (const Fault& fault : faults) {
+    PipelineConfig older_cfg = PipelineConfig::udp_dsh();
+    older_cfg.sample_seed += ++older_seed;
+    write_compressed_file(path, compress(older, older_cfg), true);
+    ASSERT_EQ(read_compressed_file(path).config.sample_seed,
+              older_cfg.sample_seed);
     std::atomic<int> calls{0};
     const BlockFiller faulty = [&](std::size_t b, std::uint64_t first_nnz,
                                    std::span<sparse::index_t> idx,
@@ -315,9 +341,156 @@ TEST(ContainerWriter, FillerErrorRethrowsOnCallerAndWriterStaysUsable) {
       good(b, first_nnz, idx, val);
     };
     EXPECT_THROW(write_stream(path, a, cfg, faulty, 3), Error) << fault.what;
+    const auto expect_rejected = [&](const char* reader, auto&& read) {
+      const std::string msg = error_of(read);
+      EXPECT_NE(msg.find("rcm: bad magic"), std::string::npos)
+          << fault.what << " " << reader << ": " << msg;
+      EXPECT_NE(msg.find(path), std::string::npos)
+          << fault.what << " " << reader << ": " << msg;
+    };
+    expect_rejected("read_compressed_file",
+                    [&] { read_compressed_file(path); });
+    expect_rejected("read_container_layout_file",
+                    [&] { read_container_layout_file(path); });
+    for (const SourceKind kind : {SourceKind::kResident, SourceKind::kMmap,
+                                  SourceKind::kStreamed}) {
+      expect_rejected(source_kind_name(kind),
+                      [&] { open_container(path, kind); });
+    }
     // The next call on the same path writes the reference bytes.
     write_stream(path, a, cfg, good, 3);
     EXPECT_EQ(read_file(path), ref) << fault.what;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ContainerWriter, RewritesInPlaceWithoutStaleTail) {
+  // Longer -> shorter -> longer at one path, for every sequence of the two
+  // writers: each file must be exactly the reference bytes, at exactly
+  // their size, whatever the path held before.
+  PipelineConfig cfg = PipelineConfig::udp_dsh();
+  cfg.nnz_per_block = shapes()[2].nnz_per_block;
+  const Csr* sizes[] = {&shapes()[2].matrix, &shapes()[1].matrix,
+                        &shapes()[3].matrix};
+  std::vector<std::string> refs;
+  for (const Csr* a : sizes) refs.push_back(reference_bytes(*a, cfg));
+  ASSERT_GT(refs[0].size(), refs[1].size());
+  ASSERT_GT(refs[2].size(), refs[1].size());
+  const std::string path = temp_path("in_place");
+  for (const std::size_t threads : {1, 3, 7}) {
+    for (unsigned writers = 0; writers < 8; ++writers) {
+      for (std::size_t i = 0; i < 3; ++i) {
+        const Csr& a = *sizes[i];
+        const bool stream = (writers >> i) & 1;
+        if (stream) {
+          write_stream(path, a, cfg, csr_filler(a), threads);
+        } else {
+          write_compressed_file(path, compress(a, cfg), /*with_index=*/true);
+        }
+        const std::string where = std::string(stream ? "stream" : "file") +
+                                  " write " + std::to_string(i) +
+                                  " writers=" + std::to_string(writers) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(std::filesystem::file_size(path), refs[i].size()) << where;
+        EXPECT_EQ(read_file(path), refs[i]) << where;
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ContainerWriter, StorageFaultsNameTheFile) {
+  const Csr& a = shapes()[2].matrix;
+  PipelineConfig cfg = PipelineConfig::udp_dsh();
+  cfg.nnz_per_block = shapes()[2].nnz_per_block;
+  const CompressedMatrix cm = compress(a, cfg);
+  const std::string missing = "writer_no_such_dir/c.rcm";
+  const std::string path = temp_path("after_fault");
+  const std::string ref = reference_bytes(a, cfg);
+  struct Target {
+    std::string path;
+    std::string message;
+  };
+  std::vector<Target> targets = {
+      {missing, "rcm: cannot open for write: " + missing}};
+  if (std::filesystem::exists("/dev/full")) {
+    targets.push_back({"/dev/full", "rcm: write failed: /dev/full"});
+  }
+  for (const Target& target : targets) {
+    for (const std::size_t threads : {1, 3}) {
+      EXPECT_EQ(error_of([&] {
+                  write_stream(target.path, a, cfg, csr_filler(a), threads);
+                }),
+                target.message)
+          << "threads=" << threads;
+      write_stream(path, a, cfg, csr_filler(a), threads);
+      EXPECT_EQ(read_file(path), ref) << target.path << " threads=" << threads;
+    }
+    EXPECT_EQ(error_of([&] { write_compressed_file(target.path, cm, true); }),
+              target.message);
+    write_compressed_file(path, cm, true);
+    EXPECT_EQ(read_file(path), ref) << target.path;
+  }
+  EXPECT_FALSE(std::filesystem::exists(missing));
+  std::remove(path.c_str());
+}
+
+// Caps this process's file size (RLIMIT_FSIZE) for its lifetime, with
+// SIGXFSZ ignored, so a write past the cap fails with EFBIG after a short
+// write instead of killing the process.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(rlim_t bytes) {
+    getrlimit(RLIMIT_FSIZE, &saved_);
+    rlimit cap = saved_;
+    cap.rlim_cur = std::min(bytes, saved_.rlim_max);
+    setrlimit(RLIMIT_FSIZE, &cap);
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+  }
+  ~FileSizeCap() {
+    setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*old_handler_)(int) = nullptr;
+};
+
+TEST(ContainerWriter, WriteFailingMidFileNamesItAndLeavesItRejected) {
+  // A storage fault after some bytes are out: the write names the file,
+  // and what it leaves is rejected rather than parsed. The path first
+  // holds a file longer than the new container, so trimming it needs no
+  // room past the cap and only the failing writes can report the fault.
+  const Csr& a = shapes()[2].matrix;
+  PipelineConfig cfg = PipelineConfig::udp_dsh();
+  cfg.nnz_per_block = shapes()[2].nnz_per_block;
+  const CompressedMatrix cm = compress(a, cfg);
+  const std::string ref = reference_bytes(a, cfg);
+  const std::string path = temp_path("capped");
+  const std::string message = "rcm: write failed: " + path;
+  for (const std::size_t threads : {0, 1, 3}) {  // 0: write_compressed_file
+    std::ofstream(path, std::ios::binary) << std::string(2 * ref.size(), 'x');
+    {
+      const FileSizeCap cap(ref.size() / 2);
+      EXPECT_EQ(error_of([&] {
+                  if (threads == 0) {
+                    write_compressed_file(path, cm, true);
+                  } else {
+                    write_stream(path, a, cfg, csr_filler(a), threads);
+                  }
+                }),
+                message)
+          << "threads=" << threads;
+    }
+    EXPECT_NE(error_of([&] { read_compressed_file(path); })
+                  .find("rcm: bad magic (file: " + path + ")"),
+              std::string::npos)
+        << "threads=" << threads;
+    write_stream(path, a, cfg, csr_filler(a), threads == 0 ? 1 : threads);
+    EXPECT_EQ(read_file(path), ref) << "threads=" << threads;
   }
   std::remove(path.c_str());
 }
