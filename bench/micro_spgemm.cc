@@ -160,7 +160,6 @@ int run(int argc, char** argv) {
   report.add_result("spgemm_serial_ms", serial_ms);
   report.add_result("spgemm_parallel_ms", par_ms);
   report.add_result("speedup_spgemm", serial_ms / par_ms);
-  report.add_result("steals_spgemm", static_cast<double>(par_stats.steals));
 
   // --- Streamed container output (C compressed without an in-RAM
   // container; encode paths never feed the ledger).

@@ -1,5 +1,5 @@
 // Streaming decode->SpMV executor microbench: serial RecodedSpmv vs the
-// work-stealing StreamingExecutor across decode thread counts, reporting
+// threaded StreamingExecutor across decode thread counts, reporting
 // wall-clock speedup and measured efficiency against the ideal
 // load-balanced wall (core::analyze_overlap).
 //
@@ -104,7 +104,7 @@ int run(int argc, char** argv) {
   report.add_result("host_cores", static_cast<double>(host_cores));
 
   Table table({"decode thr", "compute thr", "wall ms", "speedup", "decode s",
-               "compute s", "overlap eff", "steals"});
+               "compute s", "overlap eff"});
   std::vector<double> y(y_serial.size());
   bool bitwise_ok = true;
   for (std::size_t threads = 1; threads <= max_threads; threads *= 2) {
@@ -136,31 +136,18 @@ int run(int argc, char** argv) {
                    Table::num(serial_best / best, 2),
                    Table::num(stats.decode_busy_seconds, 3),
                    Table::num(stats.compute_busy_seconds, 3),
-                   Table::num(overlap.measured_efficiency, 2),
-                   Table::num(static_cast<double>(stats.steals), 0)});
+                   Table::num(overlap.measured_efficiency, 2)});
     const std::string suffix = "_t" + std::to_string(threads);
     report.add_result("wall_ms" + suffix, best * 1e3);
     report.add_result("speedup" + suffix, serial_best / best);
     report.add_result("overlap_efficiency" + suffix,
                       overlap.measured_efficiency);
-    // Scheduler-activity shape of the run: how many tasks moved by
-    // steal vs local pop, and how deep the per-worker deques sat when
-    // tasks were acquired (mean of the sampled occupancy histogram).
-    report.add_result("steals" + suffix, static_cast<double>(stats.steals));
-    report.add_result("steal_attempts" + suffix,
-                      static_cast<double>(stats.steal_attempts));
     report.add_result("tasks" + suffix, static_cast<double>(stats.bands));
     report.add_result("split_bands" + suffix,
                       static_cast<double>(stats.split_bands));
     report.add_result("fused" + suffix, stats.fused ? 1.0 : 0.0);
     report.add_result("degraded" + suffix,
                       host_cores > 0 && threads > host_cores ? 1.0 : 0.0);
-    if (telemetry::kEnabled) {
-      const auto& occ = telemetry::MetricsRegistry::global().histogram(
-          "spmv.sched.deque_occupancy");
-      report.add_result("deque_occupancy_mean" + suffix,
-                        occ.snapshot().mean());
-    }
   }
   table.print();
   std::printf("parallel output bitwise == serial: %s\n",

@@ -23,9 +23,8 @@
 //                direction-aware (only a worsening fails).
 //   timing     — absolute wall times (*_ms, *_micros, *_seconds): the
 //                loosest class (--timing-tol), also direction-aware.
-//   skipped    — host-dependent or scheduler-noise keys (host_cores,
-//                degraded_*, steals_*, steal_attempts_*, split_bands_*,
-//                deque_occupancy_*, cache_pinned_mb_*).
+//   skipped    — host-dependent keys (host_cores, degraded_*,
+//                split_bands_*, cache_pinned_mb_*).
 //
 // Scaling-series keys (suffix _tN) are skipped when either file marks
 // that point degraded_tN=1 — an oversubscribed host (8 workers on 1
@@ -83,9 +82,7 @@ bool contains(const std::string& s, const std::string& sub) {
 Class classify(const std::string& key) {
   if (key == "engine") return Class::kString;
   if (key == "host_cores" || starts_with(key, "degraded_") ||
-      starts_with(key, "steals_") || starts_with(key, "steal_attempts_") ||
       starts_with(key, "split_bands_") ||
-      starts_with(key, "deque_occupancy_") ||
       starts_with(key, "cache_pinned_mb")) {
     return Class::kSkip;
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <limits>
-#include <numeric>
 #include <ostream>
 #include <span>
 #include <vector>
@@ -105,7 +104,7 @@ struct WriteJob {
   }
 };
 
-// Blocks per pass-2 window, per worker: enough tasks that stealing evens
+// Blocks per pass-2 window, per worker: enough tasks that claiming evens
 // out per-block cost, few enough that the window's records stay small.
 constexpr std::size_t kWindowBlocksPerWorker = 16;
 
@@ -147,7 +146,7 @@ StreamWriteResult write_compressed_stream(
   // Never more workers than blocks.
   const std::size_t workers = std::min(ThreadPool::resolve_size(threads),
                                        std::max<std::size_t>(1, nblocks));
-  BandRunner runner(workers, nblocks + 1);
+  BandRunner runner(workers);
   job.scratch.resize(workers);
 
   // Pass 1 (only when training Huffman tables): the same block-sampling
@@ -195,8 +194,8 @@ StreamWriteResult write_compressed_stream(
   // Pass 2: encode a window of blocks on the team into one slot set while
   // the run's I/O task appends the previous window's records from the
   // other, in block order, counting each record's offset for the index.
-  // The I/O task is seeded last, so its worker pops it first. The last
-  // window appends after the loop. Memory stays O(row_ptr + two
+  // The I/O task is first in the order, so the first claim takes it. The
+  // last window appends after the loop. Memory stays O(row_ptr + two
   // windows).
   job.id = codec_id_for(cfg);
   job.codec = codec_from_id(job.id);
@@ -206,9 +205,9 @@ StreamWriteResult write_compressed_stream(
   std::vector<std::uint32_t> order;
   for (std::size_t first = 0, w = 0; first < nblocks; first += window, ++w) {
     const std::size_t count = std::min(window, nblocks - first);
-    order.resize(count);
-    std::iota(order.begin(), order.end(), 0u);
+    order.clear();
     if (!job.pending.empty()) order.push_back(kIoTask);
+    for (std::uint32_t t = 0; t < count; ++t) order.push_back(t);
     job.first_block = first;
     job.encoding = &job.slots[w % 2];
     runner.run(order, [](void* ctx, std::uint32_t t, std::size_t worker) {

@@ -27,10 +27,10 @@
 // before pass 1, which zeroes the old file's magic and truncates nothing.
 // Appends run as tasks on the same team, overlapping the encodes instead
 // of running on the caller between runs: window k + 1's run carries one
-// extra I/O task, seeded last so a worker pops it first, that appends
-// window k's records while the run encodes its own. The slots are
-// double-buffered, window k + 1 encoding into one set while the other,
-// window k's, is appended. The caller writes only the header (once the
+// extra I/O task, first in its order so the first claim takes it, that
+// appends window k's records while the run encodes its own. The slots
+// are double-buffered, window k + 1 encoding into one set while the
+// other, window k's, is appended. The caller writes only the header (once the
 // tables are built), the last window's records and the index. Records are
 // appended in block order and their offsets are counted, not read back
 // from the file, so the file is byte-identical for every thread count.

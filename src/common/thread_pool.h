@@ -1,6 +1,6 @@
 // The one thread team every fan-out in the repo runs on: codec::BandRunner
-// (the band tasks of the streaming executor, SpGEMM and SpMSpV, and the
-// container writer's block encodes) and the threaded plain-CSR SpMV
+// (its workers claim the band tasks of the streaming executor, SpGEMM and
+// SpMSpV, and the container writer's block encodes, from one cursor) and the threaded plain-CSR SpMV
 // kernels (spmv/kernels.h), the baseline the compressed engines are
 // measured against.
 //

@@ -21,7 +21,7 @@
 // never free memory a worker is still accumulating from.
 //
 // Scan protection: the executor touches every band exactly once per
-// multiply, in an order the work-stealing scheduler does not fix. Pure
+// multiply, in an order the workers' claims do not fix. Pure
 // LRU under that regime is the textbook thrash case — an insert can
 // evict a resident band moments before the scan reaches it, and an
 // unlucky completion order yields zero hits from a half-full cache.

@@ -62,7 +62,7 @@ BlockStream::BlockStream(const codec::CompressedMatrix& cm,
     : cm_(&cm),
       source_(source ? std::move(source) : codec::make_resident_source(cm)),
       engine_(engine),
-      runner_(stream_workers(workers, max_tasks), max_tasks) {
+      runner_(stream_workers(workers, max_tasks)) {
   check_engine(*source_, engine);
   workers_.resize(stream_workers(workers, max_tasks));
   for (auto& w : workers_) w = std::make_unique<Worker>();
@@ -153,7 +153,7 @@ void BlockStream::finish_run() {
   totals_ += last_;
   // Grow every worker's arenas to the per-slot high-water: a block needs
   // the same capacity whichever worker decodes it, so after one full pass
-  // no steal pattern can make a later run regrow an arena.
+  // no claim order can make a later run regrow an arena.
   for (std::size_t slot = 0; slot < codec::DecodeArena::kSlotCount; ++slot) {
     std::size_t scratch_max = 0;
     std::size_t out_max = 0;

@@ -13,7 +13,7 @@
 // run, with one worker or many, goes through the BandRunner and its one
 // lookahead rule (codec/band_runner.h): the inline walk hints order[0]
 // before the run and order[i + 1] before running order[i]; a threaded
-// worker hints the task it popped ahead before running the one in hand.
+// worker hints the task it claimed next before running the one in hand.
 // The source never lets a synchronous read wait on window budget that
 // only unleased prefetches hold, so no hint timing can stall a run.
 // Resident sources get no hints.
@@ -157,10 +157,8 @@ class BlockStream {
   std::size_t workers() const { return workers_.size(); }
   const StreamTally& last_run() const { return last_; }
   const StreamTally& totals() const { return totals_; }
-  // Scheduler counters of the last run (workers == 1 on the inline path).
+  // Runner stats of the last run (workers == 1 on the inline path).
   const codec::BandRunStats& run_stats() const { return run_stats_; }
-  // Tasks still queued in the scheduler: 0 whenever no run is in flight.
-  std::size_t queued() const { return runner_.queued(); }
 
  private:
   // Per-worker decode state: the arenas the software engine writes into

@@ -423,7 +423,6 @@ BandedC run_spgemm(const codec::CompressedMatrix& a,
   st.a_compressed_bytes = stream.last_run().bytes;
   st.tasks = job.tasks.size();
   st.workers = run_stats.workers;
-  st.steals = run_stats.steals;
   if (stats) *stats = st;
   return std::move(job.c);
 }

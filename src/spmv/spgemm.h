@@ -27,8 +27,8 @@
 // tests/spmv/test_spgemm.cc); the emit order is a pure performance choice.
 //
 // Parallelism: A's blocks are cut into contiguous ranges at any block
-// boundary (plan_spgemm_tasks), one task each, fanned out over the
-// work-stealing band runner. A task decodes its range and computes the
+// boundary (plan_spgemm_tasks), one task each, fanned out over the band
+// runner's claim cursor. A task decodes its range and computes the
 // rows that lie wholly inside it. A row that crosses a cut is a seam row:
 // each task it touches copies its piece of the row's A entries (columns
 // and values) into the row's buffer, at the piece's offset within the
@@ -39,7 +39,7 @@
 // than a task gives that task only a middle piece and no rows. Every row,
 // seam or not, is produced once, by one sweep in A-entry order, so C is
 // bitwise-identical serial vs parallel for any worker count, cut and
-// steal order. The fix-up is short: at most one seam row per cut, each
+// claim order. The fix-up is short: at most one seam row per cut, each
 // costing one row's products. Leases stay disjoint block ranges: every
 // block belongs to exactly one task, which hands its seam-row pieces on
 // in memory, so no block is leased twice and the source's one-owner rule
@@ -86,14 +86,17 @@ struct SpgemmStats {
   std::uint64_t a_compressed_bytes = 0;  // A payload + codec-id bytes
   std::size_t tasks = 0;             // block ranges scheduled
   std::size_t workers = 0;           // threads that ran (1 = inline)
+  // Always 0: workers claim tasks from one cursor and nothing is stolen.
+  // Kept for the perfbench harness's spmv.steals; goes with ROADMAP item
+  // 10's benchmark-type cleanup.
   std::uint64_t steals = 0;
 };
 
 // SpGEMM's task plan over `blocks` blocks: contiguous ranges cut at any
 // block boundary, max(ceil(blocks / blocks_per_band), min(blocks,
 // 4 * workers)) of them (at most blocks_per_band blocks each, and about
-// four per worker so stealing has slack), whose sizes differ by at most
-// one block. Empty for blocks == 0.
+// four per worker so claiming evens out their cost), whose sizes differ
+// by at most one block. Empty for blocks == 0.
 std::vector<BlockRun> plan_spgemm_tasks(std::size_t blocks,
                                         std::size_t blocks_per_band,
                                         std::size_t workers);

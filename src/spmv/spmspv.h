@@ -32,8 +32,9 @@
 //
 // Parallelism: row-aligned bands (make_row_bands) fanned out over the
 // engine's BlockStream (spmv/block_decoder.h), which keeps its decoders
-// and worker team across multiplies; bands own disjoint y rows, so
-// parallel ≡ serial bitwise. A warmed multiply performs no heap
+// and worker team across multiplies; each worker claims the next band of
+// the run order from the band runner's cursor. Bands own disjoint y
+// rows, so parallel ≡ serial bitwise for any claim order. A warmed multiply performs no heap
 // allocation.
 #pragma once
 

@@ -13,7 +13,7 @@ namespace {
 
 // Registry handles resolved once (registration locks; the workers only
 // touch the lock-free instruments). All of this is a no-op skeleton when
-// RECODE_TELEMETRY=OFF. The scheduler histograms live with the band
+// RECODE_TELEMETRY=OFF. The tail-wait histogram lives with the band
 // runner (spmv.sched.*).
 struct StreamTelemetry {
   telemetry::Counter& runs;
@@ -34,10 +34,6 @@ struct StreamTelemetry {
   telemetry::Counter& decode_blocked_ns;
   telemetry::Counter& compute_busy_ns;
   telemetry::Counter& compute_blocked_ns;
-  telemetry::Counter& steal_count;
-  telemetry::Counter& steal_attempts;
-  telemetry::Counter& local_pops;
-  telemetry::Counter& injector_pops;
 
   static StreamTelemetry& get() {
     auto& reg = telemetry::MetricsRegistry::global();
@@ -60,10 +56,6 @@ struct StreamTelemetry {
         reg.counter("spmv.decode.blocked_ns"),
         reg.counter("spmv.compute.busy_ns"),
         reg.counter("spmv.compute.blocked_ns"),
-        reg.counter("spmv.steal.count"),
-        reg.counter("spmv.steal.attempts"),
-        reg.counter("spmv.steal.local_pops"),
-        reg.counter("spmv.steal.injector_pops"),
     };
     return *t;
   }
@@ -204,7 +196,7 @@ StreamingExecutor::StreamingExecutor(
 
   std::size_t threshold = config_.split_blocks_threshold;
   if (threshold == 0) {
-    // Auto: enough tasks for stealing to balance (>= 4 per worker) but
+    // Auto: enough tasks for claiming to balance (>= 4 per worker) but
     // never finer than the configured band granularity.
     const std::size_t total = cm_->blocking.blocks.size();
     const std::size_t want_tasks = pool * 4;
@@ -242,10 +234,6 @@ StreamingExecutor::StreamingExecutor(
 }
 
 StreamingExecutor::~StreamingExecutor() = default;
-
-std::size_t StreamingExecutor::scheduler_queued() const {
-  return stream_->queued();
-}
 
 void StreamingExecutor::run_task(void* self, std::uint32_t task,
                                  std::size_t worker) {
@@ -349,7 +337,7 @@ void StreamingExecutor::multiply_batch(std::span<const double> x,
   // Run boundary for the cache's scan protection: bands resident now
   // are exactly the ones this run is about to want — shield them from
   // eviction until this run has consumed them, whatever order the
-  // scheduler reaches them in.
+  // workers claim them in.
   if (cache_) cache_->begin_run();
   // Serpentine scan: see the task_ids_ member comment.
   const bool reverse = (run_counter_++ & 1) == 1;
@@ -373,7 +361,7 @@ void StreamingExecutor::multiply_batch(std::span<const double> x,
 }
 
 // Aggregates the per-worker stats slots, the stream's decode tally and
-// its scheduler counters into last_stats(), publishes telemetry, and
+// its runner's tail waits into last_stats(), publishes telemetry, and
 // bumps the lifetime totals. Runs on the caller thread after every
 // multiply, including failed ones (partial progress still counts).
 void StreamingExecutor::finish_run(double wall_seconds) {
@@ -392,18 +380,12 @@ void StreamingExecutor::finish_run(double wall_seconds) {
   }
   const codec::BandRunStats& rs = stream_->run_stats();
   stats_.decode_blocked_seconds = rs.acquire_wait_seconds;
-  stats_.steals = rs.steals;
-  stats_.steal_attempts = rs.steal_attempts;
 
   telem.runs.add(1);
   if (stats_.inline_run) {
     telem.inline_runs.add(1);
   } else {
     telem.fused_runs.add(1);
-    telem.steal_count.add(rs.steals);
-    telem.steal_attempts.add(rs.steal_attempts);
-    telem.local_pops.add(rs.local_pops);
-    telem.injector_pops.add(rs.injector_pops);
   }
   telem.tasks_scheduled.add(stats_.bands);
   telem.tasks_split.add(stats_.split_bands);

@@ -1,15 +1,15 @@
-// Work-stealing parallel decode->SpMV execution engine (the paper's §V-B
-// co-scheduling, host-side). The matrix is cut into row-aligned *tasks*
-// (sub-bands) and fanned out over the band runner (codec/band_runner.h): a
-// Chase-Lev-style scheduler hands tasks to workers, and an idle worker
-// steals from a loaded one instead of blocking on a fixed queue.
+// Parallel decode->SpMV execution engine (the paper's §V-B co-scheduling,
+// host-side). The matrix is cut into near-equal row-aligned *tasks*
+// (sub-bands) and fanned out over the band runner (codec/band_runner.h):
+// each worker claims the next task of the run order from one atomic
+// cursor, so a worker that finishes early simply claims more.
 //
 // One execution mode, fused: every worker decodes AND accumulates its own
 // tasks back-to-back, each block straight from the worker's decode arena
 // into y. Decoded data never crosses a thread and is never copied except
 // into the band cache. Small matrices (at most fused_inline_blocks
 // blocks, or a single task) run the same loop inline on the calling
-// thread: one worker, no scheduler, no handoff.
+// thread: one worker, no claim cursor, no handoff.
 //
 // Every block reaches the executor through its BlockStream
 // (spmv/block_decoder.h), which owns the workers' decoders, the band
@@ -23,7 +23,7 @@
 // stream order by exactly one worker, through the same accumulate kernels
 // as the serial engine, into rows no other task touches. Output is
 // therefore bitwise-identical to serial RecodedSpmv::multiply for any
-// worker count, any schedule, any steal order and any cache budget.
+// worker count, any schedule, any claim order and any cache budget.
 //
 // Dynamic band splitting: a band whose block count exceeds
 // split_blocks_threshold is re-cut at interior row-aligned boundaries so
@@ -31,8 +31,9 @@
 // row boundary is unsplittable and streams as one task.
 //
 // Error contract: a recode::Error thrown mid-stream (corrupt block, lane
-// fault) cancels the scheduler, lets every worker drain its deque, and is
-// rethrown on the calling thread. The executor stays usable afterwards.
+// fault) stops every worker from claiming another task and is rethrown
+// on the calling thread once all have returned. The executor stays
+// usable afterwards.
 //
 // Steady-state allocation: the stream (runner, worker team, decoders and
 // arenas) is executor-owned and reused run after run — a
@@ -113,8 +114,8 @@ struct OverlapStats {
   double wall_seconds = 0.0;
   double decode_busy_seconds = 0.0;   // summed across workers
   double compute_busy_seconds = 0.0;  // summed across workers
-  // Time workers spent waiting in the scheduler's blocking acquire.
-  // Measured by the telemetry wait probes — 0 when RECODE_TELEMETRY=OFF.
+  // Workers' tail waits: from finding the claim cursor exhausted to the
+  // end of the run, summed. 0 when RECODE_TELEMETRY=OFF.
   double decode_blocked_seconds = 0.0;
   // Always 0: no worker waits on another's decode. Kept so profile
   // readers that sum both blocked fields keep working.
@@ -124,11 +125,10 @@ struct OverlapStats {
   bool inline_run = false;    // small-matrix path: no threads at all
   std::size_t bands = 0;      // tasks scheduled (post-split partition)
   std::size_t split_bands = 0;  // extra tasks created by dynamic splitting
-  // Scheduler activity: how tasks moved. High steal counts with low
-  // wall time are the design working (idle workers finding work), not a
-  // problem indicator like the old queue high-water mark was.
+  // Always 0: workers claim tasks from one cursor and nothing is stolen.
+  // Kept for the perfbench harness's spmv.steals; goes with ROADMAP item
+  // 10's benchmark-type cleanup.
   std::uint64_t steals = 0;
-  std::uint64_t steal_attempts = 0;
   std::uint64_t blocks_decoded = 0;
   std::uint64_t compressed_bytes = 0;
   std::uint64_t udp_cycles = 0;  // kUdpSimulated only
@@ -149,10 +149,10 @@ class StreamingExecutor {
   // Out-of-core variant: compressed streams come from `source` (cm may
   // be header-only). The source reads at least one band ahead of
   // decode: the stream's lookahead hint stages each worker's next band
-  // before the band in hand decodes (pop-order lookahead, so in-flight
-  // compressed bytes stay bounded by ~one window per worker however
-  // stealing reorders the run; the inline path hints the next task of
-  // the run order once the task in hand holds its lease). Bands the
+  // before the band in hand decodes (claim-order lookahead: a worker
+  // hints only the band it claimed next, so in-flight compressed bytes
+  // stay bounded by two bands per worker; the inline path hints the next
+  // task of the run order once the task in hand holds its lease). Bands the
   // BandCache serves are skipped (warm runs re-stream only what the
   // cache couldn't pin).
   // kUdpSimulated needs resident blocks and throws recode::Error here.
@@ -177,10 +177,6 @@ class StreamingExecutor {
   const std::vector<RowBand>& bands() const { return bands_; }
   const StreamingConfig& config() const { return config_; }
   const OverlapStats& last_stats() const { return stats_; }
-
-  // Tasks still queued in the scheduler; 0 whenever no multiply is in
-  // flight, including after an error (the drained-deques contract).
-  std::size_t scheduler_queued() const;
 
   // Switches the decode engine for subsequent multiplies. Invalidates
   // the decoded-band cache: pinned bands were produced by the previous

@@ -229,39 +229,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-// RAII wait-time probe: observes the scope's elapsed microseconds into a
-// histogram and optionally accumulates seconds into a caller total.
-// Empty (no clock reads) when telemetry is compiled off.
-class WaitTimer {
- public:
-  explicit WaitTimer(Histogram& h, double* seconds_accum = nullptr)
-#if RECODE_TELEMETRY_ENABLED
-      : hist_(&h), accum_(seconds_accum) {
-  }
-  ~WaitTimer() {
-    const double s = timer_.seconds();
-    hist_->observe(s * 1e6);
-    if (accum_ != nullptr) *accum_ += s;
-  }
-#else
-  {
-    static_cast<void>(h);
-    static_cast<void>(seconds_accum);
-  }
-  ~WaitTimer() = default;
-#endif
-
-  WaitTimer(const WaitTimer&) = delete;
-  WaitTimer& operator=(const WaitTimer&) = delete;
-
-#if RECODE_TELEMETRY_ENABLED
- private:
-  Timer timer_;
-  Histogram* hist_;
-  double* accum_;
-#endif
-};
-
 // RAII stage probe: adds the scope's elapsed nanoseconds to a counter
 // (per-codec-stage time attribution). Empty when telemetry is off.
 class StageTimer {

@@ -173,7 +173,7 @@ TEST(Degenerate, StreamingExecutorAllModes) {
     const auto cm = codec::compress(m, PipelineConfig::udp_dsh());
     const auto x = random_vector(static_cast<std::size_t>(m.cols), 13);
     const auto want = sparse::spmv_reference(m, x);
-    // Inline at 1 and 2 threads, then the scheduler forced on.
+    // Inline at 1 and 2 threads, then the threaded runner forced on.
     struct ModeCase {
       std::size_t threads;
       std::size_t inline_blocks;

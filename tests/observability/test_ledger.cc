@@ -180,8 +180,8 @@ TEST(Ledger, WarmOnlyWindowConserves) {
 }
 
 TEST(Ledger, ScheduledWorkersConserve) {
-  // Four workers on the scheduler: the decode and kernel hops are fed
-  // from several threads at once, with steals moving bands between them.
+  // Four threaded workers: the decode and kernel hops are fed from
+  // several threads at once, each claiming bands from the one cursor.
   const sparse::Csr a = test_matrix();
   const auto cm = codec::compress(a, codec::PipelineConfig::udp_dsh());
   const auto x = random_vector(static_cast<std::size_t>(a.cols), 11);
@@ -189,7 +189,7 @@ TEST(Ledger, ScheduledWorkersConserve) {
   spmv::StreamingConfig cfg;
   cfg.decode_threads = 2;
   cfg.compute_threads = 2;
-  cfg.fused_inline_blocks = 1;     // don't bypass the scheduler
+  cfg.fused_inline_blocks = 1;     // don't take the inline path
   spmv::StreamingExecutor exec(cm, cfg);
   const RunReport r =
       window("stream-scheduled", [&] { exec.multiply(x, y); });

@@ -116,8 +116,8 @@ TEST(BandCachePolicy, EvictedBandSurvivesWhileReferenced) {
 }
 
 TEST(BandCachePolicy, RunProtectionShieldsUntouchedResidents) {
-  // The work-stealing executor touches every band once per run in an
-  // order the scheduler does not fix. Bands resident at a begin_run()
+  // The threaded executor touches every band once per run in an order
+  // the workers' claims do not fix. Bands resident at a begin_run()
   // boundary must survive until this run consumes them — an insert that
   // would need their bytes is refused, not serviced by thrashing.
   BandCache cache(decoded_band_bytes(100));

@@ -110,7 +110,7 @@ TEST(StreamingDifferential, SoftwareEngineBitwiseAcrossThreadCounts) {
 
 TEST(StreamingDifferential, UdpSimulatedEngineBitwiseAcrossThreadCounts) {
   // The lane simulator is slower per block, so the 20 UDP matrices stay
-  // small (a handful of blocks each) — enough to cover band/steal
+  // small (a handful of blocks each) — enough to cover band/claim
   // interleavings while the cycle-level decode stays tractable.
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const auto n = static_cast<sparse::index_t>(400 + 40 * seed);
@@ -170,10 +170,10 @@ TEST(StreamingDifferential, RepeatedCallsAreDeterministic) {
   EXPECT_EQ(exec.blocks_decoded(), cm.blocks.size() * 6);
 }
 
-// The scheduler-era contract: bitwise parallel ≡ serial for every
+// The fan-out contract: bitwise parallel ≡ serial for every
 // combination of thread count × engine × cache budget, warm and cold.
 // Every run of a combination must agree with serial exactly — cache
-// hits, steals and serpentine order included.
+// hits, claim order and serpentine order included.
 TEST(StreamingDifferential, BitwiseAcrossThreadsEnginesAndCacheBudgets) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     // UDP's cycle-level sim is slow; alternate engines across seeds and
@@ -206,7 +206,7 @@ TEST(StreamingDifferential, BitwiseAcrossThreadsEnginesAndCacheBudgets) {
         cfg.decode_threads = threads;
         cfg.compute_threads = 1 + threads % 2;
         cfg.blocks_per_band = 1 + seed % 3;
-        cfg.fused_inline_blocks = 0;  // force the scheduler path
+        cfg.fused_inline_blocks = 0;  // force the threaded path
         cfg.cache_budget_bytes = budget;
         StreamingExecutor exec(cm, cfg);
         for (int pass = 0; pass < 3; ++pass) {

@@ -1,8 +1,7 @@
 // Concurrency stress for the streaming executor's error and shutdown
 // paths: randomized worker counts and band sizes, and mid-stream
 // corruption injected with the CorruptionEngine. The contract under
-// test: a run always drains — every worker exits, every deque and the
-// injector end empty (scheduler_queued() == 0), nothing deadlocks or
+// test: a run always ends — every worker exits, nothing deadlocks or
 // leaks — and the first recode::Error is rethrown on the caller's
 // thread. Warmed multiplies additionally run under a global operator-new
 // counting hook asserting the zero-steady-state-allocation guarantee,
@@ -114,8 +113,8 @@ TEST(StreamingStress, MidStreamErrorRethrowsOnCallerAndDrains) {
     cm.blocks[bad].index_data.clear();
     StreamingExecutor exec(cm, random_config(prng, DecodeEngine::kSoftware));
     EXPECT_THROW(exec.multiply(x, y), recode::Error) << "iter " << iter;
-    // The run must have drained: a second call on the same executor
-    // throws again instead of deadlocking on a stuck deque or worker.
+    // The run must have ended: a second call on the same executor
+    // throws again instead of deadlocking on a stuck worker.
     EXPECT_THROW(exec.multiply(x, y), recode::Error) << "iter " << iter;
   }
 }
@@ -155,9 +154,6 @@ TEST(StreamingStress, CorruptionEngineInjectionNeverHangsOrCrashes) {
       } catch (const recode::Error&) {
         ++threw;
       }
-      // Error or not, the scheduler must end drained: cancel clears the
-      // injector and every worker drains its own deque on the way out.
-      EXPECT_EQ(exec.scheduler_queued(), 0u);
     }
   }
   // The corruption model is adversarial enough that at least one variant
@@ -182,12 +178,11 @@ TEST(StreamingStress, UdpEngineMidStreamErrorRethrows) {
   EXPECT_THROW(exec.multiply(x, y), recode::Error);
 }
 
-// Mid-stream faults against the work-stealing scheduler. The faulting
-// worker cancels the scheduler and drains its own deque; cancel clears
-// the injector; every other worker drains on its next acquire — so after
-// the rethrow scheduler_queued() must be 0, and the executor must stay
-// usable (throwing again, not deadlocking).
-TEST(StreamingStress, SchedulerDrainsAfterMidStreamFault) {
+// Mid-stream faults against the band runner's claim cursor. The faulting
+// worker moves the cursor past the end, so no worker claims another
+// band; the rethrow comes once every worker has returned, and the
+// executor must stay usable (throwing again, not deadlocking).
+TEST(StreamingStress, MidStreamFaultRethrowsAndExecutorStaysUsable) {
   const std::uint64_t seed = test_seed(46);
   Prng prng(seed);
   const Csr a = stress_matrix(seed + 17);
@@ -208,21 +203,19 @@ TEST(StreamingStress, SchedulerDrainsAfterMidStreamFault) {
       cm.blocks[bad].index_data.clear();
     }
     StreamingConfig cfg = random_config(prng, DecodeEngine::kSoftware);
-    cfg.fused_inline_blocks = 0;  // keep the scheduler engaged
+    cfg.fused_inline_blocks = 0;  // keep the threaded runner engaged
     StreamingExecutor exec(cm, cfg);
     EXPECT_THROW(exec.multiply(x, y), recode::Error) << "iter=" << iter;
-    EXPECT_EQ(exec.scheduler_queued(), 0u) << "iter=" << iter;
     EXPECT_THROW(exec.multiply(x, y), recode::Error) << "iter=" << iter;
-    EXPECT_EQ(exec.scheduler_queued(), 0u) << "iter=" << iter;
   }
 }
 
 // The warmed software/no-cache steady state performs ZERO heap
-// allocations per multiply. Everything persistent — worker team,
-// scheduler deques, gate, decode arenas, task id vectors, telemetry
-// series — is built during construction or the warm runs; after that the
-// only per-run work is seeding preallocated deques, decoding into grown
-// arenas, and accumulating.
+// allocations per multiply. Everything persistent — worker team, decode
+// arenas, task id vectors, telemetry series — is built during
+// construction or the warm runs; after that the only per-run work is
+// resetting the claim cursor, decoding into grown arenas, and
+// accumulating.
 TEST(StreamingStress, WarmFusedMultiplyIsAllocationFree) {
   const std::uint64_t seed = test_seed(47);
   const Csr a = stress_matrix(seed + 29);
@@ -237,7 +230,7 @@ TEST(StreamingStress, WarmFusedMultiplyIsAllocationFree) {
   cfg.decode_threads = 3;
   cfg.compute_threads = 1;
   cfg.blocks_per_band = 2;
-  cfg.fused_inline_blocks = 0;      // scheduler + team engaged
+  cfg.fused_inline_blocks = 0;      // threaded runner + team engaged
   cfg.cache_budget_bytes = 0;       // no cache copies
   StreamingExecutor exec(cm, cfg);
   std::vector<double> y(y_serial.size());

@@ -1,8 +1,8 @@
 // Telemetry <-> pipeline integration: instrumentation must observe, not
 // perturb. Tracing on vs off leaves StreamingExecutor output bitwise
 // identical; the registry counters advance in step with the executor's
-// own accounting; and the wait-time probes land in the histograms the
-// bench --json output exports.
+// own accounting; and the band runner's tail-wait samples land in the
+// histogram the bench --json output exports.
 #include <cstring>
 #include <vector>
 
@@ -71,7 +71,7 @@ TEST(TelemetryPipeline, CountersTrackExecutorAccounting) {
 
   StreamingConfig cfg;
   cfg.decode_threads = 2;
-  cfg.fused_inline_blocks = 0;  // force the scheduler path
+  cfg.fused_inline_blocks = 0;  // force the threaded path
   StreamingExecutor exec(cm, cfg);
   exec.multiply(x, y);
 
@@ -87,33 +87,33 @@ TEST(TelemetryPipeline, CountersTrackExecutorAccounting) {
   EXPECT_EQ(bytes.value(), exec.compressed_bytes_streamed());
   EXPECT_EQ(runs.value(), 1u);
 
-  // Scheduler accounting closes: every task was acquired exactly once,
-  // via a local pop, the injector, or a steal, and the own-deque
-  // occupancy histogram saw one sample per acquisition.
-  const std::uint64_t acquires =
-      reg.counter("spmv.steal.local_pops").value() +
-      reg.counter("spmv.steal.injector_pops").value() +
-      reg.counter("spmv.steal.count").value();
-  EXPECT_EQ(acquires, exec.bands().size());
-  EXPECT_EQ(reg.histogram("spmv.sched.deque_occupancy").count(),
+  // Runner accounting closes: the run scheduled every band, and each
+  // worker's tail wait is one acquire-wait sample per threaded run.
+  const std::size_t workers = cfg.decode_threads + cfg.compute_threads;
+  EXPECT_EQ(reg.counter("spmv.tasks.scheduled").value(),
             exec.bands().size());
+  EXPECT_EQ(reg.histogram("spmv.sched.acquire_wait_us").count(), workers);
+  exec.multiply(x, y);
+  EXPECT_EQ(reg.histogram("spmv.sched.acquire_wait_us").count(),
+            2 * workers);
 
   // The blocked-time split the overlap analysis consumes is populated,
-  // and the run reports the scheduler's view of itself.
+  // and the run reports the runner's view of itself.
   const auto& st = exec.last_stats();
   EXPECT_GE(st.decode_blocked_seconds, 0.0);
   EXPECT_GE(st.compute_blocked_seconds, 0.0);
   EXPECT_TRUE(st.fused);
   EXPECT_FALSE(st.inline_run);
-  EXPECT_EQ(st.workers, cfg.decode_threads + cfg.compute_threads);
-  EXPECT_EQ(st.steals, reg.counter("spmv.steal.count").value());
+  EXPECT_EQ(st.workers, workers);
+  EXPECT_EQ(st.steals, 0u);  // nothing is stolen from one claim cursor
 }
 
-// ISSUE 6 schema contract: the bench/solver JSON consumers read the
-// work-stealing telemetry — steal counters and scheduler occupancy
-// histograms — and the retired per-band queue series must never
-// reappear under any name.
-TEST(TelemetryPipeline, SnapshotSchemaExportsStealSeriesNotBandQueues) {
+// Schema contract: the bench/solver JSON consumers read the executor's
+// task counters and the band runner's tail-wait histogram, and retired
+// series — the per-band queues, and the steal counters and deque
+// occupancy of the work-stealing scheduler the claim cursor replaced —
+// must never reappear under any name.
+TEST(TelemetryPipeline, SnapshotSchemaExportsRunnerSeriesNotRetiredOnes) {
   auto& reg = telemetry::MetricsRegistry::global();
   reg.reset();
 
@@ -125,20 +125,21 @@ TEST(TelemetryPipeline, SnapshotSchemaExportsStealSeriesNotBandQueues) {
   StreamingConfig cfg;
   cfg.decode_threads = 3;
   cfg.compute_threads = 1;
-  cfg.fused_inline_blocks = 0;  // scheduler engaged: steal series live
+  cfg.fused_inline_blocks = 0;  // threaded runner engaged
   StreamingExecutor exec(cm, cfg);
   exec.multiply(x, y);
 
   const telemetry::MetricsSnapshot snap = reg.snapshot();
 
   // The retired queue series died with the bounded-queue designs (the
-  // per-band queues, then the ready/free slab queues); nothing may
-  // register under their prefixes again — in the telemetry-off build
-  // either (instruments still register by name there, they just never
-  // record).
+  // per-band queues, then the ready/free slab queues), and the steal
+  // series with the work-stealing scheduler; nothing may register under
+  // their prefixes again — in the telemetry-off build either
+  // (instruments still register by name there, they just never record).
   const std::string json = snap.to_json();
   for (const std::string prefix :
-       {"spmv.band_queue.", "spmv.ready_queue.", "spmv.free_queue."}) {
+       {"spmv.band_queue.", "spmv.ready_queue.", "spmv.free_queue.",
+        "spmv.steal.", "spmv.sched.deque"}) {
     EXPECT_EQ(json.find(prefix), std::string::npos)
         << "retired series " << prefix << " resurfaced in the JSON export";
     for (const auto& [n, v] : snap.counters) {
@@ -163,23 +164,17 @@ TEST(TelemetryPipeline, SnapshotSchemaExportsStealSeriesNotBandQueues) {
     return false;
   };
 
-  // The scheduler series the bench JSON exports.
+  // The executor and runner series the bench JSON exports.
   for (const char* name :
-       {"spmv.steal.count", "spmv.steal.attempts", "spmv.steal.local_pops",
-        "spmv.steal.injector_pops", "spmv.stream.runs",
-        "spmv.exec.fused_runs", "spmv.exec.inline_runs",
-        "spmv.tasks.scheduled",
-        "spmv.tasks.split_bands"}) {
+       {"spmv.stream.runs", "spmv.exec.fused_runs", "spmv.exec.inline_runs",
+        "spmv.tasks.scheduled", "spmv.tasks.split_bands"}) {
     EXPECT_TRUE(has_counter(name)) << "missing counter " << name;
   }
-  for (const char* name :
-       {"spmv.sched.deque_occupancy", "spmv.sched.acquire_wait_us"}) {
-    EXPECT_TRUE(has_histogram(name)) << "missing histogram " << name;
-  }
+  EXPECT_TRUE(has_histogram("spmv.sched.acquire_wait_us"));
 
   // And the JSON export carries the live series end-to-end.
-  EXPECT_NE(json.find("spmv.steal.count"), std::string::npos);
-  EXPECT_NE(json.find("spmv.sched.deque_occupancy"), std::string::npos);
+  EXPECT_NE(json.find("spmv.tasks.scheduled"), std::string::npos);
+  EXPECT_NE(json.find("spmv.sched.acquire_wait_us"), std::string::npos);
 }
 
 TEST(TelemetryPipeline, CodecStageCountersAttributeBytes) {
